@@ -70,14 +70,31 @@ class BigradedComplex:
             for q, count in seen.items():
                 yield h, q, count
 
-    def check_d_squared(self) -> bool:
+    def sparse_boundaries(self) -> dict[int, list[dict[int, int]]]:
+        """Each boundary as one {row: entry} dict per column, in Python ints."""
+        return {h: _sparse_columns(d) for h, d in self.boundaries.items()}
+
+    def check_d_squared(self, sparse=None) -> bool:
+        """Whether every composite d_{h+1} d_h vanishes, exactly over Z.
+
+        `sparse` is this complex's ``sparse_boundaries()``, for callers
+        that already read them.
+        """
+        if sparse is None:
+            sparse = self.sparse_boundaries()
         for h in self.degrees():
-            d1 = self.boundaries.get(h)
-            d2 = self.boundaries.get(h + 1)
-            if d1 is None or d2 is None:
+            first, second = sparse.get(h), sparse.get(h + 1)
+            if first is None or second is None:
                 continue
-            if np.any(d2 @ d1):
-                return False
+            if self.boundaries[h].shape[0] != len(second):
+                raise ValueError(f"d_{h + 1} and d_{h} do not compose")
+            for col in first:
+                acc: dict[int, int] = {}
+                for mid, a in col.items():
+                    for r, b in second[mid].items():
+                        acc[r] = acc.get(r, 0) + a * b
+                if any(acc.values()):
+                    return False
         return True
 
     def check_q_preserved(self) -> bool:
@@ -89,6 +106,14 @@ class BigradedComplex:
                 if qs_dst[r] != qs_src[c]:
                     return False
         return True
+
+
+def _sparse_columns(d: np.ndarray) -> list[dict[int, int]]:
+    cols: list[dict[int, int]] = [{} for _ in range(d.shape[1])]
+    rows, idx = np.nonzero(d)
+    for r, c, v in zip(rows.tolist(), idx.tolist(), d[rows, idx].tolist()):
+        cols[c][r] = v
+    return cols
 
 
 @dataclass(frozen=True)

@@ -97,3 +97,11 @@ def test_bigraded_complex_checks_catch_errors():
         groups={0: [0], 1: [5]},
         boundaries={0: np.array([[1]])})
     assert not bad_q.check_q_preserved()
+
+
+def test_d_squared_is_exact_beyond_int64():
+    # d^2 = 2^64 would wrap to 0 in int64 arithmetic
+    c = BigradedComplex(
+        groups={0: [0], 1: [0], 2: [0]},
+        boundaries={0: np.array([[2 ** 32]]), 1: np.array([[2 ** 32]])})
+    assert not c.check_d_squared()

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import BigradedComplex, build_unreduced
+from khoarrow.diagram import Diagram, mirror
 from khoarrow.homology import HomologyTable, NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
 
@@ -92,3 +95,129 @@ def test_synthetic_torsion():
                         boundaries={0: np.array([[2]], dtype=np.int64)})
     t = homology(c)
     assert t.group_rows() == [(1, 0, 0, (2,))]
+
+
+def test_rejects_non_complex_beyond_int64():
+    # d^2 = 2^64 would wrap to 0 in int64 arithmetic
+    bad = BigradedComplex(
+        groups={0: [0], 1: [0], 2: [0]},
+        boundaries={0: np.array([[2 ** 32]]), 1: np.array([[2 ** 32]])})
+    with pytest.raises(NotAComplex):
+        homology(bad)
+
+
+# ------------------------------------------ cancellation on known complexes
+
+DEGREES = range(4)
+# a piece at (h, q) is a free class (k = 0), or Z --k--> Z from h to h+1
+PIECES = st.tuples(st.sampled_from([0, 1, 2, 3, 4, 6]),
+                   st.integers(0, 2), st.sampled_from([0, 2]))
+
+
+def _invariant_factors(orders):
+    """Invariant factors of the sum of Z/k over `orders` (k in 2, 3, 4, 6)."""
+    exponents: dict[int, list[int]] = {}
+    for k in orders:
+        for p in (2, 3):
+            e = 0
+            while k % p == 0:
+                k //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+    factors = [1] * max(map(len, exponents.values()), default=0)
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[-1 - i] *= p ** e
+    return tuple(factors)
+
+
+def _basis_change(qs, rnd):
+    """A random unimodular U mixing generators of one quantum degree only,
+    its inverse, and the gradings of the new basis."""
+    n = len(qs)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    new_qs = [qs[i] for i in perm]
+    u = np.eye(n, dtype=np.int64)[perm]
+    u_inv = u.T.copy()
+    for _ in range(3 * n):
+        i, j = rnd.randrange(n), rnd.randrange(n)
+        if i == j or new_qs[i] != new_qs[j]:
+            continue
+        a = rnd.choice([-2, -1, 1, 2])
+        u[i] += a * u[j]                  # row i += a row j
+        u_inv[:, j] -= a * u_inv[:, i]    # column j -= a column i
+    return u, u_inv, new_qs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(PIECES, max_size=10), st.randoms(use_true_random=False))
+def test_cancellation_keeps_known_homology(pieces, rnd):
+    groups = {h: [] for h in DEGREES}
+    entries = []                      # (h, column, row, coefficient)
+    expected_betti: dict = {}
+    expected_orders: dict = {}
+    for k, h, q in pieces:
+        if k == 0:
+            groups[h].append(q)
+            expected_betti[(h, q)] = expected_betti.get((h, q), 0) + 1
+            continue
+        entries.append((h, len(groups[h]), len(groups[h + 1]), k))
+        groups[h].append(q)
+        groups[h + 1].append(q)
+        if k > 1:
+            expected_orders.setdefault((h + 1, q), []).append(k)
+    boundaries = {h: np.zeros((len(groups[h + 1]), len(groups[h])),
+                              dtype=np.int64) for h in DEGREES[:-1]}
+    for h, col, row, k in entries:
+        boundaries[h][row, col] = k
+    # in the new bases the boundary d_h becomes U_{h+1} d_h U_h^-1
+    changes = {h: _basis_change(groups[h], rnd) for h in DEGREES}
+    for h in boundaries:
+        boundaries[h] = changes[h + 1][0] @ boundaries[h] @ changes[h][1]
+    c = BigradedComplex(groups={h: changes[h][2] for h in DEGREES},
+                        boundaries=boundaries)
+    assert c.check_d_squared() and c.check_q_preserved()
+
+    expected = {hq: (b, ()) for hq, b in expected_betti.items()}
+    for hq, orders in expected_orders.items():
+        expected[hq] = (expected_betti.get(hq, 0), _invariant_factors(orders))
+    assert homology(c).entries == expected
+
+
+# ------------------------------------------------- T(2, n) torus knots
+
+def _torus(n):
+    """Left-handed T(2, n): X[j, j+n, j+1, j+n+1] over odd j, mod 2n."""
+    def lab(a):
+        return (a - 1) % (2 * n) + 1
+    return Diagram([(lab(j), lab(j + n), lab(j + 1), lab(j + n + 1))
+                    for j in range(1, 2 * n, 2)])
+
+
+def _torus_even_rows(n, chirality):
+    """Khovanov's closed form (math/9908171, section 6.2) for T(2, n);
+    the left-handed knot's table is the mirror of the right-handed one."""
+    free = [(0, n - 2), (0, n)]
+    torsion = []
+    for k in range(1, (n - 1) // 2 + 1):
+        free += [(2 * k, n + 4 * k - 2), (2 * k + 1, n + 4 * k + 2)]
+        torsion.append((2 * k + 1, n + 4 * k))
+    if chirality == "left":
+        free = [(-h, -q) for h, q in free]
+        torsion = [(1 - h, -q) for h, q in torsion]
+    return sorted([(h, q, 1, ()) for h, q in free]
+                  + [(h, q, 0, (2,)) for h, q in torsion])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("chirality", ["left", "right"])
+def test_torus_knots_unreduced(n, chirality):
+    d = _torus(n) if chirality == "left" else mirror(_torus(n))
+    assert homology(build_unreduced(d, EVEN)).group_rows() == \
+        _torus_even_rows(n, chirality)
+    odd = homology(build_unreduced(d, ODD))
+    assert all(t == () for _, _, _, t in odd.group_rows())
+    assert sum(b for _, _, b in odd.iter_bidegrees()) == 2 * n
+    assert euler_characteristic(odd) == jones(d)
