@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import RingParams
-from .cube import Resolution, cube_faces, khovanov_sign, resolve
+from .cube import Resolution, cube_faces, khovanov_sign, resolve, vertices
 from .diagram import Diagram
 
 __all__ = [
@@ -49,15 +49,16 @@ class Unsolvable(RuntimeError):
 
 @dataclass
 class BigradedComplex:
-    """Chain groups per homological degree with integer boundary maps.
+    """Chain groups per homological degree with sparse integer boundaries.
 
     groups[h] is the list of quantum degrees of the generators in degree
-    h; boundaries[h] maps degree h to degree h+1 (columns indexed by the
-    generators of degree h).
+    h.  boundaries[h] maps degree h to degree h+1 as one ``{row: entry}``
+    dict per generator of degree h: the nonzero entries of that column,
+    keyed by the index of a generator of degree h+1, as Python ints.
     """
 
     groups: dict[int, list[int]] = field(default_factory=dict)
-    boundaries: dict[int, np.ndarray] = field(default_factory=dict)
+    boundaries: dict[int, list[dict[int, int]]] = field(default_factory=dict)
 
     def degrees(self):
         return sorted(self.groups)
@@ -70,23 +71,20 @@ class BigradedComplex:
             for q, count in seen.items():
                 yield h, q, count
 
-    def sparse_boundaries(self) -> dict[int, list[dict[int, int]]]:
-        """Each boundary as one {row: entry} dict per column, in Python ints."""
-        return {h: _sparse_columns(d) for h, d in self.boundaries.items()}
-
-    def check_d_squared(self, sparse=None) -> bool:
+    def check_d_squared(self) -> bool:
         """Whether every composite d_{h+1} d_h vanishes, exactly over Z.
 
-        `sparse` is this complex's ``sparse_boundaries()``, for callers
-        that already read them.
+        Raises ValueError if d_{h+1} and d_h do not compose: d_{h+1} has
+        a column count other than the number of generators of degree h+1,
+        or d_h has a row index past them.
         """
-        if sparse is None:
-            sparse = self.sparse_boundaries()
-        for h in self.degrees():
-            first, second = sparse.get(h), sparse.get(h + 1)
-            if first is None or second is None:
+        for h, first in self.boundaries.items():
+            second = self.boundaries.get(h + 1)
+            if second is None:
                 continue
-            if self.boundaries[h].shape[0] != len(second):
+            size = len(self.groups.get(h + 1, []))
+            if len(second) != size or any(
+                    r >= size for col in first for r in col):
                 raise ValueError(f"d_{h + 1} and d_{h} do not compose")
             for col in first:
                 acc: dict[int, int] = {}
@@ -98,22 +96,13 @@ class BigradedComplex:
         return True
 
     def check_q_preserved(self) -> bool:
-        for h, d in self.boundaries.items():
+        for h, cols in self.boundaries.items():
             qs_src = self.groups.get(h, [])
             qs_dst = self.groups.get(h + 1, [])
-            rows, cols = np.nonzero(d)
-            for r, c in zip(rows, cols):
-                if qs_dst[r] != qs_src[c]:
+            for c, col in enumerate(cols):
+                if any(qs_dst[r] != qs_src[c] for r in col):
                     return False
         return True
-
-
-def _sparse_columns(d: np.ndarray) -> list[dict[int, int]]:
-    cols: list[dict[int, int]] = [{} for _ in range(d.shape[1])]
-    rows, idx = np.nonzero(d)
-    for r, c, v in zip(rows.tolist(), idx.tolist(), d[rows, idx].tolist()):
-        cols[c][r] = v
-    return cols
 
 
 @dataclass(frozen=True)
@@ -223,7 +212,7 @@ def solve_signs(d: Diagram, p: RingParams,
 
     edge_keys = sorted(
         _edge_key(bits, i)
-        for bits in _all_bits(n) for i in range(n) if not bits[i])
+        for bits in vertices(n) for i in range(n) if not bits[i])
     edge_pos = {k: idx for idx, k in enumerate(edge_keys)}
 
     rows = []
@@ -265,11 +254,6 @@ def solve_signs(d: Diagram, p: RingParams,
     return SignAssignment(signs)
 
 
-def _all_bits(n):
-    for m in range(2 ** n):
-        yield tuple((m >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def _solve_gf2(rows, rhs, width):
     """Gaussian elimination over GF(2); free variables are zero."""
     aug = [row[:] + [b] for row, b in zip(rows, rhs)]
@@ -302,7 +286,7 @@ def cube_layout(d: Diagram) -> dict[int, list[tuple[int, ...]]]:
     this order, each block in the basis order of A^{(x)k(I)}.
     """
     vertex_by_h: dict[int, list[tuple[int, ...]]] = {}
-    for bits in _all_bits(d.n):
+    for bits in vertices(d.n):
         vertex_by_h.setdefault(sum(bits) - d.n_minus, []).append(bits)
     return vertex_by_h
 
@@ -313,7 +297,7 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
-    resolutions = {bits: resolve(d, bits, flip_arrows) for bits in _all_bits(n)}
+    resolutions = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
     maps: dict = {}
     assignment = solve_signs(d, p, resolutions=resolutions, maps=maps)
 
@@ -331,21 +315,28 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
                 qs.append(q if convention == "standard" else -q)
         groups[h] = qs
 
-    boundaries: dict[int, np.ndarray] = {}
+    boundaries: dict[int, list[dict[int, int]]] = {}
     for h in sorted(vertex_by_h):
         if h + 1 not in vertex_by_h:
             continue
-        mat = np.zeros((len(groups[h + 1]), len(groups[h])), dtype=np.int64)
+        cols: list[dict[int, int]] = [{} for _ in groups[h]]
         for bits in vertex_by_h[h]:
-            for i in range(n):
+            # the later the bit that flips, the earlier its target in the
+            # layout: walking the crossings backwards writes each column's
+            # rows in increasing order, the order homology() picks pivots in
+            for i in reversed(range(n)):
                 if bits[i]:
                     continue
                 to = bits[:i] + (1,) + bits[i + 1:]
                 key = _edge_key(bits, i)
                 if key not in maps:
                     maps[key] = edge_map(resolutions[bits], resolutions[to], i, p)
-                block = assignment[key] * maps[key]
-                r0, c0 = offsets[to], offsets[bits]
-                mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += block
-        boundaries[h] = mat
+                block = maps[key]
+                sign, r0, c0 = assignment[key], offsets[to], offsets[bits]
+                rows, idx = np.nonzero(block)
+                # blocks of distinct edges never overlap
+                for r, c, v in zip(rows.tolist(), idx.tolist(),
+                                   block[rows, idx].tolist()):
+                    cols[c0 + c][r0 + r] = sign * v
+        boundaries[h] = cols
     return BigradedComplex(groups=groups, boundaries=boundaries)

@@ -160,14 +160,13 @@ def _suite_commuting_square(report):
 
 
 def _suite_graph_span(report):
-    from .cube import resolve
+    from .cube import resolve, vertices
     for name in corpus.names():
         d = corpus.get(name)
         if d.n > 6:
             continue
         ok = True
-        for m in range(2 ** d.n):
-            bits = tuple((m >> (d.n - 1 - j)) & 1 for j in range(d.n))
+        for bits in vertices(d.n):
             if not check_graph_span(resolve(d, bits))["equal"]:
                 ok = False
         report(f"graph-span {name}", ok)

@@ -11,7 +11,7 @@ circles carrying its two smoothing arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .diagram import Diagram
 
@@ -19,6 +19,7 @@ __all__ = [
     "Arrow",
     "Resolution",
     "CubeEdge",
+    "vertices",
     "resolve",
     "count_circles",
     "khovanov_sign",
@@ -140,9 +141,9 @@ def khovanov_sign(bits, i: int) -> int:
     return -1 if sum(bits[:i]) % 2 else 1
 
 
-def _vertices(n):
-    for m in range(2 ** n):
-        yield tuple((m >> (n - 1 - j)) & 1 for j in range(n))
+def vertices(n: int):
+    """The 2^n vertices of the n-cube as bit tuples, in lexicographic order."""
+    return product((0, 1), repeat=n)
 
 
 def cube_edges(d: Diagram, flip_arrows: bool = False):
@@ -155,7 +156,7 @@ def cube_edges(d: Diagram, flip_arrows: bool = False):
             cache[bits] = resolve(d, bits, flip_arrows)
         return cache[bits]
 
-    for bits in _vertices(d.n):
+    for bits in vertices(d.n):
         for i in range(d.n):
             if bits[i]:
                 continue
@@ -175,8 +176,8 @@ def check_planarity(d: Diagram) -> bool:
     incoherent site.  Exponential in the crossing number; intended for
     validating small curated diagrams.
     """
-    counts = {bits: count_circles(d, bits) for bits in _vertices(d.n)}
-    for bits in _vertices(d.n):
+    counts = {bits: count_circles(d, bits) for bits in vertices(d.n)}
+    for bits in vertices(d.n):
         for i in range(d.n):
             if bits[i]:
                 continue
@@ -189,7 +190,7 @@ def check_planarity(d: Diagram) -> bool:
 def cube_faces(d: Diagram):
     """All 2-faces (I, i, j) with i < j and I_i = I_j = 0."""
     faces = []
-    for bits in _vertices(d.n):
+    for bits in vertices(d.n):
         for i, j in combinations(range(d.n), 2):
             if bits[i] == 0 and bits[j] == 0:
                 faces.append((bits, i, j))

@@ -14,7 +14,7 @@ and one tail.  Crossing signs then follow from the right-hand rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Diagram",

@@ -1,8 +1,9 @@
 """Exact integer homology of bigraded complexes.
 
-The boundaries are read once into sparse columns of Python integers, and
-d^2 = 0 is checked exactly on them.  Every +-1 entry of the complex is
-then cancelled by Gaussian elimination (Bar-Natan, *Fast Khovanov
+The boundaries of a ``BigradedComplex`` are sparse columns, one
+``{row: entry}`` dict of Python integers per generator, and d^2 = 0 is
+checked exactly on them.  Every +-1 entry of the complex is then
+cancelled by Gaussian elimination (Bar-Natan, *Fast Khovanov
 homology computations*, math/0606318): an invertible entry a = d(c -> r)
 splits off the contractible summand c -> r, and every other pair gets
 d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
@@ -64,7 +65,7 @@ class HomologyTable:
             (hq, b, tuple(t)) for hq, (b, t) in self.entries.items())))
 
 
-def _graph(c, sparse):
+def _graph(c):
     """Generators as ids with their (h, q), and the boundary both ways.
 
     out[g] maps each target of g to its coefficient and inc[g] each
@@ -79,10 +80,10 @@ def _graph(c, sparse):
     out: dict[int, dict[int, int]] = {g: {} for g in range(len(grading))}
     inc: dict[int, dict[int, int]] = {g: {} for g in range(len(grading))}
     for h in c.degrees():
-        if h not in sparse or h + 1 not in first:
+        if h not in c.boundaries or h + 1 not in first:
             continue
         qs, qs_next = c.groups[h], c.groups[h + 1]
-        for col_idx, col in enumerate(sparse[h]):
+        for col_idx, col in enumerate(c.boundaries[h]):
             src = first[h] + col_idx
             for row_idx, a in col.items():
                 if qs_next[row_idx] == qs[col_idx]:
@@ -141,10 +142,9 @@ def _snf_of_block(out, cols, rows):
 
 def homology(c) -> HomologyTable:
     """Integer homology of a BigradedComplex, exact over Z."""
-    sparse = c.sparse_boundaries()
-    if not c.check_d_squared(sparse):
+    if not c.check_d_squared():
         raise NotAComplex("boundary maps do not square to zero")
-    grading, out, inc = _graph(c, sparse)
+    grading, out, inc = _graph(c)
     _cancel_units(out, inc)
     residue: dict[tuple[int, int], list[int]] = {}
     for g in out:

@@ -11,7 +11,7 @@ by (-1)^(n_minus) q^(n_plus - 2 n_minus).
 
 from __future__ import annotations
 
-from .cube import count_circles
+from .cube import count_circles, vertices
 from .diagram import Diagram
 
 __all__ = ["LaurentPoly", "TooLarge", "kauffman_bracket", "jones",
@@ -115,8 +115,7 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     if n > MAX_BRACKET_CROSSINGS:
         raise TooLarge(f"{n} crossings exceeds bracket limit {MAX_BRACKET_CROSSINGS}")
     total = LaurentPoly()
-    for m in range(2 ** n):
-        bits = tuple((m >> (n - 1 - j)) & 1 for j in range(n))
+    for bits in vertices(n):
         w = sum(bits)
         k = count_circles(d, bits)
         term = (_CIRCLE ** k).shift(w)

@@ -27,14 +27,13 @@ assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import algebra
 from .algebra import EVEN
 from .chain import BigradedComplex, build_unreduced, cube_layout, edge_map
-from .cube import Resolution, resolve
+from .cube import Resolution, resolve, vertices
 from .diagram import Diagram
 from .jones import TooLarge
 
@@ -238,11 +237,6 @@ def _reinterpret(w, merge: bool, i: int):
     return tuple(sorted(w + (i,)))
 
 
-def _all_bits(n):
-    for m in range(2 ** n):
-        yield tuple((m >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def build_reduced(d: Diagram, convention: str = "standard",
                   flip_arrows: bool = False) -> BigradedComplex:
     """The reduced Khovanov complex of `d`, a subcomplex of the even one.
@@ -265,10 +259,10 @@ def build_reduced(d: Diagram, convention: str = "standard",
         raise ValueError(f"unknown grading convention {convention!r}")
     even = build_unreduced(d, EVEN, flip_arrows=flip_arrows)
     keep: dict[int, list[int]] = {}
-    for h, vertices in cube_layout(d).items():
+    for h, layer in cube_layout(d).items():
         keep[h] = []
         offset = 0
-        for bits in vertices:
+        for bits in layer:
             r = resolve(d, bits, flip_arrows)
             base = r.circle_of(d.arcs[0]) if d.arcs else 0
             marked = 1 << (r.k - 1 - base)
@@ -279,13 +273,15 @@ def build_reduced(d: Diagram, convention: str = "standard",
     sign = 1 if convention == "standard" else -1
     groups = {h: [sign * (even.groups[h][j] + 1) for j in kept]
               for h, kept in keep.items()}
-    boundaries: dict[int, np.ndarray] = {}
-    for h, mat in even.boundaries.items():
-        cols = mat[:, keep[h]]
-        if np.any(np.delete(cols, keep[h + 1], axis=0)):
-            raise NotASubcomplex(
-                f"boundary from degree {h} leaves the reduced generators")
-        boundaries[h] = cols[keep[h + 1]]
+    boundaries: dict[int, list[dict[int, int]]] = {}
+    for h, cols in even.boundaries.items():
+        row_of = {g: j for j, g in enumerate(keep[h + 1])}
+        boundaries[h] = []
+        for g in keep[h]:
+            if any(r not in row_of for r in cols[g]):
+                raise NotASubcomplex(
+                    f"boundary from degree {h} leaves the reduced generators")
+            boundaries[h].append({row_of[r]: v for r, v in cols[g].items()})
     return BigradedComplex(groups=groups, boundaries=boundaries)
 
 
@@ -297,10 +293,10 @@ def check_commuting_square(d: Diagram, flip_arrows: bool = False) -> list:
     the even-specialization Khovanov edge map applied to b(1^{(x)k(I)}).
     """
     n = d.n
-    resolutions = {bits: resolve(d, bits, flip_arrows) for bits in _all_bits(n)}
+    resolutions = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
     lattices = {bits: operator_lattice(r) for bits, r in resolutions.items()}
     violations = []
-    for bits in _all_bits(n):
+    for bits in vertices(n):
         for i in range(n):
             if bits[i]:
                 continue

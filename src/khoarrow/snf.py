@@ -1,36 +1,23 @@
 """Smith normal form over the integers, with unimodular transforms.
 
 ``smith_normal_form`` returns (D, U, V) with U @ M @ V = D, U and V of
-determinant +-1 and D diagonal with d1 | d2 | ... .  The pure-Python
-path works with arbitrary-precision integers; when the compiled kernel
-is available and the input is small enough to be safe in 64-bit
-arithmetic it is used instead, falling back transparently on overflow.
+determinant +-1 and D diagonal with d1 | d2 | ... .  It works with
+arbitrary-precision Python integers, so no entry can overflow.
 """
 
 from __future__ import annotations
 
-import numpy as np
+__all__ = ["smith_normal_form", "snf_diagonal", "KERNEL"]
 
-__all__ = ["smith_normal_form", "smith_normal_form_py", "snf_diagonal",
-           "KERNEL"]
-
-try:
-    from . import _snfcore
-    KERNEL = "compiled"
-except ImportError:          # pragma: no cover - build-environment dependent
-    _snfcore = None
-    KERNEL = "python"
+KERNEL = "python"   # the only SNF implementation, named for environment reports
 
 
-def _as_pylists(M):
-    if isinstance(M, np.ndarray):
-        return [[int(x) for x in row] for row in M]
-    return [[int(x) for x in row] for row in M]
+def smith_normal_form(M):
+    """SNF of an integer matrix (nested sequences or a 2-D array).
 
-
-def smith_normal_form_py(M):
-    """Pure-Python SNF; returns (D, U, V) as nested int lists."""
-    A = _as_pylists(M)
+    Returns (D, U, V) as nested Python int lists with U @ M @ V = D.
+    """
+    A = [[int(x) for x in row] for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -122,24 +109,6 @@ def smith_normal_form_py(M):
             negate_row(t)
         t += 1
     return A, U, V
-
-
-_INT64_SAFE = 2 ** 31   # entry bound under which the int64 kernel is tried
-
-
-def smith_normal_form(M):
-    """SNF dispatching to the compiled kernel when safe.
-
-    Returns (D, U, V) as nested Python int lists with U @ M @ V = D.
-    """
-    A = _as_pylists(M)
-    if _snfcore is not None and A and A[0]:
-        if all(abs(x) < _INT64_SAFE for row in A for x in row):
-            try:
-                return _snfcore.smith_normal_form_i64(A)
-            except OverflowError:
-                pass
-    return smith_normal_form_py(A)
 
 
 def snf_diagonal(M) -> list[int]:

@@ -42,8 +42,9 @@ def test_homological_range_and_group_sizes():
     assert len(c.groups[-2]) == 3 * 2 ** 2
     assert len(c.groups[0]) == 2 ** 2
     for h in (-3, -2, -1):
-        assert c.boundaries[h].shape == (len(c.groups[h + 1]),
-                                         len(c.groups[h]))
+        assert len(c.boundaries[h]) == len(c.groups[h])
+        assert all(0 <= r < len(c.groups[h + 1])
+                   for col in c.boundaries[h] for r in col)
 
 
 def test_paper_convention_negates_q():
@@ -89,19 +90,29 @@ def test_even_kink_edge_is_plain_structure_map():
 def test_bigraded_complex_checks_catch_errors():
     bad = BigradedComplex(
         groups={0: [0, 0], 1: [0, 0]},
-        boundaries={0: np.array([[1, 0], [0, 1]]),
-                    1: np.array([[1, 0], [0, 1]])})
+        boundaries={0: [{0: 1}, {1: 1}], 1: [{0: 1}, {1: 1}]})
     # identity followed by identity is not a differential
     assert not bad.check_d_squared()
     bad_q = BigradedComplex(
         groups={0: [0], 1: [5]},
-        boundaries={0: np.array([[1]])})
+        boundaries={0: [{0: 1}]})
     assert not bad_q.check_q_preserved()
+
+
+@pytest.mark.parametrize("boundaries", [
+    {0: [{0: 1}, {1: 1}], 1: [{0: 1}]},          # d_1: one column for two
+    {0: [{0: 1}, {2: 1}], 1: [{0: 1}, {0: 1}]},  # d_0: row 2 of two
+])
+def test_d_squared_rejects_boundaries_that_do_not_compose(boundaries):
+    c = BigradedComplex(groups={0: [0, 0], 1: [0, 0], 2: [0]},
+                        boundaries=boundaries)
+    with pytest.raises(ValueError):
+        c.check_d_squared()
 
 
 def test_d_squared_is_exact_beyond_int64():
     # d^2 = 2^64 would wrap to 0 in int64 arithmetic
     c = BigradedComplex(
         groups={0: [0], 1: [0], 2: [0]},
-        boundaries={0: np.array([[2 ** 32]]), 1: np.array([[2 ** 32]])})
+        boundaries={0: [{0: 2 ** 32}], 1: [{0: 2 ** 32}]})
     assert not c.check_d_squared()

@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from khoarrow.chain import build_unreduced
 from khoarrow.cli import main
 from khoarrow.diagram import parse_pd
@@ -130,7 +128,9 @@ def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
         # the first boundary sends every generator to every generator,
         # so kept generators reach those without x on the base circle
         c = build_unreduced(d, p, flip_arrows=flip_arrows)
-        c.boundaries[min(c.boundaries)][:] = 1
+        h = min(c.boundaries)
+        c.boundaries[h] = [dict.fromkeys(range(len(c.groups[h + 1])), 1)
+                           for _ in c.groups[h]]
         return c
 
     monkeypatch.setattr(reduced, "build_unreduced", corrupted)

@@ -1,20 +1,13 @@
-"""Smith normal form: correctness properties on both kernels."""
+"""Smith normal form: correctness properties."""
 
 import random
 
 import numpy as np
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khoarrow.snf import (KERNEL, smith_normal_form, smith_normal_form_py,
-                          snf_diagonal)
-
-try:
-    from khoarrow import _snfcore
-except ImportError:
-    _snfcore = None
+from khoarrow.snf import KERNEL, smith_normal_form, snf_diagonal
 
 
 def check_snf(M, D, U, V):
@@ -52,30 +45,8 @@ matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_python_snf_properties(M):
-    D, U, V = smith_normal_form_py(M)
-    check_snf(M, D, U, V)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_dispatching_snf_properties(M):
     D, U, V = smith_normal_form(M)
     check_snf(M, D, U, V)
-
-
-@pytest.mark.skipif(_snfcore is None, reason="compiled kernel not built")
-@settings(max_examples=40, deadline=None)
-@given(matrices)
-def test_kernels_agree_on_invariant_factors(M):
-    D_py, _, _ = smith_normal_form_py(M)
-    try:
-        D_c, U, V = _snfcore.smith_normal_form_i64(M)
-    except OverflowError:
-        return
-    def diag(D):
-        return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
-    assert diag(D_py) == diag(D_c)
-    check_snf(M, D_c, U, V)
 
 
 def test_known_matrices():
@@ -85,6 +56,7 @@ def test_known_matrices():
     assert snf_diagonal([[6]]) == [6]
     assert snf_diagonal([[-5]]) == [5]
     assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert snf_diagonal([[2 ** 70, 0], [0, 3 * 2 ** 70]]) == [2 ** 70, 3 * 2 ** 70]
 
 
 def test_rectangular():
@@ -99,17 +71,8 @@ def test_numpy_input_accepted():
     assert snf_diagonal(M) == [2, 4]
 
 
-@pytest.mark.skipif(_snfcore is None, reason="compiled kernel not built")
-def test_compiled_kernel_overflow_raises_and_dispatch_falls_back():
-    big = 2 ** 70
-    with pytest.raises(OverflowError):
-        _snfcore.smith_normal_form_i64([[big]])
-    # the dispatcher must still succeed via the bigint path
-    assert snf_diagonal([[big]]) == [big]
-
-
 def test_kernel_flag():
-    assert KERNEL in ("compiled", "python")
+    assert KERNEL == "python"
 
 
 def test_seeded_stress():
