@@ -2,8 +2,8 @@
 
 Unified even/odd unreduced Khovanov complexes over the specialization
 ring (X, Y, Z) in {+-1}^3, and the reduced complex as the subcomplex of
-the even one marked by the base arc (the smallest arc label), with exact
-integer homology.  The paper's basepoint-free even reduced construction
+the unreduced one (even by default) marked by the base arc (the smallest
+arc label), with exact integer homology.  The paper's basepoint-free even reduced construction
 is not reproduced.
 """
 

@@ -3,8 +3,12 @@
 Edge maps are built from the parameterized (co)multiplication acting at
 the stable position of the merged/split circle, with tensor factors
 shuffled by the parameterized swap and a graded reach-over coefficient
-for every factor left of the saddle.  A GF(2) solve then fixes edge
-signs so that every 2-face of the cube anticommutes.
+for every factor left of the saddle.  Each is a sparse monomial map:
+every basis tensor goes to at most two basis tensors, read off its bits
+and the circle positions.  Edge signs are then propagated from a
+spanning tree of the cube, each non-tree edge from one face it closes,
+so that every 2-face anticommutes; the few edges no face fixes become
+GF(2) unknowns, solved by XOR elimination against the remaining faces.
 
 Gradings: homological degree h = |I| - n_minus.  Quantum degree in the
 ``standard`` convention is (#1 - #x) + |I| + n_plus - 2 n_minus; the
@@ -15,16 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import algebra
 from .algebra import RingParams
-from .cube import Resolution, cube_faces, khovanov_sign, resolve, vertices
+from .cube import Resolution, khovanov_sign, resolve, vertices
 from .diagram import Diagram
 
 __all__ = [
     "BigradedComplex",
-    "SignAssignment",
     "NotAnEdge",
     "FaceNotProportional",
     "Unsolvable",
@@ -105,92 +105,120 @@ class BigradedComplex:
         return True
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    signs: dict    # (I bits, crossing) -> +-1
-
-    def __getitem__(self, key):
-        return self.signs[key]
+def _graded(one: int, ex: int, n: int, xs: int) -> int:
+    """one^(n - xs) * ex^xs for +-1 `one` and `ex`: the coefficient of
+    passing n factors, xs of them x, that cost `one` per 1 and `ex` per x."""
+    return (one if (n - xs) & 1 else 1) * (ex if xs & 1 else 1)
 
 
-def _bubble(p: RingParams, k: int, src: int, dst: int) -> np.ndarray:
-    """Move the factor at position `src` to `dst` (0-based) by adjacent swaps."""
-    mat = np.eye(2 ** k, dtype=np.int64)
-    if src < dst:
-        for j in range(src, dst):
-            mat = algebra.adjacent_swap(p, k, j + 1) @ mat
-    else:
-        for j in range(src - 1, dst - 1, -1):
-            mat = algebra.adjacent_swap(p, k, j + 1) @ mat
-    return mat
-
-
-def _reach_twist(p: RingParams, k: int, positions, t1: int, tx: int) -> np.ndarray:
-    """Diagonal matrix scaling each basis tensor by prod over `positions`
-    of t1 (factor = 1) or tx (factor = x)."""
-    diag = np.ones(2 ** k, dtype=np.int64)
-    for idx in range(2 ** k):
-        c = 1
-        for j in positions:
-            c *= tx if (idx >> (k - 1 - j)) & 1 else t1
-        diag[idx] = c
-    return np.diag(diag)
-
-
-def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> np.ndarray:
+def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
     """Unsigned chain map A^{(x)k(I)} -> A^{(x)k(J)} along cube edge i.
 
-    The circles touched by the crossing are made adjacent (via the
-    parameterized swap) at the position the merged or split circle
+    The map is monomial: entry idx is the image of basis tensor idx, a
+    tuple of at most two (row, coeff) pairs with rows in increasing
+    order.  The circles touched by the crossing are made adjacent (via
+    the parameterized swap) at the position the merged or split circle
     occupies in the stable order of the target resolution; the
-    (co)multiplication then acts there in position order.  Each saddle
-    additionally reaches over every factor strictly to its left, paying
-    the graded exchange coefficient per factor: (x, z) per (1, x) for a
-    merge, (z, y) for a split.  At the even specialization all of these
-    coefficients are 1 and the map is the plain Khovanov edge map; away
-    from it they are exactly what makes every 2-face of the cube commute
-    up to a single global unit.
+    (co)multiplication then acts there in position order.  A factor
+    moved past another pays x, z or y when both are 1, one is x, or
+    both are x.  Each saddle additionally reaches over every factor
+    strictly to its left, paying the graded exchange coefficient per
+    factor: (x, z) per (1, x) for a merge, (z, y) for a split.  The
+    merge sends x(x)1 to xz x, and the split sends 1 to x1 + yz 1x.  At
+    the even specialization all of these coefficients are 1 and the map
+    is the plain Khovanov edge map; away from it they are exactly what
+    makes every 2-face of the cube commute up to a single global unit.
     """
     if (rI.index[i], rJ.index[i]) != (0, 1) or any(
             a != b for j, (a, b) in enumerate(zip(rI.index, rJ.index)) if j != i):
         raise NotAnEdge(f"{rI.index} -> {rJ.index} is not the edge at {i}")
     kI = rI.k
-    arrI = rI.arrows[i]
-    if arrI.source != arrI.target:
-        # merge: the merged circle inherits the smaller stable position
-        ps, pt = sorted((arrI.source, arrI.target))
-        pre = _bubble(p, kI, pt, ps + 1)
-        m_op = np.kron(
-            np.kron(np.eye(2 ** ps, dtype=np.int64), algebra.mul(p)),
-            np.eye(2 ** (kI - ps - 2), dtype=np.int64))
-        twist = _reach_twist(p, kI, range(ps), p.x, p.z)
-        return m_op @ pre @ twist
-    # split: the daughter containing the minimal arc keeps the position
-    pu = arrI.source
-    d_op = np.kron(
-        np.kron(np.eye(2 ** pu, dtype=np.int64), algebra.comul(p)),
-        np.eye(2 ** (kI - pu - 1), dtype=np.int64))
+    arr = rI.arrows[i]
+    # swap[b] = (cost of passing a 1, cost of passing an x) for a moving b
+    swap = ((p.x, p.z), (p.z, p.y))
+    out = []
+    if arr.source != arr.target:
+        # merge: the merged circle inherits the smaller stable position;
+        # the factor at pt moves left past the factors between them
+        ps, pt = sorted((arr.source, arr.target))
+        sa, sb = kI - 1 - ps, kI - 1 - pt        # bit shifts of the two
+        between = (1 << sa) - (1 << (sb + 1))
+        low = (1 << sb) - 1
+        for idx in range(2 ** kI):
+            a, b = idx >> sa & 1, idx >> sb & 1
+            if a and b:
+                out.append(())                   # x * x = 0
+                continue
+            coeff = (_graded(p.x, p.z, ps, (idx >> (sa + 1)).bit_count())
+                     * _graded(*swap[b], pt - ps - 1,
+                               (idx & between).bit_count()))
+            if a:
+                coeff *= p.x * p.z
+            row = (idx >> (sb + 1) << sb) | (idx & low) | (b << (sa - 1))
+            out.append(((row, coeff),))
+        return out
+    # split: the daughter containing the minimal arc keeps the position,
+    # and the other daughter moves right from the next one to its own
+    pu = arr.source
     d_min = rJ.circle_of(rI.circles[pu][0])
     daughters = {rJ.circle_of(a) for a in rI.circles[pu]}
     d_other = (daughters - {d_min}).pop()
-    post = _bubble(p, kI + 1, pu + 1, d_other)
-    twist = _reach_twist(p, kI, range(pu), p.z, p.y)
-    return post @ d_op @ twist
+    su, t = kI - 1 - pu, kI - d_other   # bit shifts of u in I, d_other in J
+    x_min, x_other = 1 << (su + 1), 1 << t
+    between = (1 << su) - (1 << t)
+    low = (1 << t) - 1
+    for idx in range(2 ** kI):
+        twist = _graded(p.z, p.y, pu, (idx >> (su + 1)).bit_count())
+        passed = (idx & between).bit_count()
+        moved_x = twist * _graded(*swap[1], d_other - pu - 1, passed)
+        base = idx & ~(1 << su)
+        base = (base >> t << (t + 1)) | (base & low)
+        if idx >> su & 1:
+            # x -> x x
+            out.append(((base | x_min | x_other, moved_x),))
+        else:
+            # 1 -> x 1 + yz 1 x
+            moved_1 = twist * _graded(*swap[0], d_other - pu - 1, passed)
+            out.append(((base | x_other, p.y * p.z * moved_x),
+                        (base | x_min, moved_1)))
+    return out
 
 
-def _edge_key(bits, i):
-    return (tuple(bits), i)
+def _compose(second: list, first: list) -> list:
+    """The sparse map `second` after `first`, one {row: coeff} per column."""
+    out = []
+    for images in first:
+        acc: dict[int, int] = {}
+        for mid, a in images:
+            for r, b in second[mid]:
+                acc[r] = acc.get(r, 0) + a * b
+        out.append({r: v for r, v in acc.items() if v})
+    return out
 
 
 def solve_signs(d: Diagram, p: RingParams,
                 resolutions: dict | None = None,
-                maps: dict | None = None) -> SignAssignment:
+                maps: dict | None = None) -> dict:
     """Edge signs making every 2-face of the cube anticommute.
 
-    Starts from the Khovanov sign rule and solves the residual
-    constraints over GF(2) with free variables set to zero in
-    lexicographic edge order, so at the even specialization the result
-    is exactly the Khovanov assignment.
+    Returns {(I bits, crossing): +-1}.  A sign is held as a bitmask over
+    GF(2): bit 0 is a constant, the other bits are unknowns, and the
+    sign is -1 when the mask meets an odd number of the set bits of the
+    solution.  The edges (I, i) are walked in order of (i, |I|, I).  An
+    edge with no 1-bit of I below i is in a spanning tree of the cube
+    and gets +1.  Every other edge is fixed by the first face (I - e_j;
+    j, i), j < i a 1-bit of I, whose composites do not vanish: its
+    other three edges come earlier in the walk.  Faces whose two
+    composites both vanish constrain nothing; an edge all of whose
+    faces are such gets a fresh unknown on top of its Khovanov sign.
+    Every further face is an equation in the unknowns, eliminated by
+    XOR as it arrives; free unknowns are zero.  At the even
+    specialization the result is exactly the Khovanov sign rule.
+
+    `resolutions` and `maps` are caches keyed by bits and by (bits, i).
+    Raises FaceNotProportional when a face's composites are not +-1
+    multiples of each other, and Unsolvable when the face equations are
+    inconsistent.
     """
     n = d.n
     if resolutions is None:
@@ -204,78 +232,74 @@ def solve_signs(d: Diagram, p: RingParams,
         return resolutions[bits]
 
     def emap(bits, i):
-        key = _edge_key(bits, i)
+        key = (bits, i)
         if key not in maps:
             to = bits[:i] + (1,) + bits[i + 1:]
             maps[key] = edge_map(res(bits), res(to), i, p)
         return maps[key]
 
-    edge_keys = sorted(
-        _edge_key(bits, i)
-        for bits in vertices(n) for i in range(n) if not bits[i])
-    edge_pos = {k: idx for idx, k in enumerate(edge_keys)}
-
-    rows = []
-    rhs = []
-    for bits, i, j in cube_faces(d):
-        bi = bits[:i] + (1,) + bits[i + 1:]
+    def face(bits, j, i):
+        """The lambda = +-1 with (i after j) = lambda (j after i) on the
+        face at `bits` spanned by j < i; 0 when both composites vanish."""
         bj = bits[:j] + (1,) + bits[j + 1:]
-        m1 = emap(bi, j) @ emap(bits, i)     # path through i first
-        m2 = emap(bj, i) @ emap(bits, j)
-        z1, z2 = not np.any(m1), not np.any(m2)
+        bi = bits[:i] + (1,) + bits[i + 1:]
+        m1 = _compose(emap(bj, i), emap(bits, j))
+        m2 = _compose(emap(bi, j), emap(bits, i))
+        z1, z2 = not any(m1), not any(m2)
         if z1 and z2:
-            continue
+            return 0
         if z1 != z2:
             raise FaceNotProportional(
-                f"face {bits} ({i},{j}): exactly one composite vanishes")
-        if np.array_equal(m1, m2):
-            lam = 1
-        elif np.array_equal(m1, -m2):
-            lam = -1
-        else:
-            raise FaceNotProportional(
-                f"face {bits} ({i},{j}): composites not +-proportional")
-        keys = [_edge_key(bits, i), _edge_key(bi, j),
-                _edge_key(bits, j), _edge_key(bj, i)]
-        base_parity = sum(
-            0 if khovanov_sign(k[0], k[1]) > 0 else 1 for k in keys) % 2
-        target = 1 if lam > 0 else 0   # product of four signs must be -lam
-        row = [0] * len(edge_keys)
-        for k in keys:
-            row[edge_pos[k]] ^= 1
-        rows.append(row)
-        rhs.append(target ^ base_parity)
+                f"face {bits} ({j},{i}): exactly one composite vanishes")
+        if m1 == m2:
+            return 1
+        if m1 == [{r: -v for r, v in col.items()} for col in m2]:
+            return -1
+        raise FaceNotProportional(
+            f"face {bits} ({j},{i}): composites not +-proportional")
 
-    delta = _solve_gf2(rows, rhs, len(edge_keys))
-    signs = {}
-    for k in edge_keys:
-        base = khovanov_sign(k[0], k[1])
-        signs[k] = -base if delta[edge_pos[k]] else base
-    return SignAssignment(signs)
+    masks: dict = {}
+    pivots: dict[int, int] = {}        # leading unknown -> reduced equation
+    unknowns = 0
+    order = sorted(vertices(n), key=lambda bits: (sum(bits), bits))
+    for i in range(n):
+        for bits in order:
+            if bits[i]:
+                continue
+            # the four signs of a face multiply to -lambda
+            equations = []
+            for j in range(i):
+                if not bits[j]:
+                    continue
+                low = bits[:j] + (0,) + bits[j + 1:]
+                lam = face(low, j, i)
+                if lam:
+                    up = low[:i] + (1,) + low[i + 1:]
+                    equations.append(masks[(low, j)] ^ masks[(low, i)]
+                                     ^ masks[(up, j)] ^ (lam > 0))
+            if equations:
+                mask = equations[0]
+            elif any(bits[:i]):
+                unknowns += 1
+                mask = (1 << unknowns) | (khovanov_sign(bits, i) < 0)
+            else:
+                mask = 0
+            masks[(bits, i)] = mask
+            for eq in equations[1:]:
+                eq ^= mask
+                while eq > 1 and eq.bit_length() - 1 in pivots:
+                    eq ^= pivots[eq.bit_length() - 1]
+                if eq == 1:
+                    raise Unsolvable("sign constraints are inconsistent")
+                if eq:
+                    pivots[eq.bit_length() - 1] = eq
 
-
-def _solve_gf2(rows, rhs, width):
-    """Gaussian elimination over GF(2); free variables are zero."""
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(width):
-        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                aug[i] = [a ^ b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][width]:
-            raise Unsolvable("sign constraints are inconsistent")
-    x = [0] * width
-    for row_idx, col in enumerate(pivots):
-        x[col] = aug[row_idx][width]
-    return x
+    solution = 1                       # bit 0, the constant, is set
+    for lead in sorted(pivots):
+        if (pivots[lead] & solution).bit_count() & 1:
+            solution |= 1 << lead
+    return {key: -1 if (mask & solution).bit_count() & 1 else 1
+            for key, mask in masks.items()}
 
 
 def cube_layout(d: Diagram) -> dict[int, list[tuple[int, ...]]]:
@@ -299,7 +323,7 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
     n = d.n
     resolutions = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
     maps: dict = {}
-    assignment = solve_signs(d, p, resolutions=resolutions, maps=maps)
+    signs = solve_signs(d, p, resolutions=resolutions, maps=maps)
 
     shift = d.n_plus - 2 * d.n_minus
     groups: dict[int, list[int]] = {}
@@ -328,15 +352,14 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
                 if bits[i]:
                     continue
                 to = bits[:i] + (1,) + bits[i + 1:]
-                key = _edge_key(bits, i)
+                key = (bits, i)
                 if key not in maps:
                     maps[key] = edge_map(resolutions[bits], resolutions[to], i, p)
-                block = maps[key]
-                sign, r0, c0 = assignment[key], offsets[to], offsets[bits]
-                rows, idx = np.nonzero(block)
+                sign, r0, c0 = signs[key], offsets[to], offsets[bits]
                 # blocks of distinct edges never overlap
-                for r, c, v in zip(rows.tolist(), idx.tolist(),
-                                   block[rows, idx].tolist()):
-                    cols[c0 + c][r0 + r] = sign * v
+                for c, images in enumerate(maps[key], c0):
+                    col = cols[c]
+                    for r, v in images:
+                        col[r0 + r] = sign * v
         boundaries[h] = cols
     return BigradedComplex(groups=groups, boundaries=boundaries)

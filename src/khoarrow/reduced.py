@@ -1,13 +1,14 @@
 """The reduced complex, and the arrow-operator lattices it is checked against.
 
 ``build_reduced`` gives Khovanov's marked-point reduced complex: the
-subcomplex of the even unreduced complex whose generators carry ``x`` on
-the circle through the base arc (the smallest arc label), with q shifted
-by one so that the unknot sits at (0, 0).  Its Euler characteristic
-times (q + q^-1) is the Jones polynomial.  For a knot the homology does
-not depend on the base arc; for a link it belongs to the component
-through the smallest arc label.  The paper's basepoint-free
-construction of an even reduced theory is not reproduced here.
+subcomplex of the unreduced complex (even by default, or at any sign
+specialization) whose generators carry ``x`` on the circle through the
+base arc (the smallest arc label), with q shifted by one so that the
+unknot sits at (0, 0).  Its Euler characteristic times (q + q^-1) is the
+Jones polynomial.  For a knot the homology does not depend on the base
+arc; for a link it belongs to the component through the smallest arc
+label.  The paper's basepoint-free construction of an even reduced
+theory is not reproduced here.
 
 Every resolution D(I) also carries a family of commuting "T-operators":
 one merge-type operator x_s + x_t per arrow between distinct circles and
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .algebra import EVEN
+from .algebra import EVEN, RingParams
 from .chain import BigradedComplex, build_unreduced, cube_layout, edge_map
 from .cube import Resolution, resolve, vertices
 from .diagram import Diagram
@@ -237,27 +238,30 @@ def _reinterpret(w, merge: bool, i: int):
     return tuple(sorted(w + (i,)))
 
 
-def build_reduced(d: Diagram, convention: str = "standard",
+def build_reduced(d: Diagram, p: RingParams = EVEN,
+                  convention: str = "standard",
                   flip_arrows: bool = False) -> BigradedComplex:
-    """The reduced Khovanov complex of `d`, a subcomplex of the even one.
+    """The reduced Khovanov complex of `d`, a subcomplex of the one at `p`.
 
-    The generators kept are those of ``build_unreduced(d, EVEN)`` whose
+    The generators kept are those of ``build_unreduced(d, p)`` whose
     base circle carries ``x``; the base circle of a resolution is the one
     through the base arc, the smallest arc label of `d` (the first free
     loop of a crossingless diagram).  Multiplying by ``x`` on the base
-    circle commutes with every even edge map, so these generators span a
-    subcomplex: Khovanov's marked-point reduced complex.  Its quantum
-    degree is the even one plus 1, so the unknot sits at (0, 0), and
-    (q + q^-1) times its Euler characteristic is the Jones polynomial.
+    circle commutes with every edge map up to sign, so these generators
+    span a subcomplex: Khovanov's marked-point reduced complex, and at
+    the odd specialization the reduced odd complex of Ozsvath, Rasmussen
+    and Szabo.  Its quantum degree is the unreduced one plus 1, so the
+    unknot sits at (0, 0), and (q + q^-1) times its Euler characteristic
+    is the Jones polynomial.
 
     For a knot the homology does not depend on the base arc; for a link
     it belongs to the component through the smallest arc label.  Raises
-    NotASubcomplex if an even boundary map sends a kept generator outside
-    the kept ones.
+    NotASubcomplex if a boundary map sends a kept generator outside the
+    kept ones.
     """
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
-    even = build_unreduced(d, EVEN, flip_arrows=flip_arrows)
+    full = build_unreduced(d, p, flip_arrows=flip_arrows)
     keep: dict[int, list[int]] = {}
     for h, layer in cube_layout(d).items():
         keep[h] = []
@@ -271,10 +275,10 @@ def build_reduced(d: Diagram, convention: str = "standard",
             offset += 2 ** r.k
 
     sign = 1 if convention == "standard" else -1
-    groups = {h: [sign * (even.groups[h][j] + 1) for j in kept]
+    groups = {h: [sign * (full.groups[h][j] + 1) for j in kept]
               for h, kept in keep.items()}
     boundaries: dict[int, list[dict[int, int]]] = {}
-    for h, cols in even.boundaries.items():
+    for h, cols in full.boundaries.items():
         row_of = {g: j for j, g in enumerate(keep[h + 1])}
         boundaries[h] = []
         for g in keep[h]:
@@ -283,6 +287,15 @@ def build_reduced(d: Diagram, convention: str = "standard",
                     f"boundary from degree {h} leaves the reduced generators")
             boundaries[h].append({row_of[r]: v for r, v in cols[g].items()})
     return BigradedComplex(groups=groups, boundaries=boundaries)
+
+
+def _dense(emap, k: int) -> np.ndarray:
+    """A sparse edge map into A^{(x)k} as a dense object matrix."""
+    out = np.zeros((2 ** k, len(emap)), dtype=object)
+    for c, images in enumerate(emap):
+        for r, v in images:
+            out[r, c] = v
+    return out
 
 
 def check_commuting_square(d: Diagram, flip_arrows: bool = False) -> list:
@@ -302,7 +315,7 @@ def check_commuting_square(d: Diagram, flip_arrows: bool = False) -> list:
                 continue
             to = bits[:i] + (1,) + bits[i + 1:]
             rI, rJ = resolutions[bits], resolutions[to]
-            emap = edge_map(rI, rJ, i, EVEN)
+            emap = _dense(edge_map(rI, rJ, i, EVEN), rJ.k)
             arr = rI.arrows[i]
             merge = arr.source != arr.target
             latI = lattices[bits]
@@ -315,7 +328,7 @@ def check_commuting_square(d: Diagram, flip_arrows: bool = False) -> list:
                         image = image + c * ev(rJ, _reinterpret(w, merge, i)).astype(object)
                         basis_mat = basis_mat + c * ev(rI, w).astype(object)
                     lhs = e1(image, rJ.k)
-                    rhs = emap.astype(object) @ e1(basis_mat, rI.k)
+                    rhs = emap @ e1(basis_mat, rI.k)
                     if any(a != b for a, b in zip(lhs, rhs)):
                         violations.append((bits, i, s.m, combo))
     return violations

@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+from khoarrow.algebra import ODD
 from khoarrow.chain import build_unreduced
 from khoarrow.cli import main
-from khoarrow.diagram import parse_pd
+from khoarrow.diagram import parse_gauss, parse_pd
+from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, jones
+from khoarrow.reduced import build_reduced
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -56,6 +59,23 @@ def test_reduced_table_output():
             for line in out.splitlines()[1:]]
     assert rows == [(-3, -8, 1), (-2, -6, 1), (0, -2, 1)]
     assert _circle_times_chi(rows) == jones(parse_pd(TREFOIL))
+
+
+def test_reduced_honours_theory():
+    # T(3, 4), where odd and even reduced homology differ
+    t34 = "O1+O2+U4+U5+O7+O8+U2+U3+O5+O6+U8+U1+O3+O4+U6+U7+"
+    docs = {}
+    for theory in ("even", "odd"):
+        code, out, _ = run("homology", "--gauss", t34, "--reduced",
+                           "--theory", theory)
+        assert code == 0
+        docs[theory] = json.loads(out)
+    assert docs["odd"]["theory"] == {"x": 1, "y": -1, "z": 1}
+    rows = homology(build_reduced(parse_gauss(t34), ODD)).group_rows()
+    assert docs["odd"]["groups"] == [
+        {"h": h, "q": q, "betti": b, "torsion": list(t)}
+        for h, q, b, t in rows]
+    assert docs["odd"]["groups"] != docs["even"]["groups"]
 
 
 def test_gauss_and_file_inputs(tmp_path):

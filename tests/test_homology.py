@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import BigradedComplex, build_unreduced
-from khoarrow.diagram import Diagram, mirror
+from khoarrow.cube import count_circles
+from khoarrow.diagram import Diagram, mirror, parse_gauss
 from khoarrow.homology import NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
 
@@ -225,3 +226,42 @@ def test_torus_knots_unreduced(n, chirality):
     assert all(t == () for _, _, _, t in odd.group_rows())
     assert sum(b for _, _, b in odd.iter_bidegrees()) == 2 * n
     assert euler_characteristic(odd) == jones(d)
+
+
+# ------------------------------------------- positive 3-braid closures
+
+def _positive_braid_closure(word):
+    """The knot closing a positive braid word, through its Gauss code.
+
+    Letter g crosses the strands at positions g and g + 1 (0-based); the
+    strand moving up passes over, and every crossing is positive.
+    """
+    passes, pos = [], 0
+    while True:
+        for label, g in enumerate(word, 1):
+            if pos in (g, g + 1):
+                passes.append(f"{'O' if pos == g else 'U'}{label}+")
+                pos = 2 * g + 1 - pos
+        if pos == 0:
+            break
+    if len(passes) != 2 * len(word):
+        raise ValueError(f"the closure of {word} is not a knot")
+    return parse_gauss("".join(passes))
+
+
+@pytest.mark.parametrize("p", [EVEN, ODD])
+@pytest.mark.parametrize("q", [4, 5])
+def test_positive_torus_knots(q, p):
+    # T(3, q), 8 and 10 crossings.  Khovanov (math/0201306, section 6):
+    # a positive diagram with c crossings and O circles in its all-0
+    # resolution has no homology below h = 0, and H^0 = Z at
+    # q = c - O + 1 +- 1
+    d = _positive_braid_closure([0, 1] * q)
+    assert (d.n, d.n_minus) == (2 * q, 0)
+    s = d.n - count_circles(d, (0,) * d.n) + 1
+    c = build_unreduced(d, p)
+    table = homology(c)
+    assert all(h >= 0 for h, _ in table.bidegrees())
+    assert [row for row in table.group_rows() if row[0] == 0] == [
+        (0, s - 1, 1, ()), (0, s + 1, 1, ())]
+    assert euler_characteristic(c) == jones(d)

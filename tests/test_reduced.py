@@ -1,9 +1,13 @@
 """Operator lattices and the reduced complex."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from khoarrow import corpus
+from khoarrow.algebra import EVEN, RingParams
+from khoarrow.chain import build_unreduced
 from khoarrow.cube import resolve
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
@@ -12,6 +16,7 @@ from khoarrow.reduced import (DimensionMismatch, build_reduced,
                               check_commuting_square, check_cycle_relations,
                               check_graph_span, e1, enumerate_admissible,
                               find_cycles, operator_lattice, psi)
+from khoarrow.snf import snf_diagonal
 
 KINK = parse_pd("X[1,2,2,1]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -150,6 +155,48 @@ def test_torus_knots_reduced(n, chirality):
     # one free class in each of h = 0, -2, -3, ..., -n, and no torsion
     assert sorted(sign * h for h, _, _, _ in rows) == [-n, *range(-n + 1, -1), 0]
     assert all(b == 1 and t == () for _, _, b, t in rows)
+
+
+ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
+
+
+@pytest.mark.parametrize("p", ALL_PRESETS)
+def test_reduced_subcomplex_at_every_preset(p):
+    for name in corpus.names():
+        c = build_reduced(corpus.get(name), p)
+        assert c.check_d_squared() and c.check_q_preserved()
+
+
+def _doubled(table):
+    """Entries of reduced(h, q - 1) (+) reduced(h, q + 1), over Z."""
+    sums: dict = {}
+    for (h, q), (betti, torsion) in table.entries.items():
+        for hq in ((h, q - 1), (h, q + 1)):
+            b, t = sums.get(hq, (0, ()))
+            sums[hq] = (b + betti, t + torsion)
+    return {hq: (b, tuple(f for f in snf_diagonal(
+                [[a if r == c else 0 for c, a in enumerate(t)]
+                 for r in range(len(t))]) if f > 1) if t else ())
+            for hq, (b, t) in sums.items()}
+
+
+@pytest.mark.parametrize("p", [p for p in ALL_PRESETS if p.x * p.y == -1])
+def test_odd_unreduced_is_two_copies_of_reduced(p):
+    # Ozsvath-Rasmussen-Szabo (arXiv:0710.4300): at x*y = -1 the
+    # unreduced homology is the reduced one at q - 1 plus at q + 1, over Z
+    diagrams = [corpus.get(n) for n in corpus.names()]
+    diagrams += [_torus(n) for n in (5, 7)] + [mirror(_torus(n)) for n in (5, 7)]
+    for d in diagrams:
+        assert (_doubled(homology(build_reduced(d, p)))
+                == homology(build_unreduced(d, p)).entries), d.crossings
+
+
+def test_even_unreduced_is_not_two_copies_of_reduced():
+    # the splitting needs x*y = -1: the even trefoil has a Z/2 that no
+    # shifted pair of reduced (free) groups gives
+    d = corpus.get("trefoil")
+    assert (_doubled(homology(build_reduced(d, EVEN)))
+            != homology(build_unreduced(d, EVEN)).entries)
 
 
 def test_paper_convention_and_flip_arrows():
