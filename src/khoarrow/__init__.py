@@ -12,7 +12,8 @@ from .chain import BigradedComplex, build_unreduced
 from .diagram import Diagram, MoveSpec, apply_move, mirror, parse_gauss, parse_pd
 from .homology import HomologyTable, NotAComplex, homology
 from .jones import LaurentPoly, euler_characteristic, jones
-from .reduced import OperatorLattice, build_reduced, operator_lattice
+from .lattice import operator_lattice
+from .reduced import build_reduced
 from .snf import smith_normal_form
 
 __version__ = "0.1.0"
@@ -35,7 +36,6 @@ __all__ = [
     "LaurentPoly",
     "euler_characteristic",
     "jones",
-    "OperatorLattice",
     "build_reduced",
     "operator_lattice",
     "smith_normal_form",

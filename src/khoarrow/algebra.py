@@ -7,8 +7,11 @@ monomial whose factor ``j`` (1-based) is ``x`` iff bit ``k - j`` of ``i``
 is set.
 
 The three specialization parameters (x, y, z), each +-1, enter the
-multiplication, comultiplication and factor-swap maps; the reduced-theory
+multiplication, comultiplication and factor-swap maps; the arrow
 operators ``t_merge``/``t_split`` are parameter-free and act over Z.
+The complexes are built from sparse maps (``chain.edge_map``) and the
+arrow-operator lattices from polynomial values (``lattice``); these
+dense matrices are the reference the tests compare both against.
 """
 
 from __future__ import annotations
@@ -23,13 +26,10 @@ __all__ = [
     "ODD",
     "mul",
     "comul",
-    "unit",
-    "counit",
     "perm",
     "t_merge",
     "t_split",
     "adjacent_swap",
-    "factor_permutation",
     "basis_degree",
 ]
 
@@ -73,16 +73,6 @@ def comul(p: RingParams) -> np.ndarray:
     return d
 
 
-def unit(p: RingParams) -> np.ndarray:
-    """Unit Z -> A, 1 |-> 1."""
-    return np.array([[1], [0]], dtype=np.int64)
-
-
-def counit(p: RingParams) -> np.ndarray:
-    """Counit A -> Z, 1 |-> 0, x |-> 1."""
-    return np.array([[0, 1]], dtype=np.int64)
-
-
 def perm(p: RingParams) -> np.ndarray:
     """Factor swap A (x) A -> A (x) A with specialization coefficients.
 
@@ -104,29 +94,6 @@ def adjacent_swap(p: RingParams, k: int, j: int) -> np.ndarray:
     left = np.eye(2 ** (j - 1), dtype=np.int64)
     right = np.eye(2 ** (k - j - 1), dtype=np.int64)
     return np.kron(np.kron(left, perm(p)), right)
-
-
-def factor_permutation(p: RingParams, order: list[int]) -> np.ndarray:
-    """Matrix rearranging the factors of A^{(x)k} into ``order``.
-
-    After applying the result, the factor at new position ``i`` (0-based)
-    is the old factor ``order[i]``.  Realized as a product of adjacent
-    swaps; the swap maps satisfy the braid relations, so the matrix does
-    not depend on the sorting path chosen.
-    """
-    k = len(order)
-    if sorted(order) != list(range(k)):
-        raise ValueError(f"not a permutation of 0..{k - 1}: {order}")
-    mat = np.eye(2 ** k, dtype=np.int64)
-    arr = list(range(k))
-    # selection sort arr into `order` with adjacent swaps, mirroring each
-    # swap on the matrix (later swaps act after earlier ones)
-    for i in range(k):
-        pos = arr.index(order[i], i)
-        for j in range(pos - 1, i - 1, -1):
-            arr[j], arr[j + 1] = arr[j + 1], arr[j]
-            mat = adjacent_swap(p, k, j + 1) @ mat
-    return mat
 
 
 def t_merge(k: int, s: int, t: int) -> np.ndarray:

@@ -196,9 +196,7 @@ def _compose(second: list, first: list) -> list:
     return out
 
 
-def solve_signs(d: Diagram, p: RingParams,
-                resolutions: dict | None = None,
-                maps: dict | None = None) -> dict:
+def solve_signs(maps: dict, n: int) -> dict:
     """Edge signs making every 2-face of the cube anticommute.
 
     Returns {(I bits, crossing): +-1}.  A sign is held as a bitmask over
@@ -215,36 +213,18 @@ def solve_signs(d: Diagram, p: RingParams,
     XOR as it arrives; free unknowns are zero.  At the even
     specialization the result is exactly the Khovanov sign rule.
 
-    `resolutions` and `maps` are caches keyed by bits and by (bits, i).
-    Raises FaceNotProportional when a face's composites are not +-1
-    multiples of each other, and Unsolvable when the face equations are
-    inconsistent.
+    `maps` holds the unsigned edge map of every edge of the n-cube,
+    keyed by (I bits, crossing).  Raises FaceNotProportional when a
+    face's composites are not +-1 multiples of each other, and
+    Unsolvable when the face equations are inconsistent.
     """
-    n = d.n
-    if resolutions is None:
-        resolutions = {}
-    if maps is None:
-        maps = {}
-
-    def res(bits):
-        if bits not in resolutions:
-            resolutions[bits] = resolve(d, bits)
-        return resolutions[bits]
-
-    def emap(bits, i):
-        key = (bits, i)
-        if key not in maps:
-            to = bits[:i] + (1,) + bits[i + 1:]
-            maps[key] = edge_map(res(bits), res(to), i, p)
-        return maps[key]
-
     def face(bits, j, i):
         """The lambda = +-1 with (i after j) = lambda (j after i) on the
         face at `bits` spanned by j < i; 0 when both composites vanish."""
         bj = bits[:j] + (1,) + bits[j + 1:]
         bi = bits[:i] + (1,) + bits[i + 1:]
-        m1 = _compose(emap(bj, i), emap(bits, j))
-        m2 = _compose(emap(bi, j), emap(bits, i))
+        m1 = _compose(maps[(bj, i)], maps[(bits, j)])
+        m2 = _compose(maps[(bi, j)], maps[(bits, i)])
         z1, z2 = not any(m1), not any(m2)
         if z1 and z2:
             return 0
@@ -321,9 +301,10 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
-    resolutions = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
-    maps: dict = {}
-    signs = solve_signs(d, p, resolutions=resolutions, maps=maps)
+    res = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
+    maps = {(bits, i): edge_map(r, res[bits[:i] + (1,) + bits[i + 1:]], i, p)
+            for bits, r in res.items() for i in range(n) if not bits[i]}
+    signs = solve_signs(maps, n)
 
     shift = d.n_plus - 2 * d.n_minus
     groups: dict[int, list[int]] = {}
@@ -332,7 +313,7 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
     for h in vertex_by_h:
         qs = []
         for bits in vertex_by_h[h]:
-            k = resolutions[bits].k
+            k = res[bits].k
             offsets[bits] = len(qs)
             for idx in range(2 ** k):
                 q = (k - 2 * bin(idx).count("1")) + sum(bits) + shift
@@ -352,12 +333,9 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
                 if bits[i]:
                     continue
                 to = bits[:i] + (1,) + bits[i + 1:]
-                key = (bits, i)
-                if key not in maps:
-                    maps[key] = edge_map(resolutions[bits], resolutions[to], i, p)
-                sign, r0, c0 = signs[key], offsets[to], offsets[bits]
+                sign, r0, c0 = signs[(bits, i)], offsets[to], offsets[bits]
                 # blocks of distinct edges never overlap
-                for c, images in enumerate(maps[key], c0):
+                for c, images in enumerate(maps[(bits, i)], c0):
                     col = cols[c]
                     for r, v in images:
                         col[r0 + r] = sign * v

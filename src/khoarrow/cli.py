@@ -23,8 +23,8 @@ from .chain import FaceNotProportional, Unsolvable, build_unreduced
 from .diagram import DiagramError, parse_gauss, parse_pd
 from .homology import NotAComplex, homology
 from .jones import TooLarge, euler_characteristic, jones
-from .reduced import (NotASubcomplex, build_reduced, check_commuting_square,
-                      check_graph_span)
+from .lattice import check_commuting_square, check_graph_span
+from .reduced import NotASubcomplex, build_reduced
 from .snf import smith_normal_form
 
 __all__ = ["main"]
@@ -174,13 +174,11 @@ def _suite_graph_span(report):
         report(f"graph-span {name}", ok)
 
 
-def _suite_rm_invariance(report, reduced_only=False):
+def _suite_rm_invariance(report):
     for cls, names in corpus.EQUIVALENCE_CLASSES.items():
         tables = [homology(build_reduced(corpus.get(n))) for n in names]
         report(f"rm-invariance reduced {cls}",
                all(t == tables[0] for t in tables))
-        if reduced_only:
-            continue
         for preset, p in (("even", EVEN), ("odd", ODD)):
             tables = [homology(build_unreduced(corpus.get(n), p))
                       for n in names]
@@ -238,7 +236,7 @@ def cmd_verify(args) -> int:
         if "graph-span" in wanted:
             _suite_graph_span(report)
         if "rm-invariance" in wanted:
-            _suite_rm_invariance(report, reduced_only=args.reduced)
+            _suite_rm_invariance(report)
         if "arrows" in wanted:
             _suite_arrows(report)
         if "snf" in wanted:
@@ -262,30 +260,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Khovanov homology via the arrow algebra")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--theory", choices=("even", "odd", "custom"),
-                       default="even")
-        p.add_argument("--x", type=int, default=1)
-        p.add_argument("--y", type=int, default=1)
-        p.add_argument("--z", type=int, default=1)
-        p.add_argument("--reduced", action="store_true")
-        p.add_argument("--grading-convention",
-                       choices=("standard", "paper"), default="standard")
-        p.add_argument("--arrows", choices=("normal", "flipped"),
-                       default="normal")
-
     hom = sub.add_parser("homology", help="compute a homology table")
     src = hom.add_mutually_exclusive_group(required=True)
     src.add_argument("--pd", help="PD code ('' = crossingless unknot)")
     src.add_argument("--gauss", help="signed Gauss code")
     src.add_argument("--file", help="path to a file holding a PD code")
-    add_common(hom)
+    hom.add_argument("--theory", choices=("even", "odd", "custom"),
+                     default="even")
+    hom.add_argument("--x", type=int, default=1)
+    hom.add_argument("--y", type=int, default=1)
+    hom.add_argument("--z", type=int, default=1)
+    hom.add_argument("--reduced", action="store_true")
+    hom.add_argument("--grading-convention",
+                     choices=("standard", "paper"), default="standard")
+    hom.add_argument("--arrows", choices=("normal", "flipped"),
+                     default="normal")
     hom.add_argument("--format", choices=("json", "table"), default="json")
     hom.set_defaults(func=cmd_homology)
 
     ver = sub.add_parser("verify", help="run self-check suites")
     ver.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    add_common(ver)
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -18,12 +18,10 @@ from .diagram import Diagram
 __all__ = [
     "Arrow",
     "Resolution",
-    "CubeEdge",
     "vertices",
     "resolve",
     "count_circles",
     "khovanov_sign",
-    "cube_edges",
     "cube_faces",
     "check_planarity",
 ]
@@ -51,15 +49,6 @@ class Resolution:
             if arc in circ:
                 return i
         raise KeyError(f"arc {arc} not in resolution {self.index}")
-
-
-@dataclass(frozen=True)
-class CubeEdge:
-    frm: tuple[int, ...]
-    to: tuple[int, ...]
-    crossing: int
-    sign: int
-    kind: str   # "merge" | "split"
 
 
 class _UnionFind:
@@ -144,28 +133,6 @@ def khovanov_sign(bits, i: int) -> int:
 def vertices(n: int):
     """The 2^n vertices of the n-cube as bit tuples, in lexicographic order."""
     return product((0, 1), repeat=n)
-
-
-def cube_edges(d: Diagram, flip_arrows: bool = False):
-    """All n * 2^(n-1) cube edges with Khovanov signs and merge/split kind."""
-    edges = []
-    cache = {}
-
-    def res(bits):
-        if bits not in cache:
-            cache[bits] = resolve(d, bits, flip_arrows)
-        return cache[bits]
-
-    for bits in vertices(d.n):
-        for i in range(d.n):
-            if bits[i]:
-                continue
-            to = bits[:i] + (1,) + bits[i + 1:]
-            rI = res(bits)
-            arr = rI.arrows[i]
-            kind = "merge" if arr.source != arr.target else "split"
-            edges.append(CubeEdge(bits, to, i, khovanov_sign(bits, i), kind))
-    return edges
 
 
 def check_planarity(d: Diagram) -> bool:

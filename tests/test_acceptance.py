@@ -18,9 +18,9 @@ from khoarrow.chain import build_unreduced
 from khoarrow.cube import resolve
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, euler_characteristic, jones
-from khoarrow.reduced import (build_reduced, check_commuting_square,
-                              check_cycle_relations, check_graph_span,
-                              find_cycles)
+from khoarrow.lattice import (check_commuting_square, check_cycle_relations,
+                              check_graph_span, find_cycles)
+from khoarrow.reduced import build_reduced
 from khoarrow.snf import smith_normal_form
 
 PRESETS = (RingParams(1, 1, 1), RingParams(1, -1, 1),

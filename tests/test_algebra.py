@@ -49,9 +49,13 @@ def test_odd_preset_flips_comultiplication_only():
 
 @pytest.mark.parametrize("p", PRESETS)
 def test_unit_counit(p):
-    eta, eps = algebra.unit(p), algebra.counit(p)
-    assert eta[:, 0].tolist() == [1, 0]
-    assert eps[0].tolist() == [0, 1]
+    # the unit 1 and the counit 1 -> 0, x -> 1 of A: m(1 (x) a) = a and
+    # (counit (x) id) comul = id
+    eta = np.array([[1], [0]], dtype=np.int64)
+    eps = np.array([[0, 1]], dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64)
+    assert np.array_equal(algebra.mul(p) @ np.kron(eta, eye), eye)
+    assert np.array_equal(np.kron(eps, eye) @ algebra.comul(p), eye)
     # counit picks out the coefficient the multiplication pairs with
     m = algebra.mul(p)
     assert (eps @ m)[0].tolist() == [0, 1, p.x * p.z, 0]
@@ -82,19 +86,16 @@ def test_adjacent_swap_range():
 
 @pytest.mark.parametrize("p", PRESETS)
 def test_factor_permutation_composes(p):
-    # rotating three factors = two adjacent swaps
-    rot = algebra.factor_permutation(p, [1, 2, 0])
-    s12 = algebra.adjacent_swap(p, 3, 1)
-    s23 = algebra.adjacent_swap(p, 3, 2)
-    assert (np.array_equal(rot, s12 @ s23)
-            or np.array_equal(rot, s23 @ s12))
-
-
-def test_factor_permutation_identity_and_validation():
-    assert np.array_equal(algebra.factor_permutation(EVEN, [0, 1, 2]),
-                          np.eye(8, dtype=np.int64))
-    with pytest.raises(ValueError):
-        algebra.factor_permutation(EVEN, [0, 0, 1])
+    # moving the third factor to the front by two adjacent swaps pays, per
+    # factor it passes, X when both are 1, Z when one is x and Y when both
+    # are x: the rule chain.edge_map applies to every factor it moves
+    rot = algebra.adjacent_swap(p, 3, 1) @ algebra.adjacent_swap(p, 3, 2)
+    cost = {(0, 0): p.x, (0, 1): p.z, (1, 0): p.z, (1, 1): p.y}
+    for idx in range(8):
+        a, b, c = idx >> 2 & 1, idx >> 1 & 1, idx & 1
+        expected = [0] * 8
+        expected[c << 2 | a << 1 | b] = cost[c, a] * cost[c, b]
+        assert rot[:, idx].tolist() == expected, idx
 
 
 def test_t_merge_matches_multiplication_by_sum():

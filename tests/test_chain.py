@@ -84,6 +84,13 @@ def _edges(d, flip_arrows=False):
                 yield res[bits], res[bits[:i] + (1,) + bits[i + 1:]], i
 
 
+def _signs(d, p, flip_arrows=False):
+    """solve_signs on the edge maps of every cube edge of `d`."""
+    maps = {(rI.index, i): edge_map(rI, rJ, i, p)
+            for rI, rJ, i in _edges(d, flip_arrows)}
+    return solve_signs(maps, d.n)
+
+
 def _torus(n):
     """Left-handed T(2, n): X[j, j+n, j+1, j+n+1] over odd j, mod 2n."""
     def lab(a):
@@ -189,7 +196,7 @@ def test_sparse_edge_maps_equal_dense_oracle(name, flip):
 @pytest.mark.parametrize("d", [corpus.get(name) for name in corpus.names()]
                          + [_torus(7)])
 def test_even_signs_are_khovanov_signs(d):
-    signs = solve_signs(d, EVEN)
+    signs = _signs(d, EVEN)
     assert len(signs) == d.n * 2 ** max(d.n - 1, 0)
     assert all(s == khovanov_sign(bits, i) for (bits, i), s in signs.items())
 
@@ -201,18 +208,20 @@ def test_signed_faces_anticommute(name, p):
     # so some edges are fixed by no face; at x*y = -1, giving those edges
     # their Khovanov sign instead of solving for them leaves no solution
     d = corpus.get(name)
-    res = {bits: resolve(d, bits) for bits in vertices(d.n)}
-    signs = solve_signs(d, p)
+    for flip in (False, True):
+        res = {bits: resolve(d, bits, flip) for bits in vertices(d.n)}
+        signs = _signs(d, p, flip)
 
-    def signed(bits, i):
-        to = bits[:i] + (1,) + bits[i + 1:]
-        return signs[(bits, i)] * dense_edge_map(res[bits], res[to], i, p)
+        def signed(bits, i):
+            to = bits[:i] + (1,) + bits[i + 1:]
+            return signs[(bits, i)] * dense_edge_map(res[bits], res[to], i, p)
 
-    for bits, i, j in cube_faces(d):
-        bi = bits[:i] + (1,) + bits[i + 1:]
-        bj = bits[:j] + (1,) + bits[j + 1:]
-        total = signed(bi, j) @ signed(bits, i) + signed(bj, i) @ signed(bits, j)
-        assert not total.any(), (bits, i, j)
+        for bits, i, j in cube_faces(d):
+            bi = bits[:i] + (1,) + bits[i + 1:]
+            bj = bits[:j] + (1,) + bits[j + 1:]
+            total = (signed(bi, j) @ signed(bits, i)
+                     + signed(bj, i) @ signed(bits, j))
+            assert not total.any(), (flip, bits, i, j)
 
 
 def test_bigraded_complex_checks_catch_errors():

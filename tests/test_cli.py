@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 from khoarrow.algebra import ODD
 from khoarrow.chain import build_unreduced
@@ -117,6 +118,22 @@ def test_verify_single_suite():
 def test_verify_unknown_suite_rejected():
     code, _, err = run("verify", "--suite", "nonsense")
     assert code == 2 and "invalid choice" in err
+
+
+def test_verify_rejects_homology_options():
+    code, out, err = run("verify", "--theory", "odd")
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_verify_prints_every_check(capsys):
+    # the number of [pass] lines per suite; a refactor that silently drops
+    # a check changes them
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("[pass] ") for line in lines)
+    assert Counter(line.split()[1] for line in lines) == {
+        "d2": 50, "euler": 40, "commuting-square": 10, "graph-span": 10,
+        "rm-invariance": 9, "arrows": 10, "snf": 1}
 
 
 def test_main_callable_in_process(capsys):

@@ -3,8 +3,8 @@
 import pytest
 
 from khoarrow.cube import (CoordinateAlreadyOne, check_planarity,
-                           count_circles, cube_edges, cube_faces,
-                           khovanov_sign, resolve)
+                           count_circles, cube_faces, khovanov_sign, resolve,
+                           vertices)
 from khoarrow.diagram import parse_pd
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -70,19 +70,30 @@ def test_khovanov_sign():
         khovanov_sign((1, 0), 0)
 
 
+def _edges(d):
+    """(I bits, J bits, crossing) for every cube edge I -> J of `d`."""
+    return [(bits, bits[:i] + (1,) + bits[i + 1:], i)
+            for bits in vertices(d.n) for i in range(d.n) if not bits[i]]
+
+
 def test_cube_edge_and_face_counts():
     n = TREFOIL.n
-    edges = cube_edges(TREFOIL)
+    edges = _edges(TREFOIL)
     assert len(edges) == n * 2 ** (n - 1)
-    assert {e.kind for e in edges} == {"merge", "split"}
+    # an arrow joins two circles (a merge) or one circle to itself (a split)
+    arrows = [resolve(TREFOIL, bits).arrows[i] for bits, _, i in edges]
+    assert {a.source == a.target for a in arrows} == {False, True}
     faces = cube_faces(TREFOIL)
     assert len(faces) == 3 * 2 ** (n - 2)    # C(3,2) * 2^(n-2)
 
 
 def test_edge_kind_matches_circle_count_change():
-    for e in cube_edges(TREFOIL):
-        dk = count_circles(TREFOIL, e.to) - count_circles(TREFOIL, e.frm)
-        assert dk == (-1 if e.kind == "merge" else 1)
+    # arrow i of D(I) joins two circles exactly when the edge at i merges
+    for d in (TREFOIL, HOPF):
+        for frm, to, i in _edges(d):
+            arr = resolve(d, frm).arrows[i]
+            dk = count_circles(d, to) - count_circles(d, frm)
+            assert dk == (-1 if arr.source != arr.target else 1)
 
 
 def test_check_planarity():

@@ -1,21 +1,21 @@
 """Operator lattices and the reduced complex."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from khoarrow import corpus
+from khoarrow import algebra, corpus
 from khoarrow.algebra import EVEN, RingParams
 from khoarrow.chain import build_unreduced
-from khoarrow.cube import resolve
+from khoarrow.cube import resolve, vertices
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
-from khoarrow.reduced import (DimensionMismatch, build_reduced,
-                              check_commuting_square, check_cycle_relations,
-                              check_graph_span, e1, enumerate_admissible,
-                              find_cycles, operator_lattice, psi)
+from khoarrow.lattice import (check_commuting_square, check_cycle_relations,
+                              check_graph_span, enumerate_admissible,
+                              find_cycles, operator_lattice, psi, value)
+from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 
 KINK = parse_pd("X[1,2,2,1]")
@@ -26,24 +26,57 @@ HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 def test_pinned_lattice_ranks():
     # crossingless unknot: only the identity
-    assert operator_lattice(resolve(parse_pd(""), ())).rank == 1
+    assert len(operator_lattice(resolve(parse_pd(""), ()))) == 1
     # one circle with a loop arrow: {id, 2x}
     r = resolve(KINK, (0,))
     assert r.k == 1 and r.arrows[0].source == r.arrows[0].target
-    assert operator_lattice(r).rank == 2
+    assert len(operator_lattice(r)) == 2
     # two circles joined by one arrow: {id, x1+x2, 2 x1x2}
     r = resolve(KINK, (1,))
     assert r.k == 2
-    assert operator_lattice(r).rank == 3
+    assert len(operator_lattice(r)) == 3
 
 
 def test_lattice_strata_are_homogeneous():
-    lat = operator_lattice(resolve(HOPF, (0, 0)))
-    assert lat.rank == 3
-    assert [s.m for s in lat.strata] == [0, 1, 2]
-    mats = lat.basis_matrices()
-    assert np.array_equal(np.array(mats[0], dtype=np.int64),
-                          np.eye(4, dtype=np.int64))
+    basis = operator_lattice(resolve(HOPF, (0, 0)))
+    degrees = []
+    for row in basis:
+        support = {bin(m).count("1") for m, c in enumerate(row) if c}
+        assert len(support) == 1, row
+        degrees += support
+    assert degrees == [0, 1, 2]
+    assert basis[0] == [1, 0, 0, 0]
+
+
+def _multiplication(vec):
+    """The matrix of multiplication by `vec` on A^{(x)k}."""
+    n = len(vec)
+    mat = np.zeros((n, n), dtype=np.int64)
+    for col in range(n):
+        for m, c in enumerate(vec):
+            if not col & m:
+                mat[col | m, col] += c
+    return mat
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_values_are_faithful_to_dense_operators(name):
+    # every T-operator is multiplication by its value at 1, so a word's
+    # value determines its dense product of t_merge / t_split matrices
+    d = corpus.get(name)
+    for bits in vertices(d.n):
+        r = resolve(d, bits)
+        ops = [algebra.t_merge(r.k, a.source + 1, a.target + 1)
+               if a.source != a.target else algebra.t_split(r.k, a.source + 1)
+               for a in r.arrows]
+        for m in range(4):
+            for w in combinations_with_replacement(range(len(ops)), m):
+                dense = np.eye(2 ** r.k, dtype=np.int64)
+                for i in w:
+                    dense = ops[i] @ dense
+                vec = value(r, w)
+                assert dense[:, 0].tolist() == vec, (bits, w)
+                assert np.array_equal(dense, _multiplication(vec)), (bits, w)
 
 
 def test_lattice_guard():
@@ -51,12 +84,6 @@ def test_lattice_guard():
     d = parse_pd(code)
     with pytest.raises(TooLarge):
         operator_lattice(resolve(d, (0,) * 9))
-
-
-def test_e1_validates_shape():
-    with pytest.raises(DimensionMismatch):
-        e1(np.eye(4), 1)
-    assert e1(np.eye(2), 1).tolist() == [1, 0]
 
 
 # ------------------------------------------------------- reduced complexes
@@ -233,8 +260,7 @@ def test_enumerate_admissible_small_cases():
     subs = enumerate_admissible(r)
     # empty graph, the lone distinguished vertex, and the loop edge itself
     assert len(subs) == 3
-    for g in subs:
-        assert psi(g, r).shape == (2, 2)
+    assert sorted(psi(g, r) for g in subs) == [[0, 2], [0, 2], [1, 0]]
     # loop edge and distinguished vertex evaluate identically (kernel)
     rep = check_graph_span(r)
     assert rep["equal"] and rep["kernel_rank"] == 1
