@@ -3,7 +3,8 @@
 ``khoarrow homology`` computes the unreduced (at a chosen specialization)
 or reduced homology of one diagram and prints it as JSON or a text
 table.  ``khoarrow verify`` runs hermetic self-check suites over the
-built-in corpus.
+built-in corpus, one ``[pass]``/``[FAIL]`` line per check on stdout and
+the time each suite took on stderr.
 
 Exit codes: 0 success / all checks pass; 1 input could not be parsed;
 2 the input exceeds a size guard; 3 an internal consistency check
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from time import perf_counter
 
 from . import corpus
 from .algebra import EVEN, ODD, RingParams
@@ -38,9 +40,6 @@ EXIT_INCONSISTENT = 3
 # takes 0.9 s and 43 MB and T(2,9) 1.2 s and 55 MB, build plus homology;
 # T(2,11) (11 crossings) takes 14.5 s and 305 MB, so the guard stays at 10
 MAX_CLI_CROSSINGS = 10
-
-SUITES = ("d2", "euler", "commuting-square", "graph-span",
-          "rm-invariance", "arrows", "snf")
 
 
 def _theory(args) -> RingParams:
@@ -216,6 +215,18 @@ def _suite_snf(report, count=200, seed=0):
     report("snf round-trip", ok)
 
 
+_SUITE_RUNNERS = {
+    "d2": _suite_d2,
+    "euler": _suite_euler,
+    "commuting-square": _suite_commuting_square,
+    "graph-span": _suite_graph_span,
+    "rm-invariance": _suite_rm_invariance,
+    "arrows": _suite_arrows,
+    "snf": _suite_snf,
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def cmd_verify(args) -> int:
     failures = []
 
@@ -227,20 +238,10 @@ def cmd_verify(args) -> int:
 
     wanted = SUITES if args.suite == "all" else (args.suite,)
     try:
-        if "d2" in wanted:
-            _suite_d2(report)
-        if "euler" in wanted:
-            _suite_euler(report)
-        if "commuting-square" in wanted:
-            _suite_commuting_square(report)
-        if "graph-span" in wanted:
-            _suite_graph_span(report)
-        if "rm-invariance" in wanted:
-            _suite_rm_invariance(report)
-        if "arrows" in wanted:
-            _suite_arrows(report)
-        if "snf" in wanted:
-            _suite_snf(report)
+        for name in wanted:
+            t0 = perf_counter()
+            _SUITE_RUNNERS[name](report)
+            print(f"{name} {perf_counter() - t0:.2f} s", file=sys.stderr)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

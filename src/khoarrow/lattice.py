@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .algebra import EVEN
 from .chain import edge_map
-from .cube import Resolution, _UnionFind, resolve, vertices
+from .cube import Resolution, resolve, vertices
 from .diagram import Diagram
 from .jones import TooLarge
 
@@ -81,7 +81,12 @@ def value(r: Resolution, word, distinguished=()) -> list:
     vec = [1] + [0] * (2 ** r.k - 1)
     for i in word:
         vec = _times(vec, _arrow(r, i))
-    for v in distinguished:
+    return _with_loops(r, vec, distinguished)
+
+
+def _with_loops(r: Resolution, vec: list, circles) -> list:
+    """`vec` times 2 x_v for each circle v in `circles`."""
+    for v in circles:
         vec = _times(vec, ((1 << (r.k - 1 - v), 2),))
     return vec
 
@@ -189,42 +194,57 @@ class AdmissibleSubgraph:
     distinguished: tuple
 
 
-def _is_admissible(r: Resolution, edges, distinguished, loops) -> bool:
-    ends = [(r.arrows[i].source, r.arrows[i].target) for i in edges]
-    comp = _UnionFind({v for e in ends for v in e} | set(distinguished))
-    for s, t in ends:
-        comp.union(s, t)
-    counts: dict = {}                  # root -> [vertices, edges, distinguished]
-    for v in comp.parent:
-        counts.setdefault(comp.find(v), [0, 0, 0])[0] += 1
-    for s, _ in ends:
-        counts[comp.find(s)][1] += 1
-    for v in distinguished:
-        counts[comp.find(v)][2] += 1
-    for root, (size, n_edges, n_dist) in counts.items():
-        if not n_edges:
-            # a lone distinguished vertex: only on a circle with a loop arrow
-            if root not in loops:
-                return False
-        # a tree with at most one distinguished vertex, or one cycle with none
-        elif (n_edges - size + 1, n_dist) not in ((0, 0), (0, 1), (1, 0)):
-            return False
-    return True
+def _admissible(r: Resolution):
+    """(edges, distinguished sets) for every edge set that admits a
+    subgraph, in ascending edge mask, each list in ascending vertex mask.
+
+    Components depend only on the edge set, so they are found once per
+    edge set, and the distinguished sets are the product of what each
+    component allows (see ``enumerate_admissible``).
+    """
+    _guard(r, "admissible-subgraph")
+    k, arrows = r.k, r.arrows
+    ends = [(a.source, a.target) for a in arrows]
+    loops = {s for s, t in ends if s == t}
+    for emask in range(2 ** len(arrows)):
+        edges = tuple(i for i in range(len(arrows)) if emask >> i & 1)
+        label = list(range(k))           # circle -> its component's label
+        for i in edges:
+            a, b = label[ends[i][0]], label[ends[i][1]]
+            if a != b:
+                label = [a if c == b else c for c in label]
+        touched = {v for i in edges for v in ends[i]}
+        comps: dict = {}                 # label -> [vertices, edge count]
+        for v in touched:
+            comps.setdefault(label[v], [[], 0])[0].append(v)
+        for i in edges:
+            comps[label[ends[i][0]]][1] += 1
+        masks = [0]
+        for members, n_edges in comps.values():
+            rank = n_edges - len(members) + 1
+            if rank >= 2:
+                break
+            if rank == 0:
+                masks = [m | bit for m in masks
+                         for bit in (0, *(1 << v for v in members))]
+        else:
+            for v in loops - touched:
+                masks += [m | 1 << v for m in masks]
+            yield edges, [tuple(v for v in range(k) if m >> v & 1)
+                          for m in sorted(masks)]
 
 
 def enumerate_admissible(r: Resolution) -> list[AdmissibleSubgraph]:
-    """All admissible subgraphs of the arrow multigraph of D(I)."""
-    _guard(r, "admissible-subgraph")
-    loops = {a.source for a in r.arrows if a.source == a.target}
-    n_arrows = len(r.arrows)
-    out = []
-    for emask in range(2 ** n_arrows):
-        edges = tuple(i for i in range(n_arrows) if emask >> i & 1)
-        for dmask in range(2 ** r.k):
-            dist = tuple(v for v in range(r.k) if dmask >> v & 1)
-            if _is_admissible(r, edges, dist, loops):
-                out.append(AdmissibleSubgraph(edges, dist))
-    return out
+    """All admissible subgraphs of the arrow multigraph of D(I), in
+    ascending edge mask, then ascending distinguished-vertex mask.
+
+    Every component of a subgraph is a tree with at most one
+    distinguished vertex, a single-cycle subgraph (cycle rank 1) with
+    none, or a lone distinguished circle that carries a loop arrow; an
+    edge set with a component of cycle rank 2 or more admits none.
+    """
+    return [AdmissibleSubgraph(edges, dist)
+            for edges, dists in _admissible(r) for dist in dists]
 
 
 def psi(g: AdmissibleSubgraph, r: Resolution) -> list:
@@ -235,14 +255,17 @@ def psi(g: AdmissibleSubgraph, r: Resolution) -> list:
 def check_graph_span(r: Resolution) -> dict:
     """Compare the admissible-subgraph span with the operator lattice."""
     lattice = operator_lattice(r)
-    subs = enumerate_admissible(r)
-    span = _hermite(psi(g, r) for g in subs)
+    values = []
+    for edges, dists in _admissible(r):
+        base = value(r, edges)       # psi, with the edge product shared
+        values += [_with_loops(r, base, dist) for dist in dists]
+    span = _hermite(values)
     return {
         "equal": span == lattice,
         "lattice_rank": len(lattice),
         "span_rank": len(span),
-        "kernel_rank": len(subs) - len(span),
-        "subgraphs": len(subs),
+        "kernel_rank": len(values) - len(span),
+        "subgraphs": len(values),
     }
 
 

@@ -11,8 +11,8 @@ from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (BigradedComplex, build_unreduced, edge_map,
                             solve_signs)
 from khoarrow.cube import cube_faces, khovanov_sign, resolve, vertices
-from khoarrow.diagram import Diagram
 from khoarrow.jones import euler_characteristic, jones
+from knots import torus
 
 PRESETS = [EVEN, ODD, RingParams(-1, 1, 1), RingParams(-1, -1, -1)]
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
@@ -89,14 +89,6 @@ def _signs(d, p, flip_arrows=False):
     maps = {(rI.index, i): edge_map(rI, rJ, i, p)
             for rI, rJ, i in _edges(d, flip_arrows)}
     return solve_signs(maps, d.n)
-
-
-def _torus(n):
-    """Left-handed T(2, n): X[j, j+n, j+1, j+n+1] over odd j, mod 2n."""
-    def lab(a):
-        return (a - 1) % (2 * n) + 1
-    return Diagram([(lab(j), lab(j + n), lab(j + 1), lab(j + n + 1))
-                    for j in range(1, 2 * n, 2)])
 
 
 @pytest.mark.parametrize("p", PRESETS)
@@ -194,7 +186,7 @@ def test_sparse_edge_maps_equal_dense_oracle(name, flip):
 
 
 @pytest.mark.parametrize("d", [corpus.get(name) for name in corpus.names()]
-                         + [_torus(7)])
+                         + [torus(7)])
 def test_even_signs_are_khovanov_signs(d):
     signs = _signs(d, EVEN)
     assert len(signs) == d.n * 2 ** max(d.n - 1, 0)

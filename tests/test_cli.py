@@ -1,13 +1,14 @@
 """CLI behavior: exit codes, JSON schema, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
 
 from khoarrow.algebra import ODD
 from khoarrow.chain import build_unreduced
-from khoarrow.cli import main
+from khoarrow.cli import SUITES, main
 from khoarrow.diagram import parse_gauss, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, jones
@@ -127,13 +128,19 @@ def test_verify_rejects_homology_options():
 
 def test_verify_prints_every_check(capsys):
     # the number of [pass] lines per suite; a refactor that silently drops
-    # a check changes them
+    # a check changes them.  The suite timings go to stderr, one line
+    # each, so stdout stays the same
     assert main(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert all(line.startswith("[pass] ") for line in lines)
     assert Counter(line.split()[1] for line in lines) == {
         "d2": 50, "euler": 40, "commuting-square": 10, "graph-span": 10,
         "rm-invariance": 9, "arrows": 10, "snf": 1}
+    timings = [re.fullmatch(r"(\S+) \d+\.\d\d s", line)
+               for line in captured.err.splitlines()]
+    assert all(timings), captured.err
+    assert tuple(m[1] for m in timings) == SUITES
 
 
 def test_main_callable_in_process(capsys):

@@ -9,9 +9,10 @@ from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import BigradedComplex, build_unreduced
 from khoarrow.cube import count_circles
-from khoarrow.diagram import Diagram, mirror, parse_gauss
+from khoarrow.diagram import mirror
 from khoarrow.homology import NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
+from knots import positive_braid_closure, torus
 
 
 def table(name, p):
@@ -193,14 +194,6 @@ def test_cancellation_keeps_known_homology(pieces, rnd):
 
 # ------------------------------------------------- T(2, n) torus knots
 
-def _torus(n):
-    """Left-handed T(2, n): X[j, j+n, j+1, j+n+1] over odd j, mod 2n."""
-    def lab(a):
-        return (a - 1) % (2 * n) + 1
-    return Diagram([(lab(j), lab(j + n), lab(j + 1), lab(j + n + 1))
-                    for j in range(1, 2 * n, 2)])
-
-
 def _torus_even_rows(n, chirality):
     """Khovanov's closed form (math/9908171, section 6.2) for T(2, n);
     the left-handed knot's table is the mirror of the right-handed one."""
@@ -219,7 +212,7 @@ def _torus_even_rows(n, chirality):
 @pytest.mark.parametrize("n", [3, 5, 7])
 @pytest.mark.parametrize("chirality", ["left", "right"])
 def test_torus_knots_unreduced(n, chirality):
-    d = _torus(n) if chirality == "left" else mirror(_torus(n))
+    d = torus(n) if chirality == "left" else mirror(torus(n))
     assert homology(build_unreduced(d, EVEN)).group_rows() == \
         _torus_even_rows(n, chirality)
     odd = homology(build_unreduced(d, ODD))
@@ -230,25 +223,6 @@ def test_torus_knots_unreduced(n, chirality):
 
 # ------------------------------------------- positive 3-braid closures
 
-def _positive_braid_closure(word):
-    """The knot closing a positive braid word, through its Gauss code.
-
-    Letter g crosses the strands at positions g and g + 1 (0-based); the
-    strand moving up passes over, and every crossing is positive.
-    """
-    passes, pos = [], 0
-    while True:
-        for label, g in enumerate(word, 1):
-            if pos in (g, g + 1):
-                passes.append(f"{'O' if pos == g else 'U'}{label}+")
-                pos = 2 * g + 1 - pos
-        if pos == 0:
-            break
-    if len(passes) != 2 * len(word):
-        raise ValueError(f"the closure of {word} is not a knot")
-    return parse_gauss("".join(passes))
-
-
 @pytest.mark.parametrize("p", [EVEN, ODD])
 @pytest.mark.parametrize("q", [4, 5])
 def test_positive_torus_knots(q, p):
@@ -256,7 +230,7 @@ def test_positive_torus_knots(q, p):
     # a positive diagram with c crossings and O circles in its all-0
     # resolution has no homology below h = 0, and H^0 = Z at
     # q = c - O + 1 +- 1
-    d = _positive_braid_closure([0, 1] * q)
+    d = positive_braid_closure([0, 1] * q)
     assert (d.n, d.n_minus) == (2 * q, 0)
     s = d.n - count_circles(d, (0,) * d.n) + 1
     c = build_unreduced(d, p)

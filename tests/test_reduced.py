@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from khoarrow import algebra, corpus
-from khoarrow.algebra import EVEN, RingParams
+from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import build_unreduced
-from khoarrow.cube import resolve, vertices
+from khoarrow.cube import Arrow, Resolution, _UnionFind, resolve, vertices
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
-from khoarrow.lattice import (check_commuting_square, check_cycle_relations,
-                              check_graph_span, enumerate_admissible,
-                              find_cycles, operator_lattice, psi, value)
+from khoarrow.lattice import (AdmissibleSubgraph, check_commuting_square,
+                              check_cycle_relations, check_graph_span,
+                              enumerate_admissible, find_cycles,
+                              operator_lattice, psi, value)
 from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
+from knots import positive_braid_closure, torus
 
 KINK = parse_pd("X[1,2,2,1]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -165,18 +167,10 @@ def test_reduced_table_does_not_depend_on_the_base_arc(name):
         assert homology(build_reduced(_relabel(d, s))) == table, s
 
 
-def _torus(n):
-    """Left-handed T(2, n): X[j, j+n, j+1, j+n+1] over odd j, mod 2n."""
-    def lab(a):
-        return (a - 1) % (2 * n) + 1
-    return Diagram([(lab(j), lab(j + n), lab(j + 1), lab(j + n + 1))
-                    for j in range(1, 2 * n, 2)])
-
-
 @pytest.mark.parametrize("n", [3, 5, 7])
 @pytest.mark.parametrize("chirality", ["left", "right"])
 def test_torus_knots_reduced(n, chirality):
-    d = _torus(n) if chirality == "left" else mirror(_torus(n))
+    d = torus(n) if chirality == "left" else mirror(torus(n))
     sign = 1 if chirality == "left" else -1
     rows = _reduced_rows(d)
     # one free class in each of h = 0, -2, -3, ..., -n, and no torsion
@@ -212,10 +206,63 @@ def test_odd_unreduced_is_two_copies_of_reduced(p):
     # Ozsvath-Rasmussen-Szabo (arXiv:0710.4300): at x*y = -1 the
     # unreduced homology is the reduced one at q - 1 plus at q + 1, over Z
     diagrams = [corpus.get(n) for n in corpus.names()]
-    diagrams += [_torus(n) for n in (5, 7)] + [mirror(_torus(n)) for n in (5, 7)]
+    diagrams += [torus(n) for n in (5, 7)] + [mirror(torus(n)) for n in (5, 7)]
     for d in diagrams:
         assert (_doubled(homology(build_reduced(d, p)))
                 == homology(build_unreduced(d, p)).entries), d.crossings
+
+
+def _mod2(table):
+    """Z/2 dimension at each (h, q): b + t2(h) + t2(h + 1), where t2
+    counts even invariant factors (universal coefficients; d raises h)."""
+    dims: dict = {}
+    for (h, q), (betti, torsion) in table.entries.items():
+        t2 = sum(1 for f in torsion if f % 2 == 0)
+        for hq, n in (((h, q), betti + t2), ((h - 1, q), t2)):
+            if n:
+                dims[hq] = dims.get(hq, 0) + n
+    return dims
+
+
+MOD2_DIAGRAMS = {name: corpus.get(name) for name in corpus.names()}
+MOD2_DIAGRAMS.update({f"{side} T(2,{n})": d
+                      for n in (5, 7)
+                      for side, d in (("left", torus(n)),
+                                      ("right", mirror(torus(n))))})
+MOD2_DIAGRAMS["T(3,4)"] = positive_braid_closure([0, 1] * 4)
+
+
+@pytest.mark.parametrize("name", MOD2_DIAGRAMS)
+def test_even_and_odd_agree_mod_2(name):
+    # Ozsvath-Rasmussen-Szabo (arXiv:0710.4300): even and odd unreduced
+    # homology agree over Z/2
+    d = MOD2_DIAGRAMS[name]
+    assert (_mod2(homology(build_unreduced(d, EVEN)))
+            == _mod2(homology(build_unreduced(d, ODD))))
+
+
+@pytest.mark.parametrize("name", MOD2_DIAGRAMS)
+def test_even_unreduced_is_two_copies_of_reduced_mod_2(name):
+    # Shumakovitch (math/0405474): over Z/2, even unreduced homology is
+    # reduced homology at q - 1 plus a copy at q + 1
+    d = MOD2_DIAGRAMS[name]
+    doubled: dict = {}
+    for (h, q), n in _mod2(homology(build_reduced(d, EVEN))).items():
+        for hq in ((h, q - 1), (h, q + 1)):
+            doubled[hq] = doubled.get(hq, 0) + n
+    assert _mod2(homology(build_unreduced(d, EVEN))) == doubled
+
+
+def test_torus_3_4_odd_tables():
+    # the first non-alternating knot in the tests, and the first with
+    # odd torsion; pinned from this program once both mod-2 identities
+    # above held on it
+    d = MOD2_DIAGRAMS["T(3,4)"]
+    odd = homology(build_unreduced(d, ODD))
+    assert {hq: t for hq, (_, t) in odd.entries.items() if t} == {
+        (4, 11): (2,), (4, 13): (2,), (5, 13): (3,), (5, 15): (3,)}
+    assert [sum(b for b, _ in homology(build_reduced(d, p)).entries.values())
+            for p in (ODD, EVEN)] == [3, 5]
 
 
 def test_even_unreduced_is_not_two_copies_of_reduced():
@@ -264,6 +311,94 @@ def test_enumerate_admissible_small_cases():
     # loop edge and distinguished vertex evaluate identically (kernel)
     rep = check_graph_span(r)
     assert rep["equal"] and rep["kernel_rank"] == 1
+
+
+def _is_admissible(r, edges, distinguished, loops):
+    """The admissibility rule, tested one (edges, distinguished) pair at
+    a time: every component is a tree with at most one distinguished
+    vertex, a single cycle with none, or a lone distinguished vertex on
+    a circle with a loop arrow."""
+    ends = [(r.arrows[i].source, r.arrows[i].target) for i in edges]
+    comp = _UnionFind({v for e in ends for v in e} | set(distinguished))
+    for s, t in ends:
+        comp.union(s, t)
+    counts: dict = {}                  # root -> [vertices, edges, distinguished]
+    for v in comp.parent:
+        counts.setdefault(comp.find(v), [0, 0, 0])[0] += 1
+    for s, _ in ends:
+        counts[comp.find(s)][1] += 1
+    for v in distinguished:
+        counts[comp.find(v)][2] += 1
+    for root, (size, n_edges, n_dist) in counts.items():
+        if not n_edges:
+            if root not in loops:
+                return False
+        elif (n_edges - size + 1, n_dist) not in ((0, 0), (0, 1), (1, 0)):
+            return False
+    return True
+
+
+def _admissible_oracle(r):
+    """Every (edges, distinguished) pair that passes `_is_admissible`, in
+    ascending edge mask, then ascending distinguished-vertex mask."""
+    loops = {a.source for a in r.arrows if a.source == a.target}
+    out = []
+    for emask in range(2 ** len(r.arrows)):
+        edges = tuple(i for i in range(len(r.arrows)) if emask >> i & 1)
+        for dmask in range(2 ** r.k):
+            dist = tuple(v for v in range(r.k) if dmask >> v & 1)
+            if _is_admissible(r, edges, dist, loops):
+                out.append(AdmissibleSubgraph(edges, dist))
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.names()
+                                  if corpus.get(n).n <= 6])
+def test_enumerate_admissible_equals_oracle(name):
+    d = corpus.get(name)
+    for flip in (False, True):
+        for bits in vertices(d.n):
+            r = resolve(d, bits, flip)
+            assert enumerate_admissible(r) == _admissible_oracle(r), (flip, bits)
+
+
+def _resolution(k, ends):
+    """k circles joined by one arrow per (source, target) in `ends`."""
+    return Resolution((), ((),) * k,
+                      tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends)))
+
+
+def _dists(subs, edges):
+    return [g.distinguished for g in subs if g.edges == edges]
+
+
+def test_enumerate_admissible_cycle_rank_two():
+    # three parallel arrows: any two are a cycle, all three have rank 2
+    r = _resolution(2, [(0, 1), (0, 1), (1, 0)])
+    subs = enumerate_admissible(r)
+    assert subs == _admissible_oracle(r)
+    assert _dists(subs, (0, 1)) == [()]
+    assert _dists(subs, (0, 1, 2)) == []
+
+
+def test_enumerate_admissible_loop_inside_a_tree():
+    # the loop arrow at circle 1 turns the path 0 - 1 - 2 into rank 1
+    r = _resolution(3, [(0, 1), (1, 1), (1, 2)])
+    subs = enumerate_admissible(r)
+    assert subs == _admissible_oracle(r)
+    assert _dists(subs, (0, 2)) == [(), (0,), (1,), (2,)]
+    assert _dists(subs, (0, 1)) == _dists(subs, (0, 1, 2)) == [()]
+    assert _dists(subs, ()) == [(), (1,)]
+
+
+def test_enumerate_admissible_isolated_circles():
+    # circle 2 carries a loop arrow and circle 3 none
+    r = _resolution(4, [(0, 1), (2, 2)])
+    subs = enumerate_admissible(r)
+    assert subs == _admissible_oracle(r)
+    assert _dists(subs, ()) == [(), (2,)]
+    assert _dists(subs, (0,)) == [(), (0,), (1,), (2,), (0, 2), (1, 2)]
+    assert _dists(subs, (1,)) == [()]
 
 
 def test_cycle_relations():
