@@ -5,10 +5,14 @@ the stable position of the merged/split circle, with tensor factors
 shuffled by the parameterized swap and a graded reach-over coefficient
 for every factor left of the saddle.  Each is a sparse monomial map:
 every basis tensor goes to at most two basis tensors, read off its bits
-and the circle positions.  Edge signs are then propagated from a
-spanning tree of the cube, each non-tree edge from one face it closes,
-so that every 2-face anticommutes; the few edges no face fixes become
-GF(2) unknowns, solved by XOR elimination against the remaining faces.
+and the circle positions.  A map depends only on the local picture of
+its edge (circle count, the two positions, merge or split), so one
+build makes each distinct map once and shares it between its edges.
+Edge signs are then propagated from a spanning tree of the cube, each
+non-tree edge from one face it closes, so that every 2-face
+anticommutes; the few edges no face fixes become GF(2) unknowns, solved
+by XOR elimination against the remaining faces.  Faces built from the
+same four map objects are composed and compared once per sign solve.
 
 Gradings: homological degree h = |I| - n_minus.  Quantum degree in the
 ``standard`` convention is (#1 - #x) + |I| + n_plus - 2 n_minus; the
@@ -111,6 +115,27 @@ def _graded(one: int, ex: int, n: int, xs: int) -> int:
     return (one if (n - xs) & 1 else 1) * (ex if xs & 1 else 1)
 
 
+def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
+    """The local picture the edge map along cube edge i depends on.
+
+    ("merge", k(I), ps, pt) when the crossing joins the circles at
+    positions ps < pt, and ("split", k(I), pu, d_other) when it splits
+    the circle at pu and the daughter without its minimal arc lands at
+    position d_other of J.  Raises NotAnEdge unless rI -> rJ flips bit i
+    from 0 to 1 and no other bit.
+    """
+    if (rI.index[i], rJ.index[i]) != (0, 1) or any(
+            a != b for j, (a, b) in enumerate(zip(rI.index, rJ.index)) if j != i):
+        raise NotAnEdge(f"{rI.index} -> {rJ.index} is not the edge at {i}")
+    arr = rI.arrows[i]
+    if arr.source != arr.target:
+        return ("merge", rI.k, *sorted((arr.source, arr.target)))
+    pu = arr.source
+    d_min = rJ.circle_of(rI.circles[pu][0])
+    daughters = {rJ.circle_of(a) for a in rI.circles[pu]}
+    return ("split", rI.k, pu, (daughters - {d_min}).pop())
+
+
 def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
     """Unsigned chain map A^{(x)k(I)} -> A^{(x)k(J)} along cube edge i.
 
@@ -128,19 +153,16 @@ def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
     the even specialization all of these coefficients are 1 and the map
     is the plain Khovanov edge map; away from it they are exactly what
     makes every 2-face of the cube commute up to a single global unit.
+    It depends on the edge only through ``_edge_signature``.
     """
-    if (rI.index[i], rJ.index[i]) != (0, 1) or any(
-            a != b for j, (a, b) in enumerate(zip(rI.index, rJ.index)) if j != i):
-        raise NotAnEdge(f"{rI.index} -> {rJ.index} is not the edge at {i}")
-    kI = rI.k
-    arr = rI.arrows[i]
+    kind, kI, first, second = _edge_signature(rI, rJ, i)
     # swap[b] = (cost of passing a 1, cost of passing an x) for a moving b
     swap = ((p.x, p.z), (p.z, p.y))
     out = []
-    if arr.source != arr.target:
+    if kind == "merge":
         # merge: the merged circle inherits the smaller stable position;
         # the factor at pt moves left past the factors between them
-        ps, pt = sorted((arr.source, arr.target))
+        ps, pt = first, second
         sa, sb = kI - 1 - ps, kI - 1 - pt        # bit shifts of the two
         between = (1 << sa) - (1 << (sb + 1))
         low = (1 << sb) - 1
@@ -159,10 +181,7 @@ def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
         return out
     # split: the daughter containing the minimal arc keeps the position,
     # and the other daughter moves right from the next one to its own
-    pu = arr.source
-    d_min = rJ.circle_of(rI.circles[pu][0])
-    daughters = {rJ.circle_of(a) for a in rI.circles[pu]}
-    d_other = (daughters - {d_min}).pop()
+    pu, d_other = first, second
     su, t = kI - 1 - pu, kI - d_other   # bit shifts of u in I, d_other in J
     x_min, x_other = 1 << (su + 1), 1 << t
     between = (1 << su) - (1 << t)
@@ -196,6 +215,20 @@ def _compose(second: list, first: list) -> list:
     return out
 
 
+def _proportion(m1: list, m2: list, where: str) -> int:
+    """The lambda = +-1 with m1 = lambda m2, or 0 when both vanish."""
+    z1, z2 = not any(m1), not any(m2)
+    if z1 and z2:
+        return 0
+    if z1 != z2:
+        raise FaceNotProportional(f"{where}: exactly one composite vanishes")
+    if m1 == m2:
+        return 1
+    if m1 == [{r: -v for r, v in col.items()} for col in m2]:
+        return -1
+    raise FaceNotProportional(f"{where}: composites not +-proportional")
+
+
 def solve_signs(maps: dict, n: int) -> dict:
     """Edge signs making every 2-face of the cube anticommute.
 
@@ -214,29 +247,29 @@ def solve_signs(maps: dict, n: int) -> dict:
     specialization the result is exactly the Khovanov sign rule.
 
     `maps` holds the unsigned edge map of every edge of the n-cube,
-    keyed by (I bits, crossing).  Raises FaceNotProportional when a
-    face's composites are not +-1 multiples of each other, and
-    Unsolvable when the face equations are inconsistent.
+    keyed by (I bits, crossing); edges may share one map object.  Each
+    face whose four maps are new objects is composed and compared
+    column by column; a face made of the same four objects as one seen
+    earlier in this call reuses its lambda, and still adds its
+    equation.  Raises FaceNotProportional when a face's composites are
+    not +-1 multiples of each other, and Unsolvable when the face
+    equations are inconsistent.
     """
+    lams: dict[tuple, int] = {}        # ids of a face's four maps -> lambda
+
     def face(bits, j, i):
         """The lambda = +-1 with (i after j) = lambda (j after i) on the
-        face at `bits` spanned by j < i; 0 when both composites vanish."""
+        face at `bits` spanned by j < i; 0 when both composites vanish.
+        Faces whose four maps are the same objects are checked once."""
         bj = bits[:j] + (1,) + bits[j + 1:]
         bi = bits[:i] + (1,) + bits[i + 1:]
-        m1 = _compose(maps[(bj, i)], maps[(bits, j)])
-        m2 = _compose(maps[(bi, j)], maps[(bits, i)])
-        z1, z2 = not any(m1), not any(m2)
-        if z1 and z2:
-            return 0
-        if z1 != z2:
-            raise FaceNotProportional(
-                f"face {bits} ({j},{i}): exactly one composite vanishes")
-        if m1 == m2:
-            return 1
-        if m1 == [{r: -v for r, v in col.items()} for col in m2]:
-            return -1
-        raise FaceNotProportional(
-            f"face {bits} ({j},{i}): composites not +-proportional")
+        ij, j0 = maps[(bj, i)], maps[(bits, j)]
+        ji, i0 = maps[(bi, j)], maps[(bits, i)]
+        key = (id(ij), id(j0), id(ji), id(i0))
+        if key not in lams:
+            lams[key] = _proportion(_compose(ij, j0), _compose(ji, i0),
+                                    f"face {bits} ({j},{i})")
+        return lams[key]
 
     masks: dict = {}
     pivots: dict[int, int] = {}        # leading unknown -> reduced equation
@@ -297,13 +330,30 @@ def cube_layout(d: Diagram) -> dict[int, list[tuple[int, ...]]]:
 
 def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
                     flip_arrows: bool = False) -> BigradedComplex:
-    """The unreduced complex of `d` at specialization `p`."""
+    """The unreduced complex of `d` at specialization `p`.
+
+    Each distinct edge map is built once per call: every edge with the
+    same ``_edge_signature`` gets the same map object, so a build makes
+    as many ``edge_map`` calls as there are distinct local pictures (27
+    of 448 edges on T(2, 7)).  Nothing is cached across calls.
+    """
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
     res = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
-    maps = {(bits, i): edge_map(r, res[bits[:i] + (1,) + bits[i + 1:]], i, p)
-            for bits, r in res.items() for i in range(n) if not bits[i]}
+    # edges with one signature share one map object, which also lets
+    # solve_signs check each distinct face once
+    shared: dict[tuple, list] = {}
+    maps = {}
+    for bits, r in res.items():
+        for i in range(n):
+            if bits[i]:
+                continue
+            to = res[bits[:i] + (1,) + bits[i + 1:]]
+            sig = _edge_signature(r, to, i)
+            if sig not in shared:
+                shared[sig] = edge_map(r, to, i, p)
+            maps[(bits, i)] = shared[sig]
     signs = solve_signs(maps, n)
 
     shift = d.n_plus - 2 * d.n_minus

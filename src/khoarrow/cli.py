@@ -36,9 +36,12 @@ EXIT_TOO_LARGE = 2
 EXIT_INCONSISTENT = 3
 
 # unreduced complexes walk 2^n cube vertices with 2^k(I)-dimensional
-# groups.  On one core of a shared 2-vCPU VM, T(3,5) (10 crossings)
-# takes 0.9 s and 43 MB and T(2,9) 1.2 s and 55 MB, build plus homology;
-# T(2,11) (11 crossings) takes 14.5 s and 305 MB, so the guard stays at 10
+# groups.  On one core of a shared 2-vCPU VM, odd T(3,5) (10 crossings)
+# takes 0.21 s and 40 MB and odd T(2,9) 0.21 s and 54 MB, build plus
+# homology.  Odd T(2,11) (11 crossings) builds in 0.6 s and 126 MB, but
+# homology's generator graph (homology._graph) takes it to 300 MB peak
+# RSS in 1.5 s more, twice the 150 MB target: memory, not build time,
+# keeps the guard at 10
 MAX_CLI_CROSSINGS = 10
 
 

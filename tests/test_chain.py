@@ -6,13 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from khoarrow import algebra, corpus
+from khoarrow import algebra, chain, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import (BigradedComplex, build_unreduced, edge_map,
-                            solve_signs)
+from khoarrow.chain import (BigradedComplex, FaceNotProportional,
+                            build_unreduced, edge_map, solve_signs)
 from khoarrow.cube import cube_faces, khovanov_sign, resolve, vertices
 from khoarrow.jones import euler_characteristic, jones
-from knots import torus
+from knots import positive_braid_closure, torus
 
 PRESETS = [EVEN, ODD, RingParams(-1, 1, 1), RingParams(-1, -1, -1)]
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
@@ -84,11 +84,49 @@ def _edges(d, flip_arrows=False):
                 yield res[bits], res[bits[:i] + (1,) + bits[i + 1:]], i
 
 
+def _maps(d, p, flip_arrows=False):
+    """A fresh edge map for every cube edge of `d`, none shared."""
+    return {(rI.index, i): edge_map(rI, rJ, i, p)
+            for rI, rJ, i in _edges(d, flip_arrows)}
+
+
 def _signs(d, p, flip_arrows=False):
     """solve_signs on the edge maps of every cube edge of `d`."""
-    maps = {(rI.index, i): edge_map(rI, rJ, i, p)
-            for rI, rJ, i in _edges(d, flip_arrows)}
-    return solve_signs(maps, d.n)
+    return solve_signs(_maps(d, p, flip_arrows), d.n)
+
+
+def _built_maps(d, p, flip_arrows=False):
+    """The edge maps build_unreduced hands to solve_signs, shared ones
+    still shared."""
+    seen = []
+
+    def spy(maps, n):
+        seen.append(maps)
+        return solve_signs(maps, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "solve_signs", spy)
+        build_unreduced(d, p, flip_arrows=flip_arrows)
+    return seen[0]
+
+
+def _up(bits, i):
+    return bits[:i] + (1,) + bits[i + 1:]
+
+
+def _double_one_coefficient(maps, bits, j, i):
+    """Replace the map of edge (bits, j) by a copy with one coefficient
+    doubled, in a column whose image the next edge (bits + e_j, i) does
+    not kill, so that the composite along j then i is no +-1 multiple
+    of the one along i then j."""
+    first, second = maps[(bits, j)], maps[(_up(bits, j), i)]
+    for c, images in enumerate(first):
+        for k, (r, v) in enumerate(images):
+            if second[r]:
+                col = images[:k] + ((r, 2 * v),) + images[k + 1:]
+                maps[(bits, j)] = first[:c] + [col] + first[c + 1:]
+                return
+    raise AssertionError(f"face {bits} ({j},{i}) has a vanishing composite")
 
 
 @pytest.mark.parametrize("p", PRESETS)
@@ -214,6 +252,83 @@ def test_signed_faces_anticommute(name, p):
             total = (signed(bi, j) @ signed(bits, i)
                      + signed(bj, i) @ signed(bits, j))
             assert not total.any(), (flip, bits, i, j)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("name", corpus.names())
+def test_shared_edge_maps_are_exact(name, flip):
+    d = corpus.get(name)
+    for p in ALL_PRESETS:
+        shared = _built_maps(d, p, flip)
+        assert shared == _maps(d, p, flip), p
+        # one list object per edge: no two faces have the same four maps
+        unshared = {key: list(m) for key, m in shared.items()}
+        assert solve_signs(shared, d.n) == solve_signs(unshared, d.n), p
+
+
+@pytest.mark.parametrize("d, p, edges, distinct_maps, faces, distinct_faces", [
+    (torus(7), EVEN, 448, 27, 672, 87),
+    # 14 of its distinct faces have two vanishing composites, lambda = 0
+    (positive_braid_closure([0, 1] * 4), ODD, 1024, 34, 1792, 194),
+])
+def test_build_makes_each_distinct_map_and_face_once(
+        monkeypatch, d, p, edges, distinct_maps, faces, distinct_faces):
+    calls = {"edge_map": 0, "_compose": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(chain, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(chain, name, counted)
+    maps = _built_maps(d, p)
+    assert len(maps) == edges
+    assert len({id(m) for m in maps.values()}) == distinct_maps
+    assert len(cube_faces(d)) == faces
+    # each distinct face is composed along both of its paths
+    assert calls == {"edge_map": distinct_maps, "_compose": 2 * distinct_faces}
+
+
+def test_corrupted_coefficient_is_not_proportional():
+    d = corpus.get("trefoil")
+    maps = _maps(d, EVEN)
+    bits, j, i = cube_faces(d)[0]
+    _double_one_coefficient(maps, bits, j, i)
+    with pytest.raises(FaceNotProportional, match="not \\+-proportional"):
+        solve_signs(maps, d.n)
+
+
+def test_emptied_image_leaves_one_composite_vanishing():
+    # on this face only the all-1 tensor composes to nonzero along j
+    # then i, so emptying its image kills that composite alone; the face
+    # is the first one the sign solve checks with the emptied edge on it
+    d = corpus.get("figure8_r2")
+    maps = _maps(d, EVEN)
+    bits, j, i = (0, 0, 0, 1, 0, 0), 0, 1
+    first = maps[(bits, j)]
+    composite = chain._compose(maps[(_up(bits, j), i)], first)
+    assert composite[0] and not any(composite[1:])
+    maps[(bits, j)] = [()] + first[1:]
+    with pytest.raises(FaceNotProportional,
+                       match="exactly one composite vanishes"):
+        solve_signs(maps, d.n)
+
+
+def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
+    d = corpus.get("trefoil")
+    maps = _built_maps(d, EVEN)
+    quads = {}
+    for bits, j, i in cube_faces(d):
+        bj, bi = _up(bits, j), _up(bits, i)
+        quad = (maps[(bj, i)], maps[(bits, j)], maps[(bi, j)], maps[(bits, i)])
+        quads.setdefault(tuple(map(id, quad)), []).append((bits, j, i))
+    # a face whose four maps repeat those of an earlier face
+    faces = max(quads.values(), key=len)
+    assert len(faces) > 1
+    bits, j, i = faces[-1]
+    original = maps[(bits, j)]
+    assert sum(m is original for m in maps.values()) > 1
+    _double_one_coefficient(maps, bits, j, i)
+    with pytest.raises(FaceNotProportional):
+        solve_signs(maps, d.n)
 
 
 def test_bigraded_complex_checks_catch_errors():
