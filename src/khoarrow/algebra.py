@@ -1,37 +1,19 @@
-"""Rank-2 Frobenius-type algebra A = Z<1, x> with its structure maps.
+"""The specializations of the rank-2 algebra A = Z<1, x>.
 
-All maps are returned as dense integer matrices acting on the tensor
-powers A^{(x)k}.  Basis order of A^{(x)k} is lexicographic with 1 < x and
-the first tensor factor most significant, so basis index ``i`` encodes the
-monomial whose factor ``j`` (1-based) is ``x`` iff bit ``k - j`` of ``i``
-is set.
-
-The three specialization parameters (x, y, z), each +-1, enter the
-multiplication, comultiplication and factor-swap maps; the arrow
-operators ``t_merge``/``t_split`` are parameter-free and act over Z.
-The complexes are built from sparse maps (``chain.edge_map``) and the
-arrow-operator lattices from polynomial values (``lattice``); these
-dense matrices are the reference the tests compare both against.
+A sign specialization fixes the three coefficient parameters (x, y, z),
+each +-1, that enter the multiplication, comultiplication and
+factor-swap maps of A.  ``EVEN`` = (1, 1, 1) gives ordinary Khovanov
+homology and ``ODD`` = (1, -1, 1) the odd theory of Ozsvath, Rasmussen
+and Szabo.  The maps themselves act sparsely on basis tensors in
+``chain.edge_map``; the arrow operators act through their values at 1
+in ``lattice``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "RingParams",
-    "EVEN",
-    "ODD",
-    "mul",
-    "comul",
-    "perm",
-    "t_merge",
-    "t_split",
-    "adjacent_swap",
-    "basis_degree",
-]
+__all__ = ["RingParams", "EVEN", "ODD"]
 
 
 @dataclass(frozen=True)
@@ -50,87 +32,3 @@ class RingParams:
 
 EVEN = RingParams(1, 1, 1)
 ODD = RingParams(1, -1, 1)
-
-
-def mul(p: RingParams) -> np.ndarray:
-    """Multiplication A (x) A -> A as a 2x4 matrix.
-
-    Column order (11, 1x, x1, xx), row order (1, x).
-    """
-    m = np.zeros((2, 4), dtype=np.int64)
-    m[0, 0] = 1            # 1*1 = 1
-    m[1, 1] = 1            # 1*x = x
-    m[1, 2] = p.x * p.z    # x*1 = XZ x
-    return m
-
-
-def comul(p: RingParams) -> np.ndarray:
-    """Comultiplication A -> A (x) A as a 4x2 matrix."""
-    d = np.zeros((4, 2), dtype=np.int64)
-    d[2, 0] = 1            # 1 -> x1 + YZ 1x
-    d[1, 0] = p.y * p.z
-    d[3, 1] = 1            # x -> xx
-    return d
-
-
-def perm(p: RingParams) -> np.ndarray:
-    """Factor swap A (x) A -> A (x) A with specialization coefficients.
-
-    P(11) = X 11, P(1x) = Z x1, P(x1) = Z 1x, P(xx) = Y xx
-    (Z is its own inverse at a +-1 specialization).
-    """
-    P = np.zeros((4, 4), dtype=np.int64)
-    P[0, 0] = p.x
-    P[2, 1] = p.z
-    P[1, 2] = p.z
-    P[3, 3] = p.y
-    return P
-
-
-def adjacent_swap(p: RingParams, k: int, j: int) -> np.ndarray:
-    """Swap of tensor factors j and j+1 (1-based) of A^{(x)k}."""
-    if not 1 <= j < k:
-        raise ValueError(f"adjacent position {j} out of range for {k} factors")
-    left = np.eye(2 ** (j - 1), dtype=np.int64)
-    right = np.eye(2 ** (k - j - 1), dtype=np.int64)
-    return np.kron(np.kron(left, perm(p)), right)
-
-
-def t_merge(k: int, s: int, t: int) -> np.ndarray:
-    """Merge-type operator on A^{(x)k}: multiplication by x_s + x_t.
-
-    ``s`` and ``t`` are distinct 1-based factor indices.
-    """
-    if not (1 <= s <= k) or not (1 <= t <= k):
-        raise IndexError(f"factor index out of range for k={k}: ({s}, {t})")
-    if s == t:
-        raise ValueError(f"merge operator needs distinct factors, got s=t={s}")
-    n = 2 ** k
-    out = np.zeros((n, n), dtype=np.int64)
-    bs = 1 << (k - s)
-    bt = 1 << (k - t)
-    for idx in range(n):
-        if not idx & bs:
-            out[idx | bs, idx] += 1
-        if not idx & bt:
-            out[idx | bt, idx] += 1
-    return out
-
-
-def t_split(k: int, s: int) -> np.ndarray:
-    """Loop-type operator on A^{(x)k}: multiplication by 2 x_s."""
-    if not 1 <= s <= k:
-        raise IndexError(f"factor index out of range for k={k}: {s}")
-    n = 2 ** k
-    out = np.zeros((n, n), dtype=np.int64)
-    bs = 1 << (k - s)
-    for idx in range(n):
-        if not idx & bs:
-            out[idx | bs, idx] += 2
-    return out
-
-
-def basis_degree(k: int, idx: int) -> int:
-    """Degree of a basis tensor with deg(1) = -1 and deg(x) = +1."""
-    ones = bin(idx).count("1")
-    return 2 * ones - k

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .algebra import EVEN, RingParams
 from .chain import BigradedComplex, build_unreduced, cube_layout
-from .cube import resolve
 from .diagram import Diagram
 
 __all__ = ["NotASubcomplex", "build_reduced"]
@@ -49,17 +48,18 @@ def build_reduced(d: Diagram, p: RingParams = EVEN,
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     full = build_unreduced(d, p, flip_arrows=flip_arrows)
+    shift = d.n_plus - 2 * d.n_minus
     keep: dict[int, list[int]] = {}
     for h, layer in cube_layout(d).items():
         keep[h] = []
         offset = 0
         for bits in layer:
-            r = resolve(d, bits, flip_arrows)
-            base = r.circle_of(d.arcs[0]) if d.arcs else 0
-            marked = 1 << (r.k - 1 - base)
-            keep[h] += [offset + idx for idx in range(2 ** r.k)
-                        if idx & marked]
-            offset += 2 ** r.k
+            # a block's first generator, 1 on all k circles, sits at
+            # q = k + |I| + shift; the base circle is circle 0, as circles
+            # are ordered by their smallest arc, so its x is the top bit
+            k = full.groups[h][offset] - sum(bits) - shift
+            keep[h] += range(offset + 2 ** (k - 1), offset + 2 ** k)
+            offset += 2 ** k
 
     sign = 1 if convention == "standard" else -1
     groups = {h: [sign * (full.groups[h][j] + 1) for j in kept]

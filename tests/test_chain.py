@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from khoarrow import algebra, chain, corpus
+import dense
+from khoarrow import chain, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (BigradedComplex, FaceNotProportional,
                             build_unreduced, edge_map, solve_signs)
@@ -26,10 +27,10 @@ def _bubble(p, k, src, dst):
     mat = np.eye(2 ** k, dtype=np.int64)
     if src < dst:
         for j in range(src, dst):
-            mat = algebra.adjacent_swap(p, k, j + 1) @ mat
+            mat = dense.adjacent_swap(p, k, j + 1) @ mat
     else:
         for j in range(src - 1, dst - 1, -1):
-            mat = algebra.adjacent_swap(p, k, j + 1) @ mat
+            mat = dense.adjacent_swap(p, k, j + 1) @ mat
     return mat
 
 
@@ -45,19 +46,19 @@ def _reach_twist(k, positions, t1, tx):
 
 def dense_edge_map(rI, rJ, i, p):
     """The edge map of `edge_map` as a 2^k(J) x 2^k(I) matrix, built from
-    the dense structure maps of ``algebra`` with Kronecker products."""
+    the dense structure maps of ``dense`` with Kronecker products."""
     kI = rI.k
     arr = rI.arrows[i]
     if arr.source != arr.target:
         ps, pt = sorted((arr.source, arr.target))
         pre = _bubble(p, kI, pt, ps + 1)
         m_op = np.kron(
-            np.kron(np.eye(2 ** ps, dtype=np.int64), algebra.mul(p)),
+            np.kron(np.eye(2 ** ps, dtype=np.int64), dense.mul(p)),
             np.eye(2 ** (kI - ps - 2), dtype=np.int64))
         return m_op @ pre @ _reach_twist(kI, range(ps), p.x, p.z)
     pu = arr.source
     d_op = np.kron(
-        np.kron(np.eye(2 ** pu, dtype=np.int64), algebra.comul(p)),
+        np.kron(np.eye(2 ** pu, dtype=np.int64), dense.comul(p)),
         np.eye(2 ** (kI - pu - 1), dtype=np.int64))
     d_min = rJ.circle_of(rI.circles[pu][0])
     daughters = {rJ.circle_of(a) for a in rI.circles[pu]}
@@ -196,13 +197,13 @@ def test_edge_map_shapes_and_grading():
         assert len(images) <= 2
         for r, v in images:
             assert 0 <= r < 2 ** r10.k and v in (1, -1)
-            assert (algebra.basis_degree(r10.k, r)
-                    == algebra.basis_degree(r00.k, idx) + 1)
+            assert (dense.basis_degree(r10.k, r)
+                    == dense.basis_degree(r00.k, idx) + 1)
 
 
 def test_even_kink_edge_is_plain_structure_map():
     # at the even preset an edge with no spectators is Khovanov's m or delta
-    from khoarrow.algebra import comul, mul
+    from dense import comul, mul
     from khoarrow.diagram import parse_pd
     d = parse_pd("X[1,2,2,1]")       # one kink
     r0, r1 = resolve(d, (0,)), resolve(d, (1,))

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON schema, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -163,6 +164,22 @@ def test_paper_convention_flag(capsys):
     rows = [(g["h"], g["q"], g["betti"]) for g in doc["groups"]]
     assert (_circle_times_chi(rows)
             == jones(parse_pd(TREFOIL)).substitute_inverse())
+
+
+def test_cli_never_imports_numpy():
+    script = (
+        "import contextlib, io, sys\n"
+        "from khoarrow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['homology', '--pd', {TREFOIL!r}, '--theory', 'odd']) == 0\n"
+        f"    assert main(['homology', '--pd', {TREFOIL!r}, '--reduced']) == 0\n"
+        "    assert main(['verify', '--suite', 'snf']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):

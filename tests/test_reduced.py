@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from khoarrow import algebra, corpus
+from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import build_unreduced
 from khoarrow.cube import Arrow, Resolution, _UnionFind, resolve, vertices
@@ -18,6 +18,7 @@ from khoarrow.lattice import (AdmissibleSubgraph, check_commuting_square,
                               operator_lattice, psi, value)
 from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
+from dense import t_merge, t_split
 from knots import positive_braid_closure, torus
 
 KINK = parse_pd("X[1,2,2,1]")
@@ -68,8 +69,8 @@ def test_values_are_faithful_to_dense_operators(name):
     d = corpus.get(name)
     for bits in vertices(d.n):
         r = resolve(d, bits)
-        ops = [algebra.t_merge(r.k, a.source + 1, a.target + 1)
-               if a.source != a.target else algebra.t_split(r.k, a.source + 1)
+        ops = [t_merge(r.k, a.source + 1, a.target + 1)
+               if a.source != a.target else t_split(r.k, a.source + 1)
                for a in r.arrows]
         for m in range(4):
             for w in combinations_with_replacement(range(len(ops)), m):
@@ -98,6 +99,16 @@ def test_reduced_complex_is_a_complex(name):
     c = build_reduced(corpus.get(name))
     assert c.check_d_squared()
     assert c.check_q_preserved()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("name", corpus.names())
+def test_base_circle_is_circle_0(name, flip):
+    # build_reduced keeps the top half of every block, x on circle 0
+    d = corpus.get(name)
+    for bits in vertices(d.n):
+        r = resolve(d, bits, flip)
+        assert (r.circle_of(d.arcs[0]) if d.arcs else 0) == 0, bits
 
 
 def test_unknot_reduced_homology_is_pinned_at_origin():
