@@ -328,8 +328,8 @@ def cube_layout(d: Diagram) -> dict[int, list[tuple[int, ...]]]:
     return vertex_by_h
 
 
-def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
-                    flip_arrows: bool = False) -> BigradedComplex:
+def build_unreduced(d: Diagram, p: RingParams,
+                    convention: str = "standard") -> BigradedComplex:
     """The unreduced complex of `d` at specialization `p`.
 
     Each distinct edge map is built once per call: every edge with the
@@ -340,7 +340,7 @@ def build_unreduced(d: Diagram, p: RingParams, convention: str = "standard",
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
-    res = {bits: resolve(d, bits, flip_arrows) for bits in vertices(n)}
+    res = {bits: resolve(d, bits) for bits in vertices(n)}
     # edges with one signature share one map object, which also lets
     # solve_signs check each distinct face once
     shared: dict[tuple, list] = {}

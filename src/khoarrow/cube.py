@@ -11,7 +11,7 @@ circles carrying its two smoothing arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .diagram import Diagram
 
@@ -22,7 +22,6 @@ __all__ = [
     "resolve",
     "count_circles",
     "khovanov_sign",
-    "cube_faces",
     "check_planarity",
 ]
 
@@ -74,7 +73,7 @@ def _smoothing_pairs(crossing, bit):
     return (a, d), (b, c)
 
 
-def resolve(d: Diagram, bits, flip_arrows: bool = False) -> Resolution:
+def resolve(d: Diagram, bits) -> Resolution:
     """Smooth every crossing of `d` according to `bits`."""
     bits = tuple(int(b) for b in bits)
     if len(bits) != d.n or any(b not in (0, 1) for b in bits):
@@ -102,8 +101,6 @@ def resolve(d: Diagram, bits, flip_arrows: bool = False) -> Resolution:
         # at the circle through the other smoothing arc
         source = index_of[p_cd[0]]
         target = index_of[p_ab[0]]
-        if flip_arrows:
-            source, target = target, source
         arrows.append(Arrow(ci, source, target))
     return Resolution(tuple(bits), tuple(circles), tuple(arrows))
 
@@ -118,15 +115,11 @@ def count_circles(d: Diagram, bits) -> int:
     return len(roots) + d.free_loops
 
 
-class CoordinateAlreadyOne(ValueError):
-    pass
-
-
 def khovanov_sign(bits, i: int) -> int:
     """(-1)^(number of 1-bits strictly before coordinate i); i is 0-based."""
     bits = tuple(bits)
     if bits[i] != 0:
-        raise CoordinateAlreadyOne(f"coordinate {i} of {bits} is already 1")
+        raise ValueError(f"coordinate {i} of {bits} is already 1")
     return -1 if sum(bits[:i]) % 2 else 1
 
 
@@ -152,13 +145,3 @@ def check_planarity(d: Diagram) -> bool:
             if abs(counts[to] - counts[bits]) != 1:
                 return False
     return True
-
-
-def cube_faces(d: Diagram):
-    """All 2-faces (I, i, j) with i < j and I_i = I_j = 0."""
-    faces = []
-    for bits in vertices(d.n):
-        for i, j in combinations(range(d.n), 2):
-            if bits[i] == 0 and bits[j] == 0:
-                faces.append((bits, i, j))
-    return faces

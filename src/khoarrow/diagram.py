@@ -29,7 +29,6 @@ __all__ = [
     "parse_pd",
     "parse_gauss",
     "to_pd",
-    "crossing_signs",
     "apply_move",
     "mirror",
 ]
@@ -354,11 +353,6 @@ def parse_gauss(text: str) -> Diagram:
         else:
             crossings.append((a_in, o_out, a_out, o_in))
     return Diagram(crossings)
-
-
-def crossing_signs(d: Diagram) -> tuple[int, int]:
-    """(n_plus, n_minus) by the right-hand rule."""
-    return d.n_plus, d.n_minus
 
 
 def mirror(d: Diagram) -> Diagram:

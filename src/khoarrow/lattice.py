@@ -30,6 +30,7 @@ from .chain import edge_map
 from .cube import Resolution, resolve, vertices
 from .diagram import Diagram
 from .jones import TooLarge
+from .snf import hermite
 
 __all__ = [
     "AdmissibleSubgraph",
@@ -113,33 +114,6 @@ def _words(r: Resolution) -> list:
     return out
 
 
-def _hermite(rows) -> list:
-    """Row Hermite form: the nonzero rows, with positive pivots and the
-    entries above each pivot reduced into [0, pivot)."""
-    A = [list(row) for row in rows]
-    r = 0
-    for col in range(len(A[0]) if A else 0):
-        live = [i for i in range(r, len(A)) if A[i][col]]
-        if not live:
-            continue
-        while len(live) > 1:
-            piv = min(live, key=lambda i: abs(A[i][col]))
-            for i in live:
-                if i != piv:
-                    q = A[i][col] // A[piv][col]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[piv])]
-            live = [i for i in live if A[i][col]]
-        A[r], A[live[0]] = A[live[0]], A[r]
-        if A[r][col] < 0:
-            A[r] = [-a for a in A[r]]
-        for i in range(r):
-            q = A[i][col] // A[r][col]
-            if q:
-                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-        r += 1
-    return A[:r]
-
-
 def operator_lattice(r: Resolution) -> list:
     """Hermite basis of the span of the values of all arrow words of `r`.
 
@@ -147,10 +121,10 @@ def operator_lattice(r: Resolution) -> list:
     value of x-degree m, so words of different lengths have disjoint
     supports and every basis row is homogeneous; the first is 1.
     """
-    return _hermite(vec for _, vec in _words(r))
+    return hermite(vec for _, vec in _words(r))
 
 
-def check_commuting_square(d: Diagram, flip_arrows: bool = False) -> list:
+def check_commuting_square(d: Diagram) -> list:
     """Violations of the commuting square over every cube edge (must be []).
 
     For each edge I -> J at crossing i and every arrow word w of D(I)
@@ -158,7 +132,7 @@ def check_commuting_square(d: Diagram, flip_arrows: bool = False) -> list:
     must equal the value in D(J) of w along a merge, or of w with i
     added along a split.  Each violation is (I bits, i, w).
     """
-    res = {bits: resolve(d, bits, flip_arrows) for bits in vertices(d.n)}
+    res = {bits: resolve(d, bits) for bits in vertices(d.n)}
     violations = []
     for bits, rI in res.items():
         words = _words(rI)
@@ -259,7 +233,7 @@ def check_graph_span(r: Resolution) -> dict:
     for edges, dists in _admissible(r):
         base = value(r, edges)       # psi, with the edge product shared
         values += [_with_loops(r, base, dist) for dist in dists]
-    span = _hermite(values)
+    span = hermite(values)
     return {
         "equal": span == lattice,
         "lattice_rank": len(lattice),

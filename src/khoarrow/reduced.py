@@ -25,8 +25,7 @@ class NotASubcomplex(RuntimeError):
 
 
 def build_reduced(d: Diagram, p: RingParams = EVEN,
-                  convention: str = "standard",
-                  flip_arrows: bool = False) -> BigradedComplex:
+                  convention: str = "standard") -> BigradedComplex:
     """The reduced Khovanov complex of `d`, a subcomplex of the one at `p`.
 
     The generators kept are those of ``build_unreduced(d, p)`` whose
@@ -47,7 +46,7 @@ def build_reduced(d: Diagram, p: RingParams = EVEN,
     """
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
-    full = build_unreduced(d, p, flip_arrows=flip_arrows)
+    full = build_unreduced(d, p)
     shift = d.n_plus - 2 * d.n_minus
     keep: dict[int, list[int]] = {}
     for h, layer in cube_layout(d).items():

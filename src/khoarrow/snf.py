@@ -1,15 +1,45 @@
-"""Smith normal form over the integers, with unimodular transforms.
+"""Hermite and Smith normal forms over the integers.
 
+``hermite`` serves the operator lattices and ``snf_diagonal``.
 ``smith_normal_form`` returns (D, U, V) with U @ M @ V = D, U and V of
-determinant +-1 and D diagonal with d1 | d2 | ... .  It works with
+determinant +-1 and D diagonal with d1 | d2 | ... .  All work with
 arbitrary-precision Python integers, so no entry can overflow.
 """
 
 from __future__ import annotations
 
-__all__ = ["smith_normal_form", "snf_diagonal", "KERNEL"]
+from math import gcd
+
+__all__ = ["hermite", "smith_normal_form", "snf_diagonal", "KERNEL"]
 
 KERNEL = "python"   # the only SNF implementation, named for environment reports
+
+
+def hermite(rows) -> list:
+    """Row Hermite form: the nonzero rows, with positive pivots and the
+    entries above each pivot reduced into [0, pivot)."""
+    A = [list(row) for row in rows]
+    r = 0
+    for col in range(len(A[0]) if A else 0):
+        live = [i for i in range(r, len(A)) if A[i][col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(A[i][col]))
+            for i in live:
+                if i != piv:
+                    q = A[i][col] // A[piv][col]
+                    A[i] = [a - q * b for a, b in zip(A[i], A[piv])]
+            live = [i for i in live if A[i][col]]
+        A[r], A[live[0]] = A[live[0]], A[r]
+        if A[r][col] < 0:
+            A[r] = [-a for a in A[r]]
+        for i in range(r):
+            q = A[i][col] // A[r][col]
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+        r += 1
+    return A[:r]
 
 
 def smith_normal_form(M):
@@ -112,10 +142,22 @@ def smith_normal_form(M):
 
 
 def snf_diagonal(M) -> list[int]:
-    """The nonzero invariant factors of M, in divisibility order."""
-    D, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        if D[i][i]:
-            out.append(D[i][i])
-    return out
+    """The nonzero invariant factors of M, in divisibility order.
+
+    Row Hermite forms of M and of its transposes, alternated until the
+    matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    Each form reduces the entries above its pivots, so entries stay
+    small where ``smith_normal_form``'s can grow without bound.  Pairs
+    of diagonal entries are then replaced by their gcd and lcm.
+    """
+    A = hermite([int(x) for x in row] for row in M)
+    while True:
+        A = hermite(zip(*A))      # square, pivots on the diagonal
+        if not any(x for i, row in enumerate(A) for x in row[i + 1:]):
+            break
+    diag = [row[i] for i, row in enumerate(A)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag

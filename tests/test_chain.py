@@ -1,7 +1,8 @@
 """The unreduced bigraded complex: d^2, gradings, Euler characteristic,
 edge maps against a dense oracle, and the sign solve."""
 
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from khoarrow import chain, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (BigradedComplex, FaceNotProportional,
                             build_unreduced, edge_map, solve_signs)
-from khoarrow.cube import cube_faces, khovanov_sign, resolve, vertices
+from khoarrow.cube import khovanov_sign, resolve, vertices
 from khoarrow.jones import euler_characteristic, jones
 from knots import positive_braid_closure, torus
 
@@ -76,27 +77,39 @@ def _dense(sparse, rows):
     return mat
 
 
-def _edges(d, flip_arrows=False):
+def _edges(d):
     """(resolution, target resolution, crossing) for every cube edge."""
-    res = {bits: resolve(d, bits, flip_arrows) for bits in vertices(d.n)}
+    res = {bits: resolve(d, bits) for bits in vertices(d.n)}
     for bits in vertices(d.n):
         for i in range(d.n):
             if not bits[i]:
                 yield res[bits], res[bits[:i] + (1,) + bits[i + 1:]], i
 
 
-def _maps(d, p, flip_arrows=False):
+def _reversed_arrows(r):
+    """`r` with every arrow pointing the other way."""
+    return replace(r, arrows=tuple(replace(a, source=a.target, target=a.source)
+                                   for a in r.arrows))
+
+
+def _cube_faces(d):
+    """All 2-faces (I, i, j) with i < j and I_i = I_j = 0."""
+    return [(bits, i, j) for bits in vertices(d.n)
+            for i, j in combinations(range(d.n), 2)
+            if bits[i] == 0 and bits[j] == 0]
+
+
+def _maps(d, p):
     """A fresh edge map for every cube edge of `d`, none shared."""
-    return {(rI.index, i): edge_map(rI, rJ, i, p)
-            for rI, rJ, i in _edges(d, flip_arrows)}
+    return {(rI.index, i): edge_map(rI, rJ, i, p) for rI, rJ, i in _edges(d)}
 
 
-def _signs(d, p, flip_arrows=False):
+def _signs(d, p):
     """solve_signs on the edge maps of every cube edge of `d`."""
-    return solve_signs(_maps(d, p, flip_arrows), d.n)
+    return solve_signs(_maps(d, p), d.n)
 
 
-def _built_maps(d, p, flip_arrows=False):
+def _built_maps(d, p):
     """The edge maps build_unreduced hands to solve_signs, shared ones
     still shared."""
     seen = []
@@ -107,7 +120,7 @@ def _built_maps(d, p, flip_arrows=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "solve_signs", spy)
-        build_unreduced(d, p, flip_arrows=flip_arrows)
+        build_unreduced(d, p)
     return seen[0]
 
 
@@ -175,15 +188,6 @@ def test_paper_convention_negates_q():
         build_unreduced(d, ODD, convention="upside-down")
 
 
-@pytest.mark.parametrize("p", PRESETS)
-def test_flip_arrows_gives_isomorphic_invariants(p):
-    from khoarrow.homology import homology
-    d = corpus.get("figure8")
-    a = homology(build_unreduced(d, p))
-    b = homology(build_unreduced(d, p, flip_arrows=True))
-    assert a == b
-
-
 def test_edge_map_shapes_and_grading():
     d = corpus.get("hopf")
     r00 = resolve(d, (0, 0))
@@ -212,12 +216,15 @@ def test_even_kink_edge_is_plain_structure_map():
     assert abs(m).tolist() == abs(expected).tolist()
 
 
-@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("name", corpus.names())
-def test_sparse_edge_maps_equal_dense_oracle(name, flip):
-    for rI, rJ, i in _edges(corpus.get(name), flip):
+def test_sparse_edge_maps_equal_dense_oracle(name, reverse):
+    # no edge map reads arrow direction: with every arrow of both
+    # resolutions reversed, the map still equals the oracle's
+    for rI, rJ, i in _edges(corpus.get(name)):
+        fI, fJ = map(_reversed_arrows, (rI, rJ)) if reverse else (rI, rJ)
         for p in ALL_PRESETS:
-            sparse = edge_map(rI, rJ, i, p)
+            sparse = edge_map(fI, fJ, i, p)
             assert all([r for r, _ in images] == sorted(r for r, _ in images)
                        for images in sparse)
             assert np.array_equal(_dense(sparse, 2 ** rJ.k),
@@ -239,29 +246,32 @@ def test_signed_faces_anticommute(name, p):
     # so some edges are fixed by no face; at x*y = -1, giving those edges
     # their Khovanov sign instead of solving for them leaves no solution
     d = corpus.get(name)
-    for flip in (False, True):
-        res = {bits: resolve(d, bits, flip) for bits in vertices(d.n)}
-        signs = _signs(d, p, flip)
+    res = {bits: resolve(d, bits) for bits in vertices(d.n)}
+    signs = _signs(d, p)
 
-        def signed(bits, i):
-            to = bits[:i] + (1,) + bits[i + 1:]
-            return signs[(bits, i)] * dense_edge_map(res[bits], res[to], i, p)
+    def signed(bits, i):
+        to = bits[:i] + (1,) + bits[i + 1:]
+        return signs[(bits, i)] * dense_edge_map(res[bits], res[to], i, p)
 
-        for bits, i, j in cube_faces(d):
-            bi = bits[:i] + (1,) + bits[i + 1:]
-            bj = bits[:j] + (1,) + bits[j + 1:]
-            total = (signed(bi, j) @ signed(bits, i)
-                     + signed(bj, i) @ signed(bits, j))
-            assert not total.any(), (flip, bits, i, j)
+    for bits, i, j in _cube_faces(d):
+        bi = bits[:i] + (1,) + bits[i + 1:]
+        bj = bits[:j] + (1,) + bits[j + 1:]
+        total = (signed(bi, j) @ signed(bits, i)
+                 + signed(bj, i) @ signed(bits, j))
+        assert not total.any(), (bits, i, j)
 
 
-@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("name", corpus.names())
-def test_shared_edge_maps_are_exact(name, flip):
+def test_shared_edge_maps_are_exact(monkeypatch, name, reverse):
+    if reverse:
+        # the build sees every arrow reversed and must make the same maps
+        monkeypatch.setattr(
+            chain, "resolve", lambda d, bits: _reversed_arrows(resolve(d, bits)))
     d = corpus.get(name)
     for p in ALL_PRESETS:
-        shared = _built_maps(d, p, flip)
-        assert shared == _maps(d, p, flip), p
+        shared = _built_maps(d, p)
+        assert shared == _maps(d, p), p
         # one list object per edge: no two faces have the same four maps
         unshared = {key: list(m) for key, m in shared.items()}
         assert solve_signs(shared, d.n) == solve_signs(unshared, d.n), p
@@ -283,7 +293,7 @@ def test_build_makes_each_distinct_map_and_face_once(
     maps = _built_maps(d, p)
     assert len(maps) == edges
     assert len({id(m) for m in maps.values()}) == distinct_maps
-    assert len(cube_faces(d)) == faces
+    assert len(_cube_faces(d)) == faces
     # each distinct face is composed along both of its paths
     assert calls == {"edge_map": distinct_maps, "_compose": 2 * distinct_faces}
 
@@ -291,7 +301,7 @@ def test_build_makes_each_distinct_map_and_face_once(
 def test_corrupted_coefficient_is_not_proportional():
     d = corpus.get("trefoil")
     maps = _maps(d, EVEN)
-    bits, j, i = cube_faces(d)[0]
+    bits, j, i = _cube_faces(d)[0]
     _double_one_coefficient(maps, bits, j, i)
     with pytest.raises(FaceNotProportional, match="not \\+-proportional"):
         solve_signs(maps, d.n)
@@ -317,7 +327,7 @@ def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
     d = corpus.get("trefoil")
     maps = _built_maps(d, EVEN)
     quads = {}
-    for bits, j, i in cube_faces(d):
+    for bits, j, i in _cube_faces(d):
         bj, bi = _up(bits, j), _up(bits, i)
         quad = (maps[(bj, i)], maps[(bits, j)], maps[(bi, j)], maps[(bits, i)])
         quads.setdefault(tuple(map(id, quad)), []).append((bits, j, i))

@@ -185,10 +185,10 @@ def test_cli_never_imports_numpy():
 def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
     import khoarrow.reduced as reduced
 
-    def corrupted(d, p, flip_arrows=False):
+    def corrupted(d, p):
         # the first boundary sends every generator to every generator,
         # so kept generators reach those without x on the base circle
-        c = build_unreduced(d, p, flip_arrows=flip_arrows)
+        c = build_unreduced(d, p)
         h = min(c.boundaries)
         c.boundaries[h] = [dict.fromkeys(range(len(c.groups[h + 1])), 1)
                            for _ in c.groups[h]]
