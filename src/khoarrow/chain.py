@@ -1,4 +1,5 @@
-"""Assembly of the unreduced chain complex from the resolution cube.
+"""Assembly of the unreduced and reduced chain complexes from the
+resolution cube.
 
 Edge maps are built from the parameterized (co)multiplication acting at
 the stable position of the merged/split circle, with tensor factors
@@ -13,6 +14,10 @@ non-tree edge from one face it closes, so that every 2-face
 anticommutes; the few edges no face fixes become GF(2) unknowns, solved
 by XOR elimination against the remaining faces.  Faces built from the
 same four map objects are composed and compared once per sign solve.
+One assembly writes either every generator (the unreduced complex) or
+only the top half of every vertex block, x on the base circle (the
+reduced complex of ``reduced``); the signs are solved over the full
+maps either way.
 
 Gradings: homological degree h = |I| - n_minus.  Quantum degree in the
 ``standard`` convention is (#1 - #x) + |I| + n_plus - 2 n_minus; the
@@ -32,6 +37,7 @@ __all__ = [
     "NotAnEdge",
     "FaceNotProportional",
     "Unsolvable",
+    "NotASubcomplex",
     "edge_map",
     "solve_signs",
     "cube_layout",
@@ -48,6 +54,10 @@ class FaceNotProportional(RuntimeError):
 
 
 class Unsolvable(RuntimeError):
+    pass
+
+
+class NotASubcomplex(RuntimeError):
     pass
 
 
@@ -124,16 +134,21 @@ def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
     position d_other of J.  Raises NotAnEdge unless rI -> rJ flips bit i
     from 0 to 1 and no other bit.
     """
-    if (rI.index[i], rJ.index[i]) != (0, 1) or any(
-            a != b for j, (a, b) in enumerate(zip(rI.index, rJ.index)) if j != i):
+    bits = rI.index
+    if bits[i] or rJ.index != bits[:i] + (1,) + bits[i + 1:]:
         raise NotAnEdge(f"{rI.index} -> {rJ.index} is not the edge at {i}")
     arr = rI.arrows[i]
     if arr.source != arr.target:
-        return ("merge", rI.k, *sorted((arr.source, arr.target)))
+        s, t = arr.source, arr.target
+        return ("merge", rI.k, s, t) if s < t else ("merge", rI.k, t, s)
     pu = arr.source
-    d_min = rJ.circle_of(rI.circles[pu][0])
-    daughters = {rJ.circle_of(a) for a in rI.circles[pu]}
-    return ("split", rI.k, pu, (daughters - {d_min}).pop())
+    # the daughters are the circles of J made of arcs of the split one;
+    # circles are ordered by their smallest arc, so the daughter with the
+    # minimal arc comes first
+    circle = rI.circles[pu]
+    d_min, d_other = (j for j, c in enumerate(rJ.circles)
+                      if c and c[0] in circle)
+    return ("split", rI.k, pu, d_other)
 
 
 def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
@@ -204,14 +219,26 @@ def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
 
 
 def _compose(second: list, first: list) -> list:
-    """The sparse map `second` after `first`, one {row: coeff} per column."""
+    """The sparse map `second` after `first`, in the format of the maps:
+    one tuple of (row, coeff) pairs per column, rows increasing, zeros
+    dropped.  Both maps must have that format."""
     out = []
     for images in first:
-        acc: dict[int, int] = {}
-        for mid, a in images:
-            for r, b in second[mid]:
-                acc[r] = acc.get(r, 0) + a * b
-        out.append({r: v for r, v in acc.items() if v})
+        if not images:
+            out.append(())
+        elif len(images) == 1:
+            # most columns have one image: the composite is its image
+            # under `second`, scaled
+            (mid, a), = images
+            col = second[mid]
+            out.append(col if a == 1 else
+                       tuple((r, v) for r, b in col if (v := a * b)))
+        else:
+            acc: dict[int, int] = {}
+            for mid, a in images:
+                for r, b in second[mid]:
+                    acc[r] = acc.get(r, 0) + a * b
+            out.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
     return out
 
 
@@ -224,7 +251,7 @@ def _proportion(m1: list, m2: list, where: str) -> int:
         raise FaceNotProportional(f"{where}: exactly one composite vanishes")
     if m1 == m2:
         return 1
-    if m1 == [{r: -v for r, v in col.items()} for col in m2]:
+    if m1 == [tuple((r, -v) for r, v in col) for col in m2]:
         return -1
     raise FaceNotProportional(f"{where}: composites not +-proportional")
 
@@ -257,18 +284,17 @@ def solve_signs(maps: dict, n: int) -> dict:
     """
     lams: dict[tuple, int] = {}        # ids of a face's four maps -> lambda
 
-    def face(bits, j, i):
+    def face(low, bj, bi, j, i):
         """The lambda = +-1 with (i after j) = lambda (j after i) on the
-        face at `bits` spanned by j < i; 0 when both composites vanish.
+        face at `low` spanned by j < i, whose corners low + e_j and
+        low + e_i are `bj` and `bi`; 0 when both composites vanish.
         Faces whose four maps are the same objects are checked once."""
-        bj = bits[:j] + (1,) + bits[j + 1:]
-        bi = bits[:i] + (1,) + bits[i + 1:]
-        ij, j0 = maps[(bj, i)], maps[(bits, j)]
-        ji, i0 = maps[(bi, j)], maps[(bits, i)]
+        ij, j0 = maps[(bj, i)], maps[(low, j)]
+        ji, i0 = maps[(bi, j)], maps[(low, i)]
         key = (id(ij), id(j0), id(ji), id(i0))
         if key not in lams:
             lams[key] = _proportion(_compose(ij, j0), _compose(ji, i0),
-                                    f"face {bits} ({j},{i})")
+                                    f"face {low} ({j},{i})")
         return lams[key]
 
     masks: dict = {}
@@ -279,15 +305,16 @@ def solve_signs(maps: dict, n: int) -> dict:
         for bits in order:
             if bits[i]:
                 continue
-            # the four signs of a face multiply to -lambda
+            # the four signs of a face multiply to -lambda; the corners
+            # low = bits - e_j and up = low + e_i are sliced once, here
             equations = []
             for j in range(i):
                 if not bits[j]:
                     continue
                 low = bits[:j] + (0,) + bits[j + 1:]
-                lam = face(low, j, i)
+                up = low[:i] + (1,) + low[i + 1:]
+                lam = face(low, bits, up, j, i)
                 if lam:
-                    up = low[:i] + (1,) + low[i + 1:]
                     equations.append(masks[(low, j)] ^ masks[(low, i)]
                                      ^ masks[(up, j)] ^ (lam > 0))
             if equations:
@@ -332,10 +359,24 @@ def build_unreduced(d: Diagram, p: RingParams,
                     convention: str = "standard") -> BigradedComplex:
     """The unreduced complex of `d` at specialization `p`.
 
-    Each distinct edge map is built once per call: every edge with the
-    same ``_edge_signature`` gets the same map object, so a build makes
-    as many ``edge_map`` calls as there are distinct local pictures (27
-    of 448 edges on T(2, 7)).  Nothing is cached across calls.
+    Every generator of every vertex block is written.  Each distinct
+    edge map is built once per call: every edge with the same
+    ``_edge_signature`` gets the same map object, so a build makes as
+    many ``edge_map`` calls as there are distinct local pictures (27 of
+    448 edges on T(2, 7)).  Nothing is cached across calls.  The reduced
+    complex (``reduced.build_reduced``) comes from the same assembly.
+    """
+    return _build(d, p, convention, reduced=False)
+
+
+def _build(d: Diagram, p: RingParams, convention: str,
+           reduced: bool) -> BigradedComplex:
+    """The complex of `d` at `p`: unreduced, or reduced to the top half
+    of every vertex block (x on circle 0, the base circle) with q + 1.
+
+    Signs are solved over the full shared edge maps either way.  Raises
+    NotASubcomplex when `reduced` and an edge map sends a kept generator
+    into the discarded half of its target block.
     """
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
@@ -352,42 +393,52 @@ def build_unreduced(d: Diagram, p: RingParams,
             to = res[bits[:i] + (1,) + bits[i + 1:]]
             sig = _edge_signature(r, to, i)
             if sig not in shared:
-                shared[sig] = edge_map(r, to, i, p)
+                emap = shared[sig] = edge_map(r, to, i, p)
+                # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
+                if reduced and any(row < 1 << (to.k - 1)
+                                   for images in emap[1 << (r.k - 1):]
+                                   for row, _ in images):
+                    raise NotASubcomplex(
+                        f"boundary from degree {sum(bits) - d.n_minus} "
+                        f"leaves the reduced generators")
             maps[(bits, i)] = shared[sig]
     signs = solve_signs(maps, n)
 
-    shift = d.n_plus - 2 * d.n_minus
+    # generator idx of a block sits at q = k - 2 |idx| + |I| + shift, |idx|
+    # its number of x's, plus 1 in the reduced theory; that theory keeps
+    # idx from first[bits] = 2^(k-1) on, x on circle 0
+    shift = d.n_plus - 2 * d.n_minus + reduced
+    q_sign = 1 if convention == "standard" else -1
+    first = {bits: 1 << (r.k - 1) if reduced else 0 for bits, r in res.items()}
     groups: dict[int, list[int]] = {}
-    offsets: dict[tuple[int, ...], int] = {}
+    offsets: dict[tuple[int, ...], int] = {}   # position of idx 0 of a block
     vertex_by_h = cube_layout(d)
     for h in vertex_by_h:
-        qs = []
+        qs: list[int] = []
         for bits in vertex_by_h[h]:
-            k = res[bits].k
-            offsets[bits] = len(qs)
-            for idx in range(2 ** k):
-                q = (k - 2 * bin(idx).count("1")) + sum(bits) + shift
-                qs.append(q if convention == "standard" else -q)
+            q0 = res[bits].k + sum(bits) + shift
+            offsets[bits] = len(qs) - first[bits]
+            qs += [q_sign * (q0 - 2 * idx.bit_count())
+                   for idx in range(first[bits], 1 << res[bits].k)]
         groups[h] = qs
 
+    # one int object per row index, shared by every column that has it
+    row_ids = list(range(max(map(len, groups.values()))))
     boundaries: dict[int, list[dict[int, int]]] = {}
     for h in sorted(vertex_by_h):
         if h + 1 not in vertex_by_h:
             continue
-        cols: list[dict[int, int]] = [{} for _ in groups[h]]
+        cols: list[dict[int, int]] = []
         for bits in vertex_by_h[h]:
             # the later the bit that flips, the earlier its target in the
             # layout: walking the crossings backwards writes each column's
             # rows in increasing order, the order homology() picks pivots in
-            for i in reversed(range(n)):
-                if bits[i]:
-                    continue
-                to = bits[:i] + (1,) + bits[i + 1:]
-                sign, r0, c0 = signs[(bits, i)], offsets[to], offsets[bits]
-                # blocks of distinct edges never overlap
-                for c, images in enumerate(maps[(bits, i)], c0):
-                    col = cols[c]
-                    for r, v in images:
-                        col[r0 + r] = sign * v
+            out = [(signs[(bits, i)], offsets[bits[:i] + (1,) + bits[i + 1:]],
+                    maps[(bits, i)])
+                   for i in reversed(range(n)) if not bits[i]]
+            # blocks of distinct edges never overlap
+            cols += [{row_ids[r0 + r]: sign * v
+                      for sign, r0, emap in out for r, v in emap[c]}
+                     for c in range(first[bits], 1 << res[bits].k)]
         boundaries[h] = cols
     return BigradedComplex(groups=groups, boundaries=boundaries)

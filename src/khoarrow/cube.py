@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     crossing: int
     source: int   # circle index within the resolution
@@ -50,27 +50,20 @@ class Resolution:
         raise KeyError(f"arc {arc} not in resolution {self.index}")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
-def _smoothing_pairs(crossing, bit):
-    a, b, c, d = crossing
-    if bit == 0:
-        return (a, b), (c, d)
-    return (a, d), (b, c)
+def _join(d: Diagram, bits) -> dict:
+    """Union-find parents over the arcs of `d` with the smoothing arcs of
+    every crossing joined as `bits` selects: (a,b) and (c,d) at 0, (a,d)
+    and (b,c) at 1.  A root is its own parent."""
+    parent = {a: a for a in d.arcs}
+    for (a, b, c, e), bit in zip(d.crossings, bits):
+        for x, y in ((a, e), (b, c)) if bit else ((a, b), (c, e)):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+    return parent
 
 
 def resolve(d: Diagram, bits) -> Resolution:
@@ -78,41 +71,37 @@ def resolve(d: Diagram, bits) -> Resolution:
     bits = tuple(int(b) for b in bits)
     if len(bits) != d.n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"bad resolution index {bits} for {d.n} crossings")
-    uf = _UnionFind(d.arcs)
-    for c, bit in zip(d.crossings, bits):
-        for x, y in _smoothing_pairs(c, bit):
-            uf.union(x, y)
-    groups: dict[int, list[int]] = {}
+    parent = _join(d, bits)
+    # arcs are sorted, so each circle's arcs come in order and circles in
+    # order of their smallest arc
+    index_of: dict[int, int] = {}
+    of_root: dict[int, int] = {}
+    members: list[list[int]] = []
     for a in d.arcs:
-        groups.setdefault(uf.find(a), []).append(a)
-    circles = sorted((tuple(sorted(g)) for g in groups.values()),
-                     key=lambda g: g[0])
-    circles += [()] * d.free_loops
-    index_of = {}
-    for i, circ in enumerate(circles):
-        for a in circ:
-            index_of[a] = i
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        i = of_root.get(root)
+        if i is None:
+            i = of_root[root] = len(members)
+            members.append([a])
+        else:
+            members[i].append(a)
+        index_of[a] = i
+    circles = tuple(map(tuple, members)) + ((),) * d.free_loops
 
-    arrows = []
-    for ci, (c, bit) in enumerate(zip(d.crossings, bits)):
-        p_ab, p_cd = _smoothing_pairs(c, bit)
-        # the arrow leaves the smoothing arc carrying the outgoing under
-        # strand (arc c sits in the second pair for either bit) and points
-        # at the circle through the other smoothing arc
-        source = index_of[p_cd[0]]
-        target = index_of[p_ab[0]]
-        arrows.append(Arrow(ci, source, target))
-    return Resolution(tuple(bits), tuple(circles), tuple(arrows))
+    # the arrow leaves the smoothing arc carrying the outgoing under
+    # strand (arc c sits in the second pair for either bit) and points
+    # at the circle through the other smoothing arc, which holds arc a
+    arrows = tuple(Arrow(ci, index_of[c], index_of[a])
+                   for ci, (a, _, c, _) in enumerate(d.crossings))
+    return Resolution(bits, circles, arrows)
 
 
 def count_circles(d: Diagram, bits) -> int:
     """Number of circles of D(I) (fast path used by the bracket oracle)."""
-    uf = _UnionFind(d.arcs)
-    for c, bit in zip(d.crossings, bits):
-        for x, y in _smoothing_pairs(c, bit):
-            uf.union(x, y)
-    roots = {uf.find(a) for a in d.arcs}
-    return len(roots) + d.free_loops
+    parent = _join(d, bits)
+    return sum(parent[a] == a for a in d.arcs) + d.free_loops
 
 
 def khovanov_sign(bits, i: int) -> int:

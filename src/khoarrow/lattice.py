@@ -133,21 +133,26 @@ def check_commuting_square(d: Diagram) -> list:
     added along a split.  Each violation is (I bits, i, w).
     """
     res = {bits: resolve(d, bits) for bits in vertices(d.n)}
+    # the value of every sorted word of each vertex that does not vanish;
+    # a word missing from its vertex's table has value 0
+    values = {bits: dict(_words(r)) for bits, r in res.items()}
     violations = []
     for bits, rI in res.items():
-        words = _words(rI)
         for i in range(d.n):
             if bits[i]:
                 continue
-            rJ = res[bits[:i] + (1,) + bits[i + 1:]]
+            to = bits[:i] + (1,) + bits[i + 1:]
+            rJ, table = res[to], values[to]
             emap = edge_map(rI, rJ, i, EVEN)
             split = rI.arrows[i].source == rI.arrows[i].target
-            for w, vec in words:
+            zero = [0] * 2 ** rJ.k
+            for w, vec in values[bits].items():
                 image = [0] * 2 ** rJ.k
                 for m, c in enumerate(vec):
                     for row, e in emap[m]:
                         image[row] += e * c
-                if image != value(rJ, sorted(w + (i,)) if split else w):
+                target = tuple(sorted(w + (i,))) if split else w
+                if image != table.get(target, zero):
                     violations.append((bits, i, w))
     return violations
 

@@ -183,18 +183,20 @@ def test_cli_never_imports_numpy():
 
 
 def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
-    import khoarrow.reduced as reduced
+    import khoarrow.chain as chain
 
-    def corrupted(d, p):
-        # the first boundary sends every generator to every generator,
-        # so kept generators reach those without x on the base circle
-        c = build_unreduced(d, p)
-        h = min(c.boundaries)
-        c.boundaries[h] = [dict.fromkeys(range(len(c.groups[h + 1])), 1)
-                           for _ in c.groups[h]]
-        return c
+    edge_map = chain.edge_map
 
-    monkeypatch.setattr(reduced, "build_unreduced", corrupted)
+    def corrupted(rI, rJ, i, p):
+        # every edge map conjugated by the flip of x on circle 0: faces
+        # still anticommute and d^2 = 0, but the kept half of each block
+        # is now the old discarded one, which the boundary leaves
+        emap = edge_map(rI, rJ, i, p)
+        top_I, top_J = 1 << (rI.k - 1), 1 << (rJ.k - 1)
+        return [tuple((r ^ top_J, v) for r, v in emap[c ^ top_I])
+                for c in range(len(emap))]
+
+    monkeypatch.setattr(chain, "edge_map", corrupted)
     rc = main(["homology", "--pd", TREFOIL, "--reduced"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""

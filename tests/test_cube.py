@@ -2,9 +2,12 @@
 
 import pytest
 
+from khoarrow import corpus
 from khoarrow.cube import (check_planarity, count_circles, khovanov_sign,
                            resolve, vertices)
-from khoarrow.diagram import parse_pd
+from khoarrow.diagram import mirror, parse_pd
+from knots import positive_braid_closure, torus
+import reference
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -38,6 +41,29 @@ def test_resolution_structure():
     assert r.circle_of(r.circles[0][0]) == 0
     with pytest.raises(KeyError):
         r.circle_of(999)
+
+
+REFERENCE_DIAGRAMS = {name: corpus.get(name) for name in corpus.names()}
+REFERENCE_DIAGRAMS.update({f"mirror {name}": mirror(corpus.get(name))
+                           for name in corpus.names()})
+REFERENCE_DIAGRAMS.update({f"T(2,{n})": torus(n) for n in range(3, 10)})
+REFERENCE_DIAGRAMS.update({
+    f"braid {word}": positive_braid_closure(word)
+    for word in ((0, 1) * 4, (0, 1) * 5, (0, 1, 2) * 3, (0, 1) * 5 + (0, 0))})
+
+
+@pytest.mark.parametrize("name", REFERENCE_DIAGRAMS)
+def test_resolve_equals_union_find_reference(name):
+    d = REFERENCE_DIAGRAMS[name]
+    unknown = max(d.arcs, default=0) + 1
+    for bits in vertices(d.n):
+        r = resolve(d, bits)
+        assert r == reference.resolve(d, bits), bits
+        assert count_circles(d, bits) == r.k, bits
+        assert all(r.circle_of(a) == c
+                   for c, circ in enumerate(r.circles) for a in circ), bits
+        with pytest.raises(KeyError):
+            r.circle_of(unknown)
 
 
 def test_free_loops_become_empty_circles():

@@ -8,7 +8,8 @@ import pytest
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import build_unreduced
-from khoarrow.cube import Arrow, Resolution, _UnionFind, resolve, vertices
+from khoarrow.cli import PRESETS
+from khoarrow.cube import Arrow, Resolution, resolve, vertices
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
@@ -20,6 +21,7 @@ from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 from dense import t_merge, t_split
 from knots import positive_braid_closure, torus
+from reference import UnionFind, restricted_reduced
 
 KINK = parse_pd("X[1,2,2,1]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -192,6 +194,32 @@ def test_torus_knots_reduced(n, chirality):
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
 
 
+def _columns(c):
+    """groups and boundaries of `c`, every column as its (row, entry)
+    list, so that the order rows were written in counts too."""
+    return c.groups, {h: [list(col.items()) for col in cols]
+                      for h, cols in c.boundaries.items()}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_direct_reduced_build_equals_the_restriction(name):
+    # the reduced build writes only the kept generators; restricting the
+    # full unreduced complex to them must give the same complex
+    d = corpus.get(name)
+    for p in PRESETS:
+        for convention in ("standard", "paper"):
+            assert (_columns(build_reduced(d, p, convention))
+                    == _columns(restricted_reduced(d, p, convention))), (
+                p, convention)
+
+
+@pytest.mark.parametrize("p", [EVEN, ODD], ids=["even", "odd"])
+@pytest.mark.parametrize("name", ["T(2,9)", "T(3,4)"])
+def test_direct_reduced_build_equals_the_restriction_on_larger_knots(name, p):
+    d = torus(9) if name == "T(2,9)" else positive_braid_closure([0, 1] * 4)
+    assert _columns(build_reduced(d, p)) == _columns(restricted_reduced(d, p))
+
+
 @pytest.mark.parametrize("p", ALL_PRESETS)
 def test_reduced_subcomplex_at_every_preset(p):
     for name in corpus.names():
@@ -327,7 +355,7 @@ def _is_admissible(r, edges, distinguished, loops):
     vertex, a single cycle with none, or a lone distinguished vertex on
     a circle with a loop arrow."""
     ends = [(r.arrows[i].source, r.arrows[i].target) for i in edges]
-    comp = _UnionFind({v for e in ends for v in e} | set(distinguished))
+    comp = UnionFind({v for e in ends for v in e} | set(distinguished))
     for s, t in ends:
         comp.union(s, t)
     counts: dict = {}                  # root -> [vertices, edges, distinguished]
