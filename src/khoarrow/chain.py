@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .algebra import RingParams
 from .cube import Resolution, khovanov_sign, resolve, vertices
-from .diagram import Diagram
+from .diagram import Diagram, NonPlanarInconsistency
 
 __all__ = [
     "BigradedComplex",
@@ -132,7 +132,8 @@ def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
     positions ps < pt, and ("split", k(I), pu, d_other) when it splits
     the circle at pu and the daughter without its minimal arc lands at
     position d_other of J.  Raises NotAnEdge unless rI -> rJ flips bit i
-    from 0 to 1 and no other bit.
+    from 0 to 1 and no other bit, and NonPlanarInconsistency if a split
+    leaves one circle (a virtual diagram).
     """
     bits = rI.index
     if bits[i] or rJ.index != bits[:i] + (1,) + bits[i + 1:]:
@@ -142,6 +143,12 @@ def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
         s, t = arr.source, arr.target
         return ("merge", rI.k, s, t) if s < t else ("merge", rI.k, t, s)
     pu = arr.source
+    if rJ.k != rI.k + 1:
+        # a crossing on one circle of a planar diagram splits it in two;
+        # on a virtual one the surgery can leave a single circle
+        raise NonPlanarInconsistency(
+            f"crossing {i} does not split circle {pu} of {rI.index}: "
+            "the diagram is not planar")
     # the daughters are the circles of J made of arcs of the split one;
     # circles are ordered by their smallest arc, so the daughter with the
     # minimal arc comes first

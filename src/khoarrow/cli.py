@@ -6,15 +6,17 @@ table.  ``khoarrow verify`` runs hermetic self-check suites over the
 built-in corpus, one ``[pass]``/``[FAIL]`` line per check on stdout and
 the time each suite took on stderr.
 
-Exit codes: 0 success / all checks pass; 1 input could not be parsed;
-2 the input exceeds a size guard; 3 an internal consistency check
-failed (d² != 0 and friends) or a verify suite reported failures.
+Exit codes: 0 success / all checks pass; 1 input could not be parsed
+or is not a planar diagram; 2 the input exceeds a size guard; 3 an
+internal consistency check failed (d² != 0 and friends) or a verify
+suite reported failures.
 Diagnostics go to stderr; stdout carries data only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -99,6 +101,9 @@ def cmd_homology(args) -> int:
     try:
         complex_ = build(d, p, convention=args.grading_convention)
         table = homology(complex_)
+    except DiagramError as exc:     # a virtual diagram, found on building
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
@@ -264,6 +269,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# one parser per process: parse_args leaves it unchanged, so every main()
+# call shares it instead of leaving a new one to the cyclic collector
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khoarrow",

@@ -184,46 +184,29 @@ class Diagram:
                     f"orientation conflict at crossing {ci}")
             return False
 
-        changed = True
-        while changed:
-            changed = False
-            for a, ends in endpoints.items():
-                (c1, s1), (c2, s2) = ends
-                r1, r2 = role(c1, s1), role(c2, s2)
-                if r1 is None and r2 is None:
-                    continue
-                if r1 is not None and r2 is not None:
-                    if r1 == r2:
-                        raise NonPlanarInconsistency(
-                            f"arc {a} has two heads or two tails")
-                    continue
-                if r1 is None:
-                    # r2 known; the other end takes the opposite role
-                    want_head = not r2
-                    changed |= set_over(c1, s1 if want_head else 4 - s1)
-                else:
-                    want_head = not r1
-                    changed |= set_over(c2, s2 if want_head else 4 - s2)
+        def propagate():
+            changed = True
+            while changed:
+                changed = False
+                for a, ends in endpoints.items():
+                    (c1, s1), (c2, s2) = ends
+                    r1, r2 = role(c1, s1), role(c2, s2)
+                    if r1 is not None and r2 is not None:
+                        if r1 == r2:
+                            raise NonPlanarInconsistency(
+                                f"arc {a} has two heads or two tails")
+                    elif r2 is not None:
+                        # the other end takes the opposite role
+                        changed |= set_over(c1, s1 if not r2 else 4 - s1)
+                    elif r1 is not None:
+                        changed |= set_over(c2, s2 if not r1 else 4 - s2)
+
+        propagate()
         # components passing only over other strands leave free choices
         for ci in range(len(self.crossings)):
             if over_in[ci] is None:
                 over_in[ci] = 1
-                # re-propagate from this seed
-                changed = True
-                while changed:
-                    changed = False
-                    for a, ends in endpoints.items():
-                        (c1, s1), (c2, s2) = ends
-                        r1, r2 = role(c1, s1), role(c2, s2)
-                        if r1 is not None and r2 is not None:
-                            if r1 == r2:
-                                raise NonPlanarInconsistency(
-                                    f"arc {a} has two heads or two tails")
-                            continue
-                        if r1 is None and r2 is not None:
-                            changed |= set_over(c1, s1 if not r2 else 4 - s1)
-                        elif r2 is None and r1 is not None:
-                            changed |= set_over(c2, s2 if not r1 else 4 - s2)
+                propagate()
         return tuple(over_in)  # type: ignore[return-value]
 
     def _trace_components(self):

@@ -69,8 +69,8 @@ def _graph(c):
     """Generators as ids with their (h, q), and the boundary both ways.
 
     out[g] maps each target of g to its coefficient and inc[g] each
-    source; entries between different quantum degrees, or into a degree
-    without generators, take no part in the homology.
+    source.  Raises NotAComplex for an entry that changes the quantum
+    degree or names no generator of degree h + 1.
     """
     grading: list[tuple[int, int]] = []
     first: dict[int, int] = {}
@@ -80,16 +80,18 @@ def _graph(c):
     out: dict[int, dict[int, int]] = {g: {} for g in range(len(grading))}
     inc: dict[int, dict[int, int]] = {g: {} for g in range(len(grading))}
     for h in c.degrees():
-        if h not in c.boundaries or h + 1 not in first:
-            continue
-        qs, qs_next = c.groups[h], c.groups[h + 1]
-        for col_idx, col in enumerate(c.boundaries[h]):
-            src = first[h] + col_idx
+        qs_next = c.groups.get(h + 1, [])
+        size = len(qs_next)
+        for col_idx, col in enumerate(c.boundaries.get(h, ())):
+            src, q = first[h] + col_idx, c.groups[h][col_idx]
             for row_idx, a in col.items():
-                if qs_next[row_idx] == qs[col_idx]:
-                    dst = first[h + 1] + row_idx
-                    out[src][dst] = a
-                    inc[dst][src] = a
+                if row_idx >= size or qs_next[row_idx] != q:
+                    raise NotAComplex(
+                        f"d_{h} entry ({row_idx}, {col_idx}) does not map "
+                        f"into degree (h={h + 1}, q={q})")
+                dst = first[h + 1] + row_idx
+                out[src][dst] = a
+                inc[dst][src] = a
     return grading, out, inc
 
 

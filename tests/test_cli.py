@@ -9,7 +9,7 @@ from collections import Counter
 
 from khoarrow.algebra import ODD
 from khoarrow.chain import build_unreduced
-from khoarrow.cli import SUITES, main
+from khoarrow.cli import SUITES, build_parser, main
 from khoarrow.diagram import parse_gauss, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, jones
@@ -104,6 +104,15 @@ def test_parse_error_exit_code():
     assert code == 1 and out == "" and "error" in err
 
 
+def test_virtual_code_exit_code():
+    # a virtual (non-planar) code parses, and the cube build finds a
+    # crossing whose surgery leaves one circle instead of splitting it
+    for extra in ((), ("--reduced",), ("--theory", "odd")):
+        code, out, err = run("homology", "--gauss", "O1-O2-U1-U2-", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_size_guard_exit_code():
     big = " ".join(f"X[{4*i+1},{4*i+2},{4*i+2},{4*i+1}]" for i in range(11))
     code, out, err = run("homology", "--pd", big)
@@ -151,6 +160,16 @@ def test_main_callable_in_process(capsys):
     assert doc["groups"] == [
         {"h": 0, "q": -1, "betti": 1, "torsion": []},
         {"h": 0, "q": 1, "betti": 1, "torsion": []}]
+
+
+def test_main_reuses_one_parser(capsys):
+    assert build_parser() is build_parser()
+    argv = ["homology", "--pd", TREFOIL, "--theory", "odd"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_paper_convention_flag(capsys):

@@ -3,10 +3,13 @@
 import pytest
 
 from khoarrow import corpus
+from khoarrow.algebra import EVEN
+from khoarrow.chain import build_unreduced
 from khoarrow.cube import check_planarity
 from khoarrow.diagram import (ArcCountMismatch, MalformedSyntax, MoveSpec,
                               PatternMismatch, SiteNotFound, apply_move,
                               mirror, parse_gauss, parse_pd, to_pd)
+from khoarrow.homology import homology
 from khoarrow.jones import jones
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -56,6 +59,18 @@ def test_mirror_is_involution_and_inverts_jones():
 def test_hopf_signs():
     d = parse_pd("X[4,1,3,2] X[2,3,1,4]")
     assert (d.n_plus, d.n_minus) == (0, 2)
+
+
+def test_orientation_seeded_for_a_component_passing_only_over():
+    # a 2-component unlink: the second component (arcs 3, 4) never enters
+    # a crossing at slot 0, so propagation alone cannot orient it and the
+    # solver seeds a crossing
+    d = parse_pd("X[1,3,2,4] X[2,3,1,4]")
+    assert d.over_in == (1, 3)
+    assert d.signs == (-1, 1)
+    assert d.components == ((1, 2), (3, 4))
+    assert homology(build_unreduced(d, EVEN)).group_rows() == [
+        (0, -2, 1, ()), (0, 0, 2, ()), (0, 2, 1, ())]
 
 
 def test_r1_add_then_remove_roundtrip():

@@ -90,6 +90,16 @@ def test_rejects_non_complex():
         homology(bad)
 
 
+def test_rejects_entries_leaving_a_bidegree():
+    # an entry between quantum degrees 0 and 5, and one into a degree
+    # with no generators, are not part of any complex
+    for bad in (BigradedComplex(groups={0: [0], 1: [5]},
+                                boundaries={0: [{0: 1}]}),
+                BigradedComplex(groups={0: [0]}, boundaries={0: [{0: 1}]})):
+        with pytest.raises(NotAComplex):
+            homology(bad)
+
+
 def test_synthetic_torsion():
     # 0 -> Z --2--> Z -> 0 gives Z/2 in degree 1
     c = BigradedComplex(groups={0: [0], 1: [0]},
@@ -243,8 +253,9 @@ def test_positive_torus_knots(q, p):
 
 def test_odd_b12_finishes_through_the_library():
     # 12 crossings: unit cancellation leaves a 12 x 13 block with entries
-    # up to 440 at (7, 21), on which smith_normal_form does not finish;
-    # homology() reads its invariant factors through snf_diagonal
+    # up to 440 at (7, 21), on which a pivot-and-remainder Smith form
+    # does not finish; homology() reads its invariant factors through
+    # snf_diagonal (test_snf.B12_BLOCK)
     d = positive_braid_closure((0, 1) * 5 + (0, 0))
     s = d.n - count_circles(d, (0,) * d.n) + 1
     table = homology(build_unreduced(d, ODD))

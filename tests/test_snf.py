@@ -44,22 +44,25 @@ matrices = st.integers(1, 5).flatmap(
             min_size=m, max_size=m)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_python_snf_properties(M):
-    D, U, V = smith_normal_form(M)
-    check_snf(M, D, U, V)
-    assert snf_diagonal(M) == [row[i] for i, row in enumerate(D)
-                               if i < len(row) and row[i]]
-
-
 def _sympy_diagonal(M):
     return [abs(f) for f in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ)
             if f]
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_python_snf_properties(M):
+    D, U, V = smith_normal_form(M)
+    check_snf(M, D, U, V)
+    diag = [row[i] for i, row in enumerate(D) if i < len(row) and row[i]]
+    assert snf_diagonal(M) == diag
+    # snf_diagonal reads D, so sympy is the independent oracle
+    assert diag == _sympy_diagonal(M)
+
+
 # products A B of an m x k and a k x n matrix with k < min(m, n): the
-# nearly rank-deficient shape on which smith_normal_form's entries grow
+# nearly rank-deficient shape on which a pivot-and-remainder Smith form's
+# entries grow
 low_rank_products = st.tuples(
     st.integers(2, 7), st.integers(2, 7), st.integers(1, 4)).flatmap(
     lambda mnk: st.tuples(
@@ -80,7 +83,8 @@ def test_snf_diagonal_of_low_rank_products_matches_sympy(AB):
 
 # the 12 x 13 block from bidegree (7, 21) to (8, 21) that unit cancellation
 # leaves of the odd complex of the 12-crossing closure of
-# (s1 s2)^5 s1 s1; smith_normal_form does not finish on it
+# (s1 s2)^5 s1 s1.  A pivot-and-remainder Smith form does not finish on
+# it: the entries outside its pivot row and column grow without bound
 B12_BLOCK = [
     [-57, -158, -95, 59, 214, -59, 57, -152, -250, -99, 192, -156, 157],
     [-33, -92, -54, 34, 124, -34, 32, -87, -145, -58, 111, -90, 92],
@@ -99,10 +103,24 @@ B12_BLOCK = [
 
 def test_odd_b12_residue_block():
     t0 = time.perf_counter()
-    diag = snf_diagonal(B12_BLOCK)
+    D, U, V = smith_normal_form(B12_BLOCK)
     assert time.perf_counter() - t0 < 1.0
+    check_snf(B12_BLOCK, D, U, V)
+    diag = snf_diagonal(B12_BLOCK)
     assert diag == [1] * 12
     assert _sympy_diagonal(B12_BLOCK) == diag
+
+
+def test_transform_entries_stay_small():
+    # the 1000 matrices of acceptance 7, on which a pivot-and-remainder
+    # loop takes U and V to 35,160-bit entries
+    rng = random.Random(20260824)
+    for _ in range(1000):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        M = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+        _, U, V = smith_normal_form(M)
+        assert max(abs(x).bit_length() for T in (U, V) for row in T
+                   for x in row) < 1024
 
 
 def test_known_matrices():
