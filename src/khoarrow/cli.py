@@ -7,8 +7,9 @@ built-in corpus, one ``[pass]``/``[FAIL]`` line per check on stdout and
 the time each suite took on stderr.
 
 Exit codes: 0 success / all checks pass; 1 input could not be parsed
-or is not a planar diagram; 2 the input exceeds a size guard; 3 an
-internal consistency check failed (d² != 0 and friends) or a verify
+or is not a planar diagram; 2 the input exceeds a size guard, or the
+command line is malformed (argparse's usage error, e.g. ``--x 2``); 3
+an internal consistency check failed (d² != 0 and friends) or a verify
 suite reported failures.
 Diagnostics go to stderr; stdout carries data only.
 """
@@ -53,10 +54,6 @@ def _theory(args) -> RingParams:
         return EVEN
     if args.theory == "odd":
         return ODD
-    for name in ("x", "y", "z"):
-        if getattr(args, name) not in (1, -1):
-            raise SystemExit(
-                f"--{name} must be +1 or -1 for --theory custom")
     return RingParams(args.x, args.y, args.z)
 
 
@@ -285,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="path to a file holding a PD code")
     hom.add_argument("--theory", choices=("even", "odd", "custom"),
                      default="even")
-    hom.add_argument("--x", type=int, default=1)
-    hom.add_argument("--y", type=int, default=1)
-    hom.add_argument("--z", type=int, default=1)
+    for name in ("--x", "--y", "--z"):
+        hom.add_argument(name, type=int, choices=(1, -1), default=1)
     hom.add_argument("--reduced", action="store_true")
     hom.add_argument("--grading-convention",
                      choices=("standard", "paper"), default="standard")

@@ -5,10 +5,13 @@ read counterclockwise starting from the incoming under-strand, e.g.
 ``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]`` for a left trefoil.  Arc labels may
 be any positive integers; each label must occur exactly twice in total.
 
-Orientation is recovered structurally: under-strand slots are fixed
-(slot 0 in, slot 2 out), and for each crossing the incoming over-slot is
-solved by constraint propagation so that every arc has exactly one head
-and one tail.  Crossing signs then follow from the right-hand rule.
+Slot rule: the under-strand enters at slot 0 and leaves at slot 2; the
+over-strand enters at slot ``o`` (1 or 3, ``Diagram.over_in``) and
+leaves at ``4 - o``.  ``Diagram.strands`` holds this rule and
+``Diagram.head`` reads it; orientation, components, ``mirror`` and the
+Reidemeister moves go through them.  ``o`` is solved by constraint
+propagation so that every arc has exactly one head and one tail, and
+crossing signs then follow from the right-hand rule.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class Diagram:
     """
 
     __slots__ = ("crossings", "free_loops", "over_in", "signs", "components",
-                 "arcs", "n_plus", "n_minus")
+                 "arcs", "n_plus", "n_minus", "_ends")
 
     def __init__(self, crossings, free_loops=0):
         crossings = tuple(tuple(int(a) for a in c) for c in crossings)
@@ -111,7 +114,17 @@ class Diagram:
                 raise MalformedSyntax(f"crossing tuple {c} does not have 4 entries")
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "free_loops", int(free_loops))
-        self._validate_arcs()
+        # arc -> its two (crossing, slot) ends, built once
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for ci, c in enumerate(crossings):
+            for slot, a in enumerate(c):
+                ends.setdefault(a, []).append((ci, slot))
+        for a, e in ends.items():
+            if len(e) != 2:
+                raise ArcCountMismatch(
+                    f"arc label {a} occurs {len(e)} times, expected 2")
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "arcs", tuple(sorted(ends)))
         over_in = self._solve_orientation()
         object.__setattr__(self, "over_in", over_in)
         signs = tuple(-1 if o == 1 else 1 for o in over_in)
@@ -140,17 +153,6 @@ class Diagram:
 
     # -- construction helpers ------------------------------------------
 
-    def _validate_arcs(self):
-        seen: dict[int, list[tuple[int, int]]] = {}
-        for ci, c in enumerate(self.crossings):
-            for slot, a in enumerate(c):
-                seen.setdefault(a, []).append((ci, slot))
-        for a, ends in seen.items():
-            if len(ends) != 2:
-                raise ArcCountMismatch(
-                    f"arc label {a} occurs {len(ends)} times, expected 2")
-        object.__setattr__(self, "arcs", tuple(sorted(seen)))
-
     def _solve_orientation(self):
         """Pick the incoming over-slot (1 or 3) for every crossing.
 
@@ -158,15 +160,10 @@ class Diagram:
         arrives), slot 2 a tail; the over-slots of a crossing are one
         head and one tail depending on its orientation variable.
         """
-        endpoints: dict[int, list[tuple[int, int]]] = {}
-        for ci, c in enumerate(self.crossings):
-            for slot, a in enumerate(c):
-                endpoints.setdefault(a, []).append((ci, slot))
-
-        # role[ci][slot] True = head (incoming), False = tail
         over_in: list[int | None] = [None] * len(self.crossings)
 
         def role(ci, slot):
+            """True = head (incoming), False = tail, None = not yet known."""
             if slot == 0:
                 return True
             if slot == 2:
@@ -188,8 +185,7 @@ class Diagram:
             changed = True
             while changed:
                 changed = False
-                for a, ends in endpoints.items():
-                    (c1, s1), (c2, s2) = ends
+                for a, ((c1, s1), (c2, s2)) in self._ends.items():
                     r1, r2 = role(c1, s1), role(c2, s2)
                     if r1 is not None and r2 is not None:
                         if r1 == r2:
@@ -210,44 +206,41 @@ class Diagram:
         return tuple(over_in)  # type: ignore[return-value]
 
     def _trace_components(self):
-        """Decompose arcs into closed loops via the successor relation."""
-        # head endpoint of each arc -> successor arc (leaving that crossing)
-        succ = {}
-        for ci, c in enumerate(self.crossings):
-            o = self.over_in[ci]
-            succ_pairs = [(c[0], c[2]), (c[o], c[4 - o])]
-            for a_in, a_out in succ_pairs:
-                if a_in in succ:
-                    raise NonPlanarInconsistency(
-                        f"arc {a_in} has two successors")
-                succ[a_in] = a_out
+        """Decompose arcs into closed loops via the successor relation.
+
+        Orientation gives every arc one head and one tail, so following
+        each strand from its entry to its exit is a permutation of arcs.
+        """
+        succ = {c[s_in]: c[s_out] for ci, c in enumerate(self.crossings)
+                for s_in, s_out in self.strands(ci).items()}
         comps = []
         remaining = set(succ)
         while remaining:
             start = min(remaining)
             loop = [start]
-            remaining.discard(start)
             cur = succ[start]
             while cur != start:
-                if cur not in remaining:
-                    raise NonPlanarInconsistency(
-                        f"arc loop through {start} fails to close")
                 loop.append(cur)
-                remaining.discard(cur)
                 cur = succ[cur]
+            remaining.difference_update(loop)
             comps.append(tuple(loop))
         return tuple(comps)
 
     # -- queries --------------------------------------------------------
 
+    def strands(self, ci: int) -> dict[int, int]:
+        """Entry slot -> exit slot of the two strands through crossing ci."""
+        o = self.over_in[ci]
+        return {0: 2, o: 4 - o}
+
+    def head(self, arc: int) -> tuple[int, int]:
+        """The (crossing, slot) where `arc` arrives."""
+        end, other = self._ends[arc]
+        return end if end[1] in self.strands(end[0]) else other
+
     def endpoints(self, arc: int) -> list[tuple[int, int]]:
         """The two (crossing, slot) positions of an arc."""
-        out = []
-        for ci, c in enumerate(self.crossings):
-            for slot, a in enumerate(c):
-                if a == arc:
-                    out.append((ci, slot))
-        return out
+        return list(self._ends.get(arc, ()))
 
     def fresh_label(self) -> int:
         return max(self.arcs, default=0) + 1
@@ -339,14 +332,13 @@ def parse_gauss(text: str) -> Diagram:
 
 
 def mirror(d: Diagram) -> Diagram:
-    """Swap over- and under-strands at every crossing."""
-    out = []
-    for c, o in zip(d.crossings, d.over_in):
-        if o == 1:
-            out.append((c[1], c[2], c[3], c[0]))
-        else:
-            out.append((c[3], c[0], c[1], c[2]))
-    return Diagram(out, free_loops=d.free_loops)
+    """Swap over- and under-strands at every crossing.
+
+    Rotating each tuple to start at its incoming over-slot makes that
+    strand the under-strand.
+    """
+    return Diagram([c[o:] + c[:o] for c, o in zip(d.crossings, d.over_in)],
+                   free_loops=d.free_loops)
 
 
 # -- Reidemeister moves -------------------------------------------------
@@ -364,23 +356,14 @@ def apply_move(d: Diagram, m: MoveSpec) -> Diagram:
     return _r3(d, m)
 
 
-def _split_arc(crossings, arc, new_label, endpoints):
-    """Replace the head occurrence of `arc` by `new_label`.
+def _join(rows, x, y):
+    """Give arcs x and y the smaller of their labels in every row.
 
-    Returns modified crossing list; the tail keeps the old label, so the
-    strand runs ...-> arc -> (inserted piece) -> new_label -> ...
+    Run after a crossing is removed, this lets the strand that entered it
+    on one arc and left on the other run straight through.
     """
-    out = [list(c) for c in crossings]
-    head_ci, head_slot = endpoints
-    out[head_ci][head_slot] = new_label
-    return out
-
-
-def _head_endpoint(d: Diagram, arc: int):
-    for ci, slot in d.endpoints(arc):
-        if slot == 0 or slot == d.over_in[ci]:
-            return ci, slot
-    return None
+    keep, drop = min(x, y), max(x, y)
+    return [[keep if a == drop else a for a in row] for row in rows]
 
 
 def _r1_add(d: Diagram, m: MoveSpec) -> Diagram:
@@ -391,10 +374,10 @@ def _r1_add(d: Diagram, m: MoveSpec) -> Diagram:
         raise SiteNotFound(f"arc {arc} not in diagram")
     a2 = d.fresh_label()
     loop = a2 + 1
-    head = _head_endpoint(d, arc)
-    if head is None:
-        raise SiteNotFound(f"arc {arc} has no head endpoint")
-    crossings = _split_arc(d.crossings, arc, a2, head)
+    # the strand runs arc -> kink -> a2 on to the old head of arc
+    crossings = [list(c) for c in d.crossings]
+    ci, slot = d.head(arc)
+    crossings[ci][slot] = a2
     if m.chirality:
         crossings.append((arc, a2, loop, loop))   # positive kink
     else:
@@ -412,20 +395,11 @@ def _r1_remove(d: Diagram, m: MoveSpec) -> Diagram:
     doubled = [a for a in set(c) if c.count(a) == 2]
     if len(doubled) != 1:
         raise PatternMismatch(f"crossing {ci} is not a kink: {c}")
-    loop = doubled[0]
-    others = [a for a in c if a != loop]
-    a_in, a_out = others
-    crossings = [list(cc) for i, cc in enumerate(d.crossings) if i != ci]
-    if a_in == a_out:
-        # kink on an otherwise crossingless loop
-        return Diagram([tuple(cc) for cc in crossings],
-                       free_loops=d.free_loops + 1)
-    keep, drop = (a_in, a_out) if a_in < a_out else (a_out, a_in)
-    for cc in crossings:
-        for slot in range(4):
-            if cc[slot] == drop:
-                cc[slot] = keep
-    return Diagram([tuple(cc) for cc in crossings], free_loops=d.free_loops)
+    a_in, a_out = (a for a in c if a != doubled[0])
+    rest = [cc for i, cc in enumerate(d.crossings) if i != ci]
+    # a_in == a_out: the kink sat on an otherwise crossingless loop
+    return Diagram(_join(rest, a_in, a_out),
+                   free_loops=d.free_loops + (a_in == a_out))
 
 
 def _r2_add(d: Diagram, m: MoveSpec) -> Diagram:
@@ -438,11 +412,10 @@ def _r2_add(d: Diagram, m: MoveSpec) -> Diagram:
         raise SiteNotFound(f"arcs {m.site} not usable for R2+")
     nl = d.fresh_label()
     a2, mm, b2, pp = nl, nl + 1, nl + 2, nl + 3
-    head_a = _head_endpoint(d, a)
-    crossings = _split_arc(d.crossings, a, a2, head_a)
-    # b's endpoints are untouched by splitting a
-    head_b = _head_endpoint(d, b)
-    crossings = _split_arc(crossings, b, b2, head_b)
+    crossings = [list(c) for c in d.crossings]
+    for arc, new in ((a, a2), (b, b2)):
+        ci, slot = d.head(arc)
+        crossings[ci][slot] = new
     # strand a: a -> c1(over) -> mm -> c2(over) -> a2
     # strand b: b -> c1(under) -> pp -> c2(under) -> b2
     c1 = (b, a, pp, mm)
@@ -473,24 +446,13 @@ def _r2_remove(d: Diagram, m: MoveSpec) -> Diagram:
     # outer arcs of each strand
     over_outer = [a for c in (ci, cj) for a in (c[1], c[3]) if a != mo]
     under_outer = [a for c in (ci, cj) for a in (c[0], c[2]) if a != mu]
-    crossings = [list(cc) for k, cc in enumerate(d.crossings) if k not in (i, j)]
-    free = d.free_loops
-    relabel: dict[int, int] = {}
-    for outer in (over_outer, under_outer):
-        x, y = (relabel.get(a, a) for a in outer)
-        if x == y:
-            free += 1
-            continue
-        keep, drop = (x, y) if x < y else (y, x)
-        relabel[drop] = keep
-        for old, new in list(relabel.items()):
-            if new == drop:
-                relabel[old] = keep
-        for cc in crossings:
-            for slot in range(4):
-                if cc[slot] == drop:
-                    cc[slot] = keep
-    return Diagram([tuple(cc) for cc in crossings], free_loops=free)
+    rest = [cc for k, cc in enumerate(d.crossings) if k not in (i, j)]
+    # join the over-strand first; the under-strand's outer arcs ride along
+    # as a last row, since the over-strand may continue into them
+    *rest, under_outer = _join(rest + [under_outer], *over_outer)
+    free = (d.free_loops + (over_outer[0] == over_outer[1])
+            + (under_outer[0] == under_outer[1]))
+    return Diagram(_join(rest, *under_outer), free_loops=free)
 
 
 def _r3(d: Diagram, m: MoveSpec) -> Diagram:
@@ -540,45 +502,21 @@ def _r3(d: Diagram, m: MoveSpec) -> Diagram:
 
     crossings = [list(c) for c in d.crossings]
 
-    def is_head(ci, slot):
-        return slot == 0 or slot == d.over_in[ci]
-
     def reroute(mid):
         """Swap the outer arcs of the strand through `mid`."""
-        (e1_ci, e1_slot), (e2_ci, e2_slot) = ends[mid]
-        if is_head(e1_ci, e1_slot):
-            (e1_ci, e1_slot), (e2_ci, e2_slot) = (e2_ci, e2_slot), (e1_ci, e1_slot)
-        # mid leaves crossing e1 and arrives at crossing e2:
-        # strand runs s_in -> e1 -> mid -> e2 -> s_out
-        strand_in_slot = _partner_in_slot(d, e1_ci, e1_slot)
-        strand_out_slot = _partner_out_slot(d, e2_ci, e2_slot)
-        s_in = d.crossings[e1_ci][strand_in_slot]
-        s_out = d.crossings[e2_ci][strand_out_slot]
-        # after the move: s_in -> e2 -> mid -> e1 -> s_out
-        crossings[e1_ci][strand_in_slot] = mid
-        crossings[e1_ci][e1_slot] = s_out
-        crossings[e2_ci][e2_slot] = s_in
-        crossings[e2_ci][strand_out_slot] = mid
+        # mid leaves crossing t and arrives at crossing h:
+        # the strand runs s_in -> t -> mid -> h -> s_out
+        h, h_slot = head = d.head(mid)
+        t, t_slot = next(e for e in ends[mid] if e != head)
+        in_slot = next(s for s, x in d.strands(t).items() if x == t_slot)
+        out_slot = d.strands(h)[h_slot]
+        s_in, s_out = d.crossings[t][in_slot], d.crossings[h][out_slot]
+        # after the move: s_in -> h -> mid -> t -> s_out
+        crossings[t][in_slot] = mid
+        crossings[t][t_slot] = s_out
+        crossings[h][h_slot] = s_in
+        crossings[h][out_slot] = mid
 
     for mid in (alpha, beta, gamma):
         reroute(mid)
-    return Diagram([tuple(c) for c in crossings], free_loops=d.free_loops)
-
-
-def _partner_in_slot(d: Diagram, ci: int, out_slot: int) -> int:
-    """The incoming slot of the same strand that exits at `out_slot`."""
-    if out_slot == 2:
-        return 0
-    o = d.over_in[ci]
-    if out_slot == 4 - o:
-        return o
-    raise PatternMismatch(f"slot {out_slot} at crossing {ci} is not an exit")
-
-
-def _partner_out_slot(d: Diagram, ci: int, in_slot: int) -> int:
-    if in_slot == 0:
-        return 2
-    o = d.over_in[ci]
-    if in_slot == o:
-        return 4 - o
-    raise PatternMismatch(f"slot {in_slot} at crossing {ci} is not an entry")
+    return Diagram(crossings, free_loops=d.free_loops)

@@ -1,5 +1,5 @@
 """Diagram families shared by the tests: T(2, n) torus knots and
-positive braid closures."""
+braid closures."""
 
 from khoarrow.diagram import Diagram, parse_gauss
 
@@ -12,20 +12,28 @@ def torus(n):
                     for j in range(1, 2 * n, 2)])
 
 
-def positive_braid_closure(word):
-    """The knot closing a positive braid word, through its Gauss code.
+def braid_closure(word):
+    """The knot closing a signed braid word, through its Gauss code.
 
-    Letter g crosses the strands at positions g and g + 1 (0-based); the
-    strand moving up passes over, and every crossing is positive.
+    Letter +g or -g (g >= 1) crosses the strands at positions g - 1 and
+    g (0-based).  At +g the strand moving up passes over and the crossing
+    is positive; -g swaps over and under and is negative.
     """
     passes, pos = [], 0
     while True:
-        for label, g in enumerate(word, 1):
+        for label, letter in enumerate(word, 1):
+            g, sign = abs(letter) - 1, "+" if letter > 0 else "-"
             if pos in (g, g + 1):
-                passes.append(f"{'O' if pos == g else 'U'}{label}+")
+                over = (pos == g) == (letter > 0)
+                passes.append(f"{'O' if over else 'U'}{label}{sign}")
                 pos = 2 * g + 1 - pos
         if pos == 0:
             break
     if len(passes) != 2 * len(word):
         raise ValueError(f"the closure of {word} is not a knot")
     return parse_gauss("".join(passes))
+
+
+def positive_braid_closure(word):
+    """The closure of a positive braid word of 0-based letters g."""
+    return braid_closure([g + 1 for g in word])

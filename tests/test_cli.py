@@ -99,6 +99,16 @@ def test_custom_theory_flags():
     assert json.loads(out)["theory"] == {"x": -1, "y": -1, "z": -1}
 
 
+def test_sign_flags_outside_plus_minus_one_are_usage_errors():
+    # argparse rejects them with exit 2, whatever the theory; --theory even
+    # used to accept --x 2 silently
+    for theory in ("custom", "even"):
+        code, out, err = run("homology", "--pd", "", "--theory", theory,
+                             "--x", "2")
+        assert code == 2 and out == ""
+        assert "invalid choice" in err and "Traceback" not in err
+
+
 def test_parse_error_exit_code():
     code, out, err = run("homology", "--pd", "garbage")
     assert code == 1 and out == "" and "error" in err

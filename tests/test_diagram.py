@@ -1,14 +1,17 @@
 """PD / Gauss parsing, orientation solving, and Reidemeister rewriting."""
 
+import itertools
+
 import pytest
 
 from khoarrow import corpus
-from khoarrow.algebra import EVEN
+from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import build_unreduced
 from khoarrow.cube import check_planarity
-from khoarrow.diagram import (ArcCountMismatch, MalformedSyntax, MoveSpec,
-                              PatternMismatch, SiteNotFound, apply_move,
-                              mirror, parse_gauss, parse_pd, to_pd)
+from khoarrow.diagram import (ArcCountMismatch, DiagramError, MalformedSyntax,
+                              MoveSpec, PatternMismatch, SiteNotFound,
+                              apply_move, mirror, parse_gauss, parse_pd,
+                              to_pd)
 from khoarrow.homology import homology
 from khoarrow.jones import jones
 
@@ -131,3 +134,102 @@ def test_bad_r2_site_detectable_as_nonplanar():
     d = apply_move(parse_pd(TREFOIL), MoveSpec("R2+", (1, 3), False))
     assert not check_planarity(d)
     assert jones(d) == jones(parse_pd(TREFOIL))   # bracket can't tell
+
+
+# -- every move at every site, over the corpus and its mirrors ----------
+
+
+def _corpus_and_mirrors():
+    for name in corpus.names():
+        d = corpus.get(name)
+        yield name, d
+        yield name + " mirrored", mirror(d)
+
+
+def _tables(d):
+    return [homology(build_unreduced(d, p)).group_rows() for p in (EVEN, ODD)]
+
+
+def test_r1_add_then_remove_is_exact_everywhere():
+    count = 0
+    for name, d in _corpus_and_mirrors():
+        for arc in d.arcs:
+            for chirality in (True, False):
+                d2 = apply_move(d, MoveSpec("R1+", (arc,), chirality))
+                assert apply_move(d2, MoveSpec("R1-", (d.n,))) == d, (
+                    name, arc, chirality)
+                count += 1
+    assert count == 264
+
+
+def test_r2_add_then_remove_is_exact_everywhere():
+    count = 0
+    for name, d in _corpus_and_mirrors():
+        for a, b in itertools.permutations(d.arcs, 2):
+            for chirality in (True, False):
+                d2 = apply_move(d, MoveSpec("R2+", (a, b), chirality))
+                back = apply_move(d2, MoveSpec("R2-", (d.n, d.n + 1)))
+                assert back == d, (name, a, b, chirality)
+                count += 1
+    assert count == 2088
+
+
+def _accepted_r3_sites(d):
+    for site in itertools.product(d.arcs, repeat=3):
+        try:
+            yield site, apply_move(d, MoveSpec("R3", site))
+        except DiagramError:
+            pass
+
+
+def test_r3_twice_is_exact_at_every_accepted_triangle():
+    count = 0
+    for name, d in _corpus_and_mirrors():
+        for site, moved in _accepted_r3_sites(d):
+            assert apply_move(moved, MoveSpec("R3", site)) == d, (name, site)
+            count += 1
+    assert count == 24
+
+
+def test_every_rejected_move_raises_a_diagram_error():
+    # out-of-range and repeated sites included; nothing but DiagramError
+    # (or a Diagram) may come back
+    for _, d in _corpus_and_mirrors():
+        arcs = d.arcs + (d.fresh_label(),)
+        idx = range(d.n + 1)
+        sites = ([MoveSpec("R1+", (a,)) for a in arcs]
+                 + [MoveSpec("R1-", (i,)) for i in idx]
+                 + [MoveSpec("R2+", s, ch) for s in itertools.product(arcs, repeat=2)
+                    for ch in (True, False)]
+                 + [MoveSpec("R2-", s) for s in itertools.product(idx, repeat=2)]
+                 + [MoveSpec("R3", s) for s in itertools.product(arcs, repeat=3)]
+                 + [MoveSpec("R1+", ()), MoveSpec("R2-", (0,)),
+                    MoveSpec("R3", (1, 2))])
+        for m in sites:
+            try:
+                apply_move(d, m)
+            except DiagramError:
+                pass
+
+
+def test_accepted_moves_stay_planar_and_keep_both_tables():
+    count = 0
+    for name, d in _corpus_and_mirrors():
+        if not d.n:
+            continue
+        outcomes = [apply_move(d, MoveSpec("R1+", (d.arcs[0],), ch))
+                    for ch in (True, False)]
+        for m in ([MoveSpec("R1-", (i,)) for i in range(d.n)]
+                  + [MoveSpec("R2-", s)
+                     for s in itertools.permutations(range(d.n), 2)]):
+            try:
+                outcomes.append(apply_move(d, m))
+            except DiagramError:
+                pass
+        outcomes += [moved for _, moved in _accepted_r3_sites(d)]
+        tables = _tables(d)
+        for moved in outcomes:
+            assert check_planarity(moved), (name, moved)
+            assert _tables(moved) == tables, (name, moved)
+            count += 1
+    assert count == 78

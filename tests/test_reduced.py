@@ -1,5 +1,6 @@
 """Operator lattices and the reduced complex."""
 
+import random
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -9,7 +10,8 @@ from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import build_unreduced
 from khoarrow.cli import PRESETS
-from khoarrow.cube import Arrow, Resolution, resolve, vertices
+from khoarrow.cube import (Arrow, Resolution, check_planarity, resolve,
+                           vertices)
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
@@ -20,7 +22,7 @@ from khoarrow.lattice import (AdmissibleSubgraph, check_commuting_square,
 from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 from dense import t_merge, t_split
-from knots import positive_braid_closure, torus
+from knots import braid_closure, positive_braid_closure, torus
 from reference import UnionFind, restricted_reduced
 
 KINK = parse_pd("X[1,2,2,1]")
@@ -449,3 +451,37 @@ def test_cycle_relations():
                 assert all(rep.values()), (name, bits, cyc, rep)
                 checked += 1
     assert checked >= 10
+
+
+# ------------------------------------------------ signed braid closures
+
+
+def _random_signed_knots(count, seed=14):
+    """Closures of random 3- and 4-strand words, 5-9 letters, both signs."""
+    rng = random.Random(seed)
+    while count:
+        strands = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randrange(1, strands)
+                for _ in range(rng.randint(5, 9))]
+        if min(word) > 0 or max(word) < 0:
+            continue
+        try:
+            d = braid_closure(word)
+        except ValueError:              # a link, not a knot
+            continue
+        count -= 1
+        yield word, d
+
+
+def test_signed_braid_closures_are_planar_and_match_jones():
+    signs = set()
+    for word, d in _random_signed_knots(20):
+        assert d.n == len(word) and d.n_plus and d.n_minus, word
+        assert d.signs == tuple(1 if g > 0 else -1 for g in word), word
+        signs.update(d.signs)
+        assert check_planarity(d), word
+        target = jones(d)
+        for p in (EVEN, ODD):
+            assert euler_characteristic(build_unreduced(d, p)) == target, word
+        assert CIRCLE * euler_characteristic(build_reduced(d)) == target, word
+    assert signs == {1, -1}
