@@ -1,6 +1,12 @@
 """Assembly of the unreduced and reduced chain complexes from the
 resolution cube.
 
+A build reads the circles of every vertex from one walk of the cube
+(``cube.circle_labels``) and makes no ``Resolution``: vertex I is the
+bit mask with crossing i at bit n - 1 - i, and maps, signs and block
+offsets sit in flat lists indexed by mask, or by mask * n + i for the
+edge at crossing i.
+
 Edge maps are built from the parameterized (co)multiplication acting at
 the stable position of the merged/split circle, with tensor factors
 shuffled by the parameterized swap and a graded reach-over coefficient
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import RingParams
-from .cube import Resolution, khovanov_sign, resolve, vertices
+from .cube import Resolution, circle_labels
 from .diagram import Diagram, NonPlanarInconsistency
 
 __all__ = [
@@ -40,7 +46,6 @@ __all__ = [
     "NotASubcomplex",
     "edge_map",
     "solve_signs",
-    "cube_layout",
     "build_unreduced",
 ]
 
@@ -110,11 +115,18 @@ class BigradedComplex:
         return True
 
     def check_q_preserved(self) -> bool:
+        """Whether every boundary entry joins two generators of one
+        quantum degree; False too for a column count other than the
+        number of generators of degree h, or a row past those of degree
+        h + 1."""
         for h, cols in self.boundaries.items():
             qs_src = self.groups.get(h, [])
             qs_dst = self.groups.get(h + 1, [])
+            if len(cols) != len(qs_src):
+                return False
+            size = len(qs_dst)
             for c, col in enumerate(cols):
-                if any(qs_dst[r] != qs_src[c] for r in col):
+                if any(r >= size or qs_dst[r] != qs_src[c] for r in col):
                     return False
         return True
 
@@ -125,41 +137,53 @@ def _graded(one: int, ex: int, n: int, xs: int) -> int:
     return (one if (n - xs) & 1 else 1) * (ex if xs & 1 else 1)
 
 
-def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
-    """The local picture the edge map along cube edge i depends on.
+def _signature(i: int, n: int, mask: int, kI: int, kJ: int,
+               cI: int, aI: int, cJ: int, aJ: int) -> tuple:
+    """The local picture the edge map along cube edge (I, i) depends on,
+    read from the circles of crossing i's arcs c and a: cI, aI in D(I),
+    of k(I) = kI circles, and cJ, aJ in D(J), J = I + e_i, of kJ.
 
-    ("merge", k(I), ps, pt) when the crossing joins the circles at
-    positions ps < pt, and ("split", k(I), pu, d_other) when it splits
-    the circle at pu and the daughter without its minimal arc lands at
-    position d_other of J.  Raises NotAnEdge unless rI -> rJ flips bit i
-    from 0 to 1 and no other bit, and NonPlanarInconsistency if a split
-    leaves one circle (a virtual diagram).
+    ("merge", k(I), s, t) when the crossing joins the circles s < t of c
+    and a, and ("split", k(I), u, d_other) when c and a share circle u,
+    which splits into the circles of c and a in J; circles are ordered
+    by their smallest arc, so the daughter with u's minimal arc comes
+    first and d_other is the larger of the two.  Raises
+    NonPlanarInconsistency if a split does not add exactly one circle
+    (a virtual diagram); `n` and `mask`, vertex I with crossing j at bit
+    n - 1 - j, name the vertex in its message.
+    """
+    if cI != aI:
+        return ("merge", kI, cI, aI) if cI < aI else ("merge", kI, aI, cI)
+    if kJ != kI + 1:
+        # a crossing on one circle of a planar diagram splits it in two;
+        # on a virtual one the surgery can leave a single circle
+        bits = tuple(mask >> (n - 1 - j) & 1 for j in range(n))
+        raise NonPlanarInconsistency(
+            f"crossing {i} does not split circle {cI} of {bits}: "
+            "the diagram is not planar")
+    return ("split", kI, cI, cJ if cJ > aJ else aJ)
+
+
+def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
+    """``_signature`` of the cube edge rI -> rJ at crossing i, read from
+    the arrows of the two resolutions, which join the circles of arcs c
+    and a.  No direction is read.  Raises NotAnEdge unless rI -> rJ
+    flips bit i from 0 to 1 and no other bit.
     """
     bits = rI.index
     if bits[i] or rJ.index != bits[:i] + (1,) + bits[i + 1:]:
         raise NotAnEdge(f"{rI.index} -> {rJ.index} is not the edge at {i}")
-    arr = rI.arrows[i]
-    if arr.source != arr.target:
-        s, t = arr.source, arr.target
-        return ("merge", rI.k, s, t) if s < t else ("merge", rI.k, t, s)
-    pu = arr.source
-    if rJ.k != rI.k + 1:
-        # a crossing on one circle of a planar diagram splits it in two;
-        # on a virtual one the surgery can leave a single circle
-        raise NonPlanarInconsistency(
-            f"crossing {i} does not split circle {pu} of {rI.index}: "
-            "the diagram is not planar")
-    # the daughters are the circles of J made of arcs of the split one;
-    # circles are ordered by their smallest arc, so the daughter with the
-    # minimal arc comes first
-    circle = rI.circles[pu]
-    d_min, d_other = (j for j, c in enumerate(rJ.circles)
-                      if c and c[0] in circle)
-    return ("split", rI.k, pu, d_other)
+    n = len(bits)
+    mask = sum(b << (n - 1 - j) for j, b in enumerate(bits))
+    arr_I, arr_J = rI.arrows[i], rJ.arrows[i]
+    return _signature(i, n, mask, rI.k, rJ.k, arr_I.source, arr_I.target,
+                      arr_J.source, arr_J.target)
 
 
-def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
-    """Unsigned chain map A^{(x)k(I)} -> A^{(x)k(J)} along cube edge i.
+def edge_map(sig: tuple, p: RingParams) -> list:
+    """Unsigned chain map A^{(x)k(I)} -> A^{(x)k(J)} along a cube edge
+    whose local picture is `sig` (``_signature``; ``_edge_signature``
+    reads it from two resolutions).
 
     The map is monomial: entry idx is the image of basis tensor idx, a
     tuple of at most two (row, coeff) pairs with rows in increasing
@@ -175,9 +199,8 @@ def edge_map(rI: Resolution, rJ: Resolution, i: int, p: RingParams) -> list:
     the even specialization all of these coefficients are 1 and the map
     is the plain Khovanov edge map; away from it they are exactly what
     makes every 2-face of the cube commute up to a single global unit.
-    It depends on the edge only through ``_edge_signature``.
     """
-    kind, kI, first, second = _edge_signature(rI, rJ, i)
+    kind, kI, first, second = sig
     # swap[b] = (cost of passing a 1, cost of passing an x) for a moving b
     swap = ((p.x, p.z), (p.z, p.y))
     out = []
@@ -263,75 +286,81 @@ def _proportion(m1: list, m2: list, where: str) -> int:
     raise FaceNotProportional(f"{where}: composites not +-proportional")
 
 
-def solve_signs(maps: dict, n: int) -> dict:
+def solve_signs(maps: list, n: int) -> list:
     """Edge signs making every 2-face of the cube anticommute.
 
-    Returns {(I bits, crossing): +-1}.  A sign is held as a bitmask over
-    GF(2): bit 0 is a constant, the other bits are unknowns, and the
-    sign is -1 when the mask meets an odd number of the set bits of the
-    solution.  The edges (I, i) are walked in order of (i, |I|, I).  An
-    edge with no 1-bit of I below i is in a spanning tree of the cube
-    and gets +1.  Every other edge is fixed by the first face (I - e_j;
-    j, i), j < i a 1-bit of I, whose composites do not vanish: its
-    other three edges come earlier in the walk.  Faces whose two
-    composites both vanish constrain nothing; an edge all of whose
-    faces are such gets a fresh unknown on top of its Khovanov sign.
-    Every further face is an equation in the unknowns, eliminated by
-    XOR as it arrives; free unknowns are zero.  At the even
-    specialization the result is exactly the Khovanov sign rule.
+    Cube edges are numbered mask(I) * n + i, where crossing j is bit
+    n - 1 - j of mask(I), so that ascending masks are the lexicographic
+    order of the vertices.  Returns the list of signs by edge number: +-1
+    on every edge, 0 on the numbers (I, i) with I_i = 1, which are no
+    edge.  A sign is held as a bitmask over GF(2): bit 0 is a constant,
+    the other bits are unknowns, and the sign is -1 when the mask meets
+    an odd number of the set bits of the solution.  The edges (I, i) are
+    walked in order of (i, |I|, I).  An edge with no 1-bit of I below i
+    is in a spanning tree of the cube and gets +1.  Every other edge is
+    fixed by the first face (I - e_j; j, i), j < i a 1-bit of I, whose
+    composites do not vanish: its other three edges come earlier in the
+    walk.  Faces whose two composites both vanish constrain nothing; an
+    edge all of whose faces are such gets a fresh unknown on top of its
+    Khovanov sign.  Every further face is an equation in the unknowns,
+    eliminated by XOR as it arrives; free unknowns are zero.  At the
+    even specialization the result is exactly the Khovanov sign rule.
 
-    `maps` holds the unsigned edge map of every edge of the n-cube,
-    keyed by (I bits, crossing); edges may share one map object.  Each
-    face whose four maps are new objects is composed and compared
-    column by column; a face made of the same four objects as one seen
-    earlier in this call reuses its lambda, and still adds its
-    equation.  Raises FaceNotProportional when a face's composites are
-    not +-1 multiples of each other, and Unsolvable when the face
-    equations are inconsistent.
+    `maps` holds the unsigned edge map of every edge of the n-cube at
+    its number; edges may share one map object.  Each face whose four
+    maps are new objects is composed and compared column by column; a
+    face made of the same four objects as one seen earlier in this call
+    reuses its lambda, and still adds its equation.  Raises
+    FaceNotProportional when a face's composites are not +-1 multiples
+    of each other, and Unsolvable when the face equations are
+    inconsistent.
     """
     lams: dict[tuple, int] = {}        # ids of a face's four maps -> lambda
 
-    def face(low, bj, bi, j, i):
+    def face(low, j, i):
         """The lambda = +-1 with (i after j) = lambda (j after i) on the
-        face at `low` spanned by j < i, whose corners low + e_j and
-        low + e_i are `bj` and `bi`; 0 when both composites vanish.
-        Faces whose four maps are the same objects are checked once."""
-        ij, j0 = maps[(bj, i)], maps[(low, j)]
-        ji, i0 = maps[(bi, j)], maps[(low, i)]
+        face at vertex `low` spanned by j < i; 0 when both composites
+        vanish.  Faces whose four maps are the same objects are checked
+        once."""
+        ij, j0 = maps[(low | 1 << (n - 1 - j)) * n + i], maps[low * n + j]
+        ji, i0 = maps[(low | 1 << (n - 1 - i)) * n + j], maps[low * n + i]
         key = (id(ij), id(j0), id(ji), id(i0))
         if key not in lams:
             lams[key] = _proportion(_compose(ij, j0), _compose(ji, i0),
-                                    f"face {low} ({j},{i})")
+                                    f"face {low:0{n}b} ({j},{i})")
         return lams[key]
 
-    masks: dict = {}
+    masks: list = [None] * (n << n)
     pivots: dict[int, int] = {}        # leading unknown -> reduced equation
     unknowns = 0
-    order = sorted(vertices(n), key=lambda bits: (sum(bits), bits))
+    order = sorted(range(1 << n), key=int.bit_count)
     for i in range(n):
-        for bits in order:
-            if bits[i]:
+        bit_i = 1 << (n - 1 - i)
+        for vertex in order:
+            if vertex & bit_i:
                 continue
-            # the four signs of a face multiply to -lambda; the corners
-            # low = bits - e_j and up = low + e_i are sliced once, here
+            # the four signs of a face multiply to -lambda
             equations = []
             for j in range(i):
-                if not bits[j]:
+                bit_j = 1 << (n - 1 - j)
+                if not vertex & bit_j:
                     continue
-                low = bits[:j] + (0,) + bits[j + 1:]
-                up = low[:i] + (1,) + low[i + 1:]
-                lam = face(low, bits, up, j, i)
+                low = vertex ^ bit_j
+                lam = face(low, j, i)
                 if lam:
-                    equations.append(masks[(low, j)] ^ masks[(low, i)]
-                                     ^ masks[(up, j)] ^ (lam > 0))
+                    equations.append(masks[low * n + j] ^ masks[low * n + i]
+                                     ^ masks[(low | bit_i) * n + j]
+                                     ^ (lam > 0))
+            # the 1-bits of I before i, the crossings j < i
+            before = vertex >> (n - i)
             if equations:
                 mask = equations[0]
-            elif any(bits[:i]):
+            elif before:
                 unknowns += 1
-                mask = (1 << unknowns) | (khovanov_sign(bits, i) < 0)
+                mask = (1 << unknowns) | (before.bit_count() & 1)
             else:
                 mask = 0
-            masks[(bits, i)] = mask
+            masks[vertex * n + i] = mask
             for eq in equations[1:]:
                 eq ^= mask
                 while eq > 1 and eq.bit_length() - 1 in pivots:
@@ -345,21 +374,8 @@ def solve_signs(maps: dict, n: int) -> dict:
     for lead in sorted(pivots):
         if (pivots[lead] & solution).bit_count() & 1:
             solution |= 1 << lead
-    return {key: -1 if (mask & solution).bit_count() & 1 else 1
-            for key, mask in masks.items()}
-
-
-def cube_layout(d: Diagram) -> dict[int, list[tuple[int, ...]]]:
-    """Cube vertices of `d` by homological degree h = |I| - n_minus.
-
-    Vertices of one degree are in lexicographic order; the chain group
-    of degree h lays out one block of 2^k(I) generators per vertex in
-    this order, each block in the basis order of A^{(x)k(I)}.
-    """
-    vertex_by_h: dict[int, list[tuple[int, ...]]] = {}
-    for bits in vertices(d.n):
-        vertex_by_h.setdefault(sum(bits) - d.n_minus, []).append(bits)
-    return vertex_by_h
+    return [0 if mask is None else -1 if (mask & solution).bit_count() & 1
+            else 1 for mask in masks]
 
 
 def build_unreduced(d: Diagram, p: RingParams,
@@ -368,7 +384,7 @@ def build_unreduced(d: Diagram, p: RingParams,
 
     Every generator of every vertex block is written.  Each distinct
     edge map is built once per call: every edge with the same
-    ``_edge_signature`` gets the same map object, so a build makes as
+    ``_signature`` gets the same map object, so a build makes as
     many ``edge_map`` calls as there are distinct local pictures (27 of
     448 edges on T(2, 7)).  Nothing is cached across calls.  The reduced
     complex (``reduced.build_reduced``) comes from the same assembly.
@@ -381,71 +397,84 @@ def _build(d: Diagram, p: RingParams, convention: str,
     """The complex of `d` at `p`: unreduced, or reduced to the top half
     of every vertex block (x on circle 0, the base circle) with q + 1.
 
-    Signs are solved over the full shared edge maps either way.  Raises
+    Each edge's signature is read from the circle labels of its two
+    vertices.  Signs are solved over the full shared edge maps either
+    way.  Raises NonPlanarInconsistency for a virtual diagram, and
     NotASubcomplex when `reduced` and an edge map sends a kept generator
     into the discarded half of its target block.
     """
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
-    res = {bits: resolve(d, bits) for bits in vertices(n)}
+    cube = circle_labels(d)
+    # crossing i flips bit n - 1 - i; its arrow joins the circles of its
+    # arcs c and a
+    ends = [(1 << (n - 1 - i), c, a)
+            for i, (a, _, c, _) in enumerate(d.crossings)]
     # edges with one signature share one map object, which also lets
     # solve_signs check each distinct face once
     shared: dict[tuple, list] = {}
-    maps = {}
-    for bits, r in res.items():
-        for i in range(n):
-            if bits[i]:
+    maps: list = [None] * (n << n)
+    for mask, (at_I, kI) in enumerate(cube):
+        for i, (bit, c, a) in enumerate(ends):
+            if mask & bit:
                 continue
-            to = res[bits[:i] + (1,) + bits[i + 1:]]
-            sig = _edge_signature(r, to, i)
-            if sig not in shared:
-                emap = shared[sig] = edge_map(r, to, i, p)
+            at_J, kJ = cube[mask | bit]
+            sig = _signature(i, n, mask, kI, kJ, at_I[c], at_I[a],
+                             at_J[c], at_J[a])
+            emap = shared.get(sig)
+            if emap is None:
+                emap = shared[sig] = edge_map(sig, p)
                 # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
-                if reduced and any(row < 1 << (to.k - 1)
-                                   for images in emap[1 << (r.k - 1):]
+                if reduced and any(row < 1 << (kJ - 1)
+                                   for images in emap[1 << (kI - 1):]
                                    for row, _ in images):
                     raise NotASubcomplex(
-                        f"boundary from degree {sum(bits) - d.n_minus} "
-                        f"leaves the reduced generators")
-            maps[(bits, i)] = shared[sig]
+                        f"boundary from degree {mask.bit_count() - d.n_minus}"
+                        f" leaves the reduced generators")
+            maps[mask * n + i] = emap
     signs = solve_signs(maps, n)
 
     # generator idx of a block sits at q = k - 2 |idx| + |I| + shift, |idx|
     # its number of x's, plus 1 in the reduced theory; that theory keeps
-    # idx from first[bits] = 2^(k-1) on, x on circle 0
+    # idx from first[I] = 2^(k-1) on, x on circle 0
     shift = d.n_plus - 2 * d.n_minus + reduced
     q_sign = 1 if convention == "standard" else -1
-    first = {bits: 1 << (r.k - 1) if reduced else 0 for bits, r in res.items()}
+    first = [1 << (k - 1) if reduced else 0 for _, k in cube]
+    # the chain group of degree h = |I| - n_minus lays out one block of
+    # generators per vertex, in ascending masks (lexicographic order),
+    # each block in the basis order of A^{(x)k(I)}
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_size[mask.bit_count()].append(mask)
     groups: dict[int, list[int]] = {}
-    offsets: dict[tuple[int, ...], int] = {}   # position of idx 0 of a block
-    vertex_by_h = cube_layout(d)
-    for h in vertex_by_h:
+    offsets = [0] * (1 << n)           # position of idx 0 of a block
+    for size, layer in enumerate(by_size):
         qs: list[int] = []
-        for bits in vertex_by_h[h]:
-            q0 = res[bits].k + sum(bits) + shift
-            offsets[bits] = len(qs) - first[bits]
+        for mask in layer:
+            k = cube[mask][1]
+            q0 = k + size + shift
+            offsets[mask] = len(qs) - first[mask]
             qs += [q_sign * (q0 - 2 * idx.bit_count())
-                   for idx in range(first[bits], 1 << res[bits].k)]
-        groups[h] = qs
+                   for idx in range(first[mask], 1 << k)]
+        groups[size - d.n_minus] = qs
 
     # one int object per row index, shared by every column that has it
     row_ids = list(range(max(map(len, groups.values()))))
     boundaries: dict[int, list[dict[int, int]]] = {}
-    for h in sorted(vertex_by_h):
-        if h + 1 not in vertex_by_h:
-            continue
+    backwards = [(i, 1 << (n - 1 - i)) for i in reversed(range(n))]
+    for size, layer in enumerate(by_size[:n]):
         cols: list[dict[int, int]] = []
-        for bits in vertex_by_h[h]:
+        for mask in layer:
             # the later the bit that flips, the earlier its target in the
             # layout: walking the crossings backwards writes each column's
             # rows in increasing order, the order homology() picks pivots in
-            out = [(signs[(bits, i)], offsets[bits[:i] + (1,) + bits[i + 1:]],
-                    maps[(bits, i)])
-                   for i in reversed(range(n)) if not bits[i]]
+            out = [(signs[mask * n + i], offsets[mask | bit],
+                    maps[mask * n + i])
+                   for i, bit in backwards if not mask & bit]
             # blocks of distinct edges never overlap
             cols += [{row_ids[r0 + r]: sign * v
                       for sign, r0, emap in out for r, v in emap[c]}
-                     for c in range(first[bits], 1 << res[bits].k)]
-        boundaries[h] = cols
+                     for c in range(first[mask], 1 << cube[mask][1])]
+        boundaries[size - d.n_minus] = cols
     return BigradedComplex(groups=groups, boundaries=boundaries)

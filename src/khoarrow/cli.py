@@ -40,12 +40,13 @@ EXIT_TOO_LARGE = 2
 EXIT_INCONSISTENT = 3
 
 # unreduced complexes walk 2^n cube vertices with 2^k(I)-dimensional
-# groups.  On one core of a shared 2-vCPU VM, odd T(3,5) (10 crossings)
-# takes 0.21 s and 40 MB and odd T(2,9) 0.21 s and 54 MB, build plus
-# homology.  Odd T(2,11) (11 crossings) builds in 0.6 s and 126 MB, but
-# homology's generator graph (homology._graph) takes it to 300 MB peak
-# RSS in 1.5 s more, twice the 150 MB target: memory, not build time,
-# keeps the guard at 10
+# groups.  On one core of a shared 2-vCPU VM (fresh process, median of
+# three runs), odd T(3,5) (10 crossings) builds in 0.09 s and takes
+# 0.31 s and 26 MB with homology, and odd T(2,9) builds in 0.09 s and
+# takes 0.37 s and 39 MB.  Odd T(2,11) (11 crossings) builds in 0.74 s
+# and 81 MB, but homology's generator graph (homology._graph) takes it
+# to 259 MB peak RSS in 3.4 s more, well past the 150 MB target: memory,
+# not build time, keeps the guard at 10
 MAX_CLI_CROSSINGS = 10
 
 
@@ -188,7 +189,7 @@ def _suite_rm_invariance(report):
 def _suite_arrows(report):
     # arrow direction is recorded but read by no map: reversing every
     # arrow changes no edge map and no single-arrow operator
-    from .chain import edge_map
+    from .chain import _edge_signature, edge_map
     from .cube import resolve, vertices
     from .lattice import value
     for name in corpus.names():
@@ -202,7 +203,8 @@ def _suite_arrows(report):
         ok = all(value(res[I], (a,)) == value(rev[I], (a,))
                  for I in res for a in range(d.n))
         ok = ok and all(
-            edge_map(res[I], res[J], i, p) == edge_map(rev[I], rev[J], i, p)
+            edge_map(_edge_signature(res[I], res[J], i), p)
+            == edge_map(_edge_signature(rev[I], rev[J], i), p)
             for I, J, i in edges for p in PRESETS)
         report(f"arrows {name}", ok)
 

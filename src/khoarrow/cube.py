@@ -5,7 +5,10 @@ of two crossingless local pictures selected by the bits of I.  For a
 crossing (a, b, c, d) the 0-smoothing joins (a,b) and (c,d), the
 1-smoothing joins (a,d) and (b,c).  Circles are connected components of
 arcs under these joins; every crossing contributes one arrow between the
-circles carrying its two smoothing arcs.
+circles carrying its two smoothing arcs.  ``circle_labels`` is the one
+routine that finds circles: for one vertex, or in one walk for the whole
+cube, which the chain-complex build reads without making a
+``Resolution`` per vertex.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "Arrow",
     "Resolution",
     "vertices",
+    "circle_labels",
     "resolve",
     "count_circles",
     "khovanov_sign",
@@ -50,58 +54,86 @@ class Resolution:
         raise KeyError(f"arc {arc} not in resolution {self.index}")
 
 
-def _join(d: Diagram, bits) -> dict:
-    """Union-find parents over the arcs of `d` with the smoothing arcs of
-    every crossing joined as `bits` selects: (a,b) and (c,d) at 0, (a,d)
-    and (b,c) at 1.  A root is its own parent."""
-    parent = {a: a for a in d.arcs}
-    for (a, b, c, e), bit in zip(d.crossings, bits):
-        for x, y in ((a, e), (b, c)) if bit else ((a, b), (c, e)):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x != y:
-                parent[x] = y
-    return parent
+def circle_labels(d: Diagram, bits=None) -> list[tuple[dict[int, int], int]]:
+    """Each arc's circle and the circle count k of D(I), for the vertex
+    `bits`, or for every vertex of the cube when `bits` is None.
+
+    The labels map every arc to its circle.  Circles are numbered by
+    their smallest arc, and the free loops, which hold no arc, come after
+    them.  The cube comes in lexicographic order: the labels of vertex I
+    sit at index mask(I), crossing i being bit n - 1 - i of the mask.
+    The vertices are walked depth first, crossing 0 outermost and its
+    0-smoothing first, with one union-find over the arcs: each step
+    joins the two pairs of arcs a crossing's smoothing brings together,
+    (a,b) and (c,d) at 0, (a,d) and (b,c) at 1, in a copy of the parents
+    above it (in place when there is one vertex), so a prefix of
+    smoothings is joined once for all the vertices below it.  A root is
+    the smallest arc of its circle, and every parent is smaller than its
+    child.  Raises ValueError unless
+    `bits` has one 0 or 1 per crossing.
+    """
+    n = d.n
+    if bits is None:
+        choices = [(0, 1)] * n
+    else:
+        bits = tuple(bits)
+        if len(bits) != n or not {*bits} <= {0, 1}:
+            raise ValueError(f"bad resolution index {bits} for {n} crossings")
+        choices = [(b,) for b in bits]
+    arcs, crossings = d.arcs, d.crossings
+    out: list[tuple[dict[int, int], int]] = []
+
+    def walk(i, parent):
+        if i == n:
+            # a parent is smaller than its child, so it is labelled first
+            labels: dict[int, int] = {}
+            k = 0
+            for a in arcs:
+                up = parent[a]
+                if up == a:
+                    labels[a] = k
+                    k += 1
+                else:
+                    labels[a] = labels[up]
+            out.append((labels, k + d.free_loops))
+            return
+        a, b, c, e = crossings[i]
+        for bit in choices[i]:
+            joined = parent.copy() if len(choices[i]) > 1 else parent
+            for x, y in ((a, e), (b, c)) if bit else ((a, b), (c, e)):
+                while joined[x] != x:
+                    joined[x] = x = joined[joined[x]]
+                while joined[y] != y:
+                    joined[y] = y = joined[joined[y]]
+                if x < y:
+                    joined[y] = x
+                elif y < x:
+                    joined[x] = y
+            walk(i + 1, joined)
+
+    walk(0, {a: a for a in arcs})
+    return out
 
 
 def resolve(d: Diagram, bits) -> Resolution:
     """Smooth every crossing of `d` according to `bits`."""
     bits = tuple(int(b) for b in bits)
-    if len(bits) != d.n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bad resolution index {bits} for {d.n} crossings")
-    parent = _join(d, bits)
-    # arcs are sorted, so each circle's arcs come in order and circles in
-    # order of their smallest arc
-    index_of: dict[int, int] = {}
-    of_root: dict[int, int] = {}
-    members: list[list[int]] = []
-    for a in d.arcs:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        i = of_root.get(root)
-        if i is None:
-            i = of_root[root] = len(members)
-            members.append([a])
-        else:
-            members[i].append(a)
-        index_of[a] = i
+    (labels, k), = circle_labels(d, bits)
+    members: list[list[int]] = [[] for _ in range(k - d.free_loops)]
+    for a, c in labels.items():
+        members[c].append(a)
     circles = tuple(map(tuple, members)) + ((),) * d.free_loops
-
     # the arrow leaves the smoothing arc carrying the outgoing under
     # strand (arc c sits in the second pair for either bit) and points
     # at the circle through the other smoothing arc, which holds arc a
-    arrows = tuple(Arrow(ci, index_of[c], index_of[a])
+    arrows = tuple(Arrow(ci, labels[c], labels[a])
                    for ci, (a, _, c, _) in enumerate(d.crossings))
     return Resolution(bits, circles, arrows)
 
 
 def count_circles(d: Diagram, bits) -> int:
-    """Number of circles of D(I) (fast path used by the bracket oracle)."""
-    parent = _join(d, bits)
-    return sum(parent[a] == a for a in d.arcs) + d.free_loops
+    """Number of circles of D(I)."""
+    return circle_labels(d, bits)[0][1]
 
 
 def khovanov_sign(bits, i: int) -> int:
@@ -125,12 +157,7 @@ def check_planarity(d: Diagram) -> bool:
     incoherent site.  Exponential in the crossing number; intended for
     validating small curated diagrams.
     """
-    counts = {bits: count_circles(d, bits) for bits in vertices(d.n)}
-    for bits in vertices(d.n):
-        for i in range(d.n):
-            if bits[i]:
-                continue
-            to = bits[:i] + (1,) + bits[i + 1:]
-            if abs(counts[to] - counts[bits]) != 1:
-                return False
-    return True
+    ks = [k for _, k in circle_labels(d)]
+    return all(abs(ks[mask | 1 << s] - k) == 1
+               for mask, k in enumerate(ks) for s in range(d.n)
+               if not mask >> s & 1)

@@ -11,7 +11,7 @@ by (-1)^(n_minus) q^(n_plus - 2 n_minus).
 
 from __future__ import annotations
 
-from .cube import count_circles, vertices
+from .cube import circle_labels
 from .diagram import Diagram
 
 __all__ = ["LaurentPoly", "TooLarge", "kauffman_bracket", "jones",
@@ -115,9 +115,8 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     if n > MAX_BRACKET_CROSSINGS:
         raise TooLarge(f"{n} crossings exceeds bracket limit {MAX_BRACKET_CROSSINGS}")
     total = LaurentPoly()
-    for bits in vertices(n):
-        w = sum(bits)
-        k = count_circles(d, bits)
+    for mask, (_, k) in enumerate(circle_labels(d)):
+        w = mask.bit_count()
         term = (_CIRCLE ** k).shift(w)
         if w % 2:
             term = term * -1

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import EVEN
-from .chain import edge_map
+from .chain import _edge_signature, edge_map
 from .cube import Resolution, resolve, vertices
 from .diagram import Diagram
 from .jones import TooLarge
@@ -143,7 +143,7 @@ def check_commuting_square(d: Diagram) -> list:
                 continue
             to = bits[:i] + (1,) + bits[i + 1:]
             rJ, table = res[to], values[to]
-            emap = edge_map(rI, rJ, i, EVEN)
+            emap = edge_map(_edge_signature(rI, rJ, i), EVEN)
             split = rI.arrows[i].source == rI.arrows[i].target
             zero = [0] * 2 ** rJ.k
             for w, vec in values[bits].items():

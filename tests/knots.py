@@ -1,6 +1,8 @@
 """Diagram families shared by the tests: T(2, n) torus knots and
 braid closures."""
 
+import random
+
 from khoarrow.diagram import Diagram, parse_gauss
 
 
@@ -37,3 +39,21 @@ def braid_closure(word):
 def positive_braid_closure(word):
     """The closure of a positive braid word of 0-based letters g."""
     return braid_closure([g + 1 for g in word])
+
+
+def random_signed_knots(count, seed=14):
+    """Closures of random 3- and 4-strand words, 5-9 letters, both signs:
+    `count` (word, diagram) pairs, the same ones for one `seed`."""
+    rng = random.Random(seed)
+    while count:
+        strands = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randrange(1, strands)
+                for _ in range(rng.randint(5, 9))]
+        if min(word) > 0 or max(word) < 0:
+            continue
+        try:
+            d = braid_closure(word)
+        except ValueError:              # a link, not a knot
+            continue
+        count -= 1
+        yield word, d

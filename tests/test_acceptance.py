@@ -15,7 +15,7 @@ import sympy
 
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import build_unreduced, edge_map
+from khoarrow.chain import _edge_signature, build_unreduced, edge_map
 from khoarrow.cube import resolve
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, euler_characteristic, jones
@@ -148,7 +148,8 @@ def test_acceptance_6_arrow_convention():
                     continue
                 rJ = resolve(d, bits[:i] + (1,) + bits[i + 1:])
                 fI, fJ = _reversed_arrows(rI), _reversed_arrows(rJ)
-                ok = ok and all(edge_map(rI, rJ, i, p) == edge_map(fI, fJ, i, p)
+                ok = ok and all(edge_map(_edge_signature(rI, rJ, i), p)
+                                == edge_map(_edge_signature(fI, fJ, i), p)
                                 for p in PRESETS)
                 ok = ok and all(value(r, (a,)) == value(f, (a,))
                                 for r, f in ((rI, fI), (rJ, fJ))

@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 import dense
-from khoarrow import chain, corpus
+import reference
+from khoarrow import chain, cli, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (BigradedComplex, FaceNotProportional,
-                            build_unreduced, edge_map, solve_signs)
+                            _edge_signature, build_unreduced, edge_map,
+                            solve_signs)
 from khoarrow.cube import khovanov_sign, resolve, vertices
+from khoarrow.diagram import NonPlanarInconsistency, mirror, parse_gauss
+from khoarrow.homology import NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
-from knots import positive_braid_closure, torus
+from khoarrow.reduced import build_reduced
+from knots import positive_braid_closure, random_signed_knots, torus
 
 PRESETS = [EVEN, ODD, RingParams(-1, 1, 1), RingParams(-1, -1, -1)]
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
@@ -92,6 +97,12 @@ def _reversed_arrows(r):
                                    for a in r.arrows))
 
 
+def _edge(bits, i):
+    """The number solve_signs gives cube edge (bits, i): mask * n + i,
+    crossing j being bit n - 1 - j of the mask."""
+    return int("".join(map(str, bits)) or "0", 2) * len(bits) + i
+
+
 def _cube_faces(d):
     """All 2-faces (I, i, j) with i < j and I_i = I_j = 0."""
     return [(bits, i, j) for bits in vertices(d.n)
@@ -99,9 +110,16 @@ def _cube_faces(d):
             if bits[i] == 0 and bits[j] == 0]
 
 
-def _maps(d, p):
-    """A fresh edge map for every cube edge of `d`, none shared."""
-    return {(rI.index, i): edge_map(rI, rJ, i, p) for rI, rJ, i in _edges(d)}
+def _maps(d, p, reverse=False):
+    """A fresh edge map for every cube edge of `d`, none shared, at its
+    edge number; with `reverse`, made from resolutions whose every arrow
+    points the other way."""
+    maps = [None] * (d.n << d.n)
+    for rI, rJ, i in _edges(d):
+        if reverse:
+            rI, rJ = _reversed_arrows(rI), _reversed_arrows(rJ)
+        maps[_edge(rI.index, i)] = edge_map(_edge_signature(rI, rJ, i), p)
+    return maps
 
 
 def _signs(d, p):
@@ -133,12 +151,12 @@ def _double_one_coefficient(maps, bits, j, i):
     doubled, in a column whose image the next edge (bits + e_j, i) does
     not kill, so that the composite along j then i is no +-1 multiple
     of the one along i then j."""
-    first, second = maps[(bits, j)], maps[(_up(bits, j), i)]
+    first, second = maps[_edge(bits, j)], maps[_edge(_up(bits, j), i)]
     for c, images in enumerate(first):
         for k, (r, v) in enumerate(images):
             if second[r]:
                 col = images[:k] + ((r, 2 * v),) + images[k + 1:]
-                maps[(bits, j)] = first[:c] + [col] + first[c + 1:]
+                maps[_edge(bits, j)] = first[:c] + [col] + first[c + 1:]
                 return
     raise AssertionError(f"face {bits} ({j},{i}) has a vanishing composite")
 
@@ -192,7 +210,7 @@ def test_edge_map_shapes_and_grading():
     d = corpus.get("hopf")
     r00 = resolve(d, (0, 0))
     r10 = resolve(d, (1, 0))
-    m = edge_map(r00, r10, 0, EVEN)
+    m = edge_map(_edge_signature(r00, r10, 0), EVEN)
     assert len(m) == 2 ** r00.k
     assert any(m)
     # one column per source tensor, each image at most two tensors of one
@@ -211,7 +229,7 @@ def test_even_kink_edge_is_plain_structure_map():
     from khoarrow.diagram import parse_pd
     d = parse_pd("X[1,2,2,1]")       # one kink
     r0, r1 = resolve(d, (0,)), resolve(d, (1,))
-    m = _dense(edge_map(r0, r1, 0, EVEN), 2 ** r1.k)
+    m = _dense(edge_map(_edge_signature(r0, r1, 0), EVEN), 2 ** r1.k)
     expected = mul(EVEN) if r0.k > r1.k else comul(EVEN)
     assert abs(m).tolist() == abs(expected).tolist()
 
@@ -224,7 +242,7 @@ def test_sparse_edge_maps_equal_dense_oracle(name, reverse):
     for rI, rJ, i in _edges(corpus.get(name)):
         fI, fJ = map(_reversed_arrows, (rI, rJ)) if reverse else (rI, rJ)
         for p in ALL_PRESETS:
-            sparse = edge_map(fI, fJ, i, p)
+            sparse = edge_map(_edge_signature(fI, fJ, i), p)
             assert all([r for r, _ in images] == sorted(r for r, _ in images)
                        for images in sparse)
             assert np.array_equal(_dense(sparse, 2 ** rJ.k),
@@ -235,8 +253,13 @@ def test_sparse_edge_maps_equal_dense_oracle(name, reverse):
                          + [torus(7)])
 def test_even_signs_are_khovanov_signs(d):
     signs = _signs(d, EVEN)
-    assert len(signs) == d.n * 2 ** max(d.n - 1, 0)
-    assert all(s == khovanov_sign(bits, i) for (bits, i), s in signs.items())
+    edges = [(bits, i) for bits in vertices(d.n) for i in range(d.n)
+             if not bits[i]]
+    # every other number is no edge and reads 0
+    assert (sum(s != 0 for s in signs) == len(edges)
+            == d.n * 2 ** max(d.n - 1, 0))
+    assert all(signs[_edge(bits, i)] == khovanov_sign(bits, i)
+               for bits, i in edges)
 
 
 @pytest.mark.parametrize("p", ALL_PRESETS)
@@ -251,7 +274,7 @@ def test_signed_faces_anticommute(name, p):
 
     def signed(bits, i):
         to = bits[:i] + (1,) + bits[i + 1:]
-        return signs[(bits, i)] * dense_edge_map(res[bits], res[to], i, p)
+        return signs[_edge(bits, i)] * dense_edge_map(res[bits], res[to], i, p)
 
     for bits, i, j in _cube_faces(d):
         bi = bits[:i] + (1,) + bits[i + 1:]
@@ -263,17 +286,15 @@ def test_signed_faces_anticommute(name, p):
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("name", corpus.names())
-def test_shared_edge_maps_are_exact(monkeypatch, name, reverse):
-    if reverse:
-        # the build sees every arrow reversed and must make the same maps
-        monkeypatch.setattr(
-            chain, "resolve", lambda d, bits: _reversed_arrows(resolve(d, bits)))
+def test_shared_edge_maps_are_exact(name, reverse):
+    # the build reads no arrow: its maps are also those of resolutions
+    # with every arrow reversed
     d = corpus.get(name)
     for p in ALL_PRESETS:
         shared = _built_maps(d, p)
-        assert shared == _maps(d, p), p
+        assert shared == _maps(d, p, reverse), p
         # one list object per edge: no two faces have the same four maps
-        unshared = {key: list(m) for key, m in shared.items()}
+        unshared = [m if m is None else list(m) for m in shared]
         assert solve_signs(shared, d.n) == solve_signs(unshared, d.n), p
 
 
@@ -290,12 +311,57 @@ def test_build_makes_each_distinct_map_and_face_once(
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(chain, name, counted)
-    maps = _built_maps(d, p)
+    maps = [m for m in _built_maps(d, p) if m is not None]
     assert len(maps) == edges
-    assert len({id(m) for m in maps.values()}) == distinct_maps
+    assert len({id(m) for m in maps}) == distinct_maps
     assert len(_cube_faces(d)) == faces
     # each distinct face is composed along both of its paths
     assert calls == {"edge_map": distinct_maps, "_compose": 2 * distinct_faces}
+
+
+def _columns(c):
+    """Every column of `c` as its (row, entry) items, in their order."""
+    return {h: [list(col.items()) for col in cols]
+            for h, cols in c.boundaries.items()}
+
+
+def _assert_builds_equal(d, p, convention, reduced):
+    build = build_reduced if reduced else build_unreduced
+    c = build(d, p, convention=convention)
+    ref = reference.resolution_build(d, p, convention, reduced)
+    assert c.groups == ref.groups
+    assert _columns(c) == _columns(ref)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("name", corpus.names())
+def test_mask_build_equals_resolution_build_on_the_corpus(name, reduced):
+    for d in (corpus.get(name), mirror(corpus.get(name))):
+        for p in cli.PRESETS:
+            for convention in ("standard", "paper"):
+                _assert_builds_equal(d, p, convention, reduced)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_mask_build_equals_resolution_build_on_torus_diagrams(n):
+    for d in (torus(n), mirror(torus(n))):
+        _assert_builds_equal(d, ODD, "standard", False)
+        _assert_builds_equal(d, EVEN, "paper", True)
+
+
+def test_mask_build_equals_resolution_build_on_signed_braids():
+    for _, d in random_signed_knots(20):
+        for p in (EVEN, ODD):
+            _assert_builds_equal(d, p, "standard", False)
+            _assert_builds_equal(d, p, "standard", True)
+
+
+def test_builds_reject_a_virtual_code():
+    # a crossing of this code leaves one circle where it should split one
+    d = parse_gauss("O1-O2-U1-U2-")
+    for build in (build_unreduced, build_reduced):
+        with pytest.raises(NonPlanarInconsistency, match="not planar"):
+            build(d, EVEN)
 
 
 def test_corrupted_coefficient_is_not_proportional():
@@ -314,10 +380,10 @@ def test_emptied_image_leaves_one_composite_vanishing():
     d = corpus.get("figure8_r2")
     maps = _maps(d, EVEN)
     bits, j, i = (0, 0, 0, 1, 0, 0), 0, 1
-    first = maps[(bits, j)]
-    composite = chain._compose(maps[(_up(bits, j), i)], first)
+    first = maps[_edge(bits, j)]
+    composite = chain._compose(maps[_edge(_up(bits, j), i)], first)
     assert composite[0] and not any(composite[1:])
-    maps[(bits, j)] = [()] + first[1:]
+    maps[_edge(bits, j)] = [()] + first[1:]
     with pytest.raises(FaceNotProportional,
                        match="exactly one composite vanishes"):
         solve_signs(maps, d.n)
@@ -329,14 +395,15 @@ def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
     quads = {}
     for bits, j, i in _cube_faces(d):
         bj, bi = _up(bits, j), _up(bits, i)
-        quad = (maps[(bj, i)], maps[(bits, j)], maps[(bi, j)], maps[(bits, i)])
+        quad = (maps[_edge(bj, i)], maps[_edge(bits, j)],
+                maps[_edge(bi, j)], maps[_edge(bits, i)])
         quads.setdefault(tuple(map(id, quad)), []).append((bits, j, i))
     # a face whose four maps repeat those of an earlier face
     faces = max(quads.values(), key=len)
     assert len(faces) > 1
     bits, j, i = faces[-1]
-    original = maps[(bits, j)]
-    assert sum(m is original for m in maps.values()) > 1
+    original = maps[_edge(bits, j)]
+    assert sum(m is original for m in maps) > 1
     _double_one_coefficient(maps, bits, j, i)
     with pytest.raises(FaceNotProportional):
         solve_signs(maps, d.n)
@@ -352,6 +419,18 @@ def test_bigraded_complex_checks_catch_errors():
         groups={0: [0], 1: [5]},
         boundaries={0: [{0: 1}]})
     assert not bad_q.check_q_preserved()
+    # a row past degree h + 1 is no generator: rejected, not an IndexError
+    bad_row = BigradedComplex(
+        groups={0: [1], 1: [1]},
+        boundaries={0: [{5: 1}]})
+    assert not bad_row.check_q_preserved()
+    with pytest.raises(NotAComplex):
+        homology(bad_row)
+    # a column past the generators of degree h, likewise
+    bad_col = BigradedComplex(
+        groups={0: [1], 1: [1]},
+        boundaries={0: [{0: 1}, {0: 1}]})
+    assert not bad_col.check_q_preserved()
 
 
 @pytest.mark.parametrize("boundaries", [

@@ -216,12 +216,14 @@ def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
 
     edge_map = chain.edge_map
 
-    def corrupted(rI, rJ, i, p):
+    def corrupted(sig, p):
         # every edge map conjugated by the flip of x on circle 0: faces
         # still anticommute and d^2 = 0, but the kept half of each block
         # is now the old discarded one, which the boundary leaves
-        emap = edge_map(rI, rJ, i, p)
-        top_I, top_J = 1 << (rI.k - 1), 1 << (rJ.k - 1)
+        emap = edge_map(sig, p)
+        kind, kI = sig[:2]
+        kJ = kI - 1 if kind == "merge" else kI + 1
+        top_I, top_J = 1 << (kI - 1), 1 << (kJ - 1)
         return [tuple((r ^ top_J, v) for r, v in emap[c ^ top_I])
                 for c in range(len(emap))]
 

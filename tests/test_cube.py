@@ -80,6 +80,14 @@ def test_resolve_validates_bits():
         resolve(HOPF, (0, 2))
 
 
+@pytest.mark.parametrize("bits", [(0,), (2, 0, 0), (0, 0, 0, 1)])
+def test_count_circles_validates_bits_like_resolve(bits):
+    # too short, not a bit, too long: neither counts circles of such a vertex
+    for fn in (resolve, count_circles):
+        with pytest.raises(ValueError, match="bad resolution index"):
+            fn(TREFOIL, bits)
+
+
 def test_khovanov_sign():
     assert khovanov_sign((0, 0, 0), 0) == 1
     assert khovanov_sign((1, 0, 0), 1) == -1

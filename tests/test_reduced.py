@@ -1,6 +1,5 @@
 """Operator lattices and the reduced complex."""
 
-import random
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -22,7 +21,7 @@ from khoarrow.lattice import (AdmissibleSubgraph, check_commuting_square,
 from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 from dense import t_merge, t_split
-from knots import braid_closure, positive_braid_closure, torus
+from knots import positive_braid_closure, random_signed_knots, torus
 from reference import UnionFind, restricted_reduced
 
 KINK = parse_pd("X[1,2,2,1]")
@@ -456,26 +455,9 @@ def test_cycle_relations():
 # ------------------------------------------------ signed braid closures
 
 
-def _random_signed_knots(count, seed=14):
-    """Closures of random 3- and 4-strand words, 5-9 letters, both signs."""
-    rng = random.Random(seed)
-    while count:
-        strands = rng.choice((3, 4))
-        word = [rng.choice((1, -1)) * rng.randrange(1, strands)
-                for _ in range(rng.randint(5, 9))]
-        if min(word) > 0 or max(word) < 0:
-            continue
-        try:
-            d = braid_closure(word)
-        except ValueError:              # a link, not a knot
-            continue
-        count -= 1
-        yield word, d
-
-
 def test_signed_braid_closures_are_planar_and_match_jones():
     signs = set()
-    for word, d in _random_signed_knots(20):
+    for word, d in random_signed_knots(20):
         assert d.n == len(word) and d.n_plus and d.n_minus, word
         assert d.signs == tuple(1 if g > 0 else -1 for g in word), word
         signs.update(d.signs)
