@@ -2,10 +2,10 @@
 resolution cube.
 
 A build reads the circles of every vertex from one walk of the cube
-(``cube.circle_labels``) and makes no ``Resolution``: vertex I is the
-bit mask with crossing i at bit n - 1 - i, and maps, signs and block
-offsets sit in flat lists indexed by mask, or by mask * n + i for the
-edge at crossing i.
+(``cube.circle_labels``), and the local picture of every edge from
+those labels (``_edges``): vertex I is the bit mask with crossing i at
+bit n - 1 - i, and maps, signs and block offsets sit in flat lists
+indexed by mask, or by mask * n + i for the edge at crossing i.
 
 Edge maps are built from the parameterized (co)multiplication acting at
 the stable position of the merged/split circle, with tensor factors
@@ -35,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import RingParams
-from .cube import Resolution, circle_labels
+from .cube import circle_labels
 from .diagram import Diagram, NonPlanarInconsistency
 
 __all__ = [
     "BigradedComplex",
-    "NotAnEdge",
     "FaceNotProportional",
     "Unsolvable",
     "NotASubcomplex",
@@ -48,10 +47,6 @@ __all__ = [
     "solve_signs",
     "build_unreduced",
 ]
-
-
-class NotAnEdge(ValueError):
-    pass
 
 
 class FaceNotProportional(RuntimeError):
@@ -93,17 +88,21 @@ class BigradedComplex:
     def check_d_squared(self) -> bool:
         """Whether every composite d_{h+1} d_h vanishes, exactly over Z.
 
-        Raises ValueError if d_{h+1} and d_h do not compose: d_{h+1} has
-        a column count other than the number of generators of degree h+1,
-        or d_h has a row index past them.
+        Raises ValueError if a boundary does not fit its groups: d_h has
+        a column count other than the number of generators of degree h,
+        or, where d_{h+1} follows it, a row index outside the generators
+        of degree h + 1 (negative, or past them).
         """
+        for h, cols in self.boundaries.items():
+            if len(cols) != len(self.groups.get(h, [])):
+                raise ValueError(f"d_{h} has {len(cols)} columns for "
+                                 f"{len(self.groups.get(h, []))} generators")
         for h, first in self.boundaries.items():
             second = self.boundaries.get(h + 1)
             if second is None:
                 continue
             size = len(self.groups.get(h + 1, []))
-            if len(second) != size or any(
-                    r >= size for col in first for r in col):
+            if any(not 0 <= r < size for col in first for r in col):
                 raise ValueError(f"d_{h + 1} and d_{h} do not compose")
             for col in first:
                 acc: dict[int, int] = {}
@@ -117,8 +116,8 @@ class BigradedComplex:
     def check_q_preserved(self) -> bool:
         """Whether every boundary entry joins two generators of one
         quantum degree; False too for a column count other than the
-        number of generators of degree h, or a row past those of degree
-        h + 1."""
+        number of generators of degree h, or a row index outside those of
+        degree h + 1 (negative, or past them)."""
         for h, cols in self.boundaries.items():
             qs_src = self.groups.get(h, [])
             qs_dst = self.groups.get(h + 1, [])
@@ -126,7 +125,8 @@ class BigradedComplex:
                 return False
             size = len(qs_dst)
             for c, col in enumerate(cols):
-                if any(r >= size or qs_dst[r] != qs_src[c] for r in col):
+                if any(not 0 <= r < size or qs_dst[r] != qs_src[c]
+                       for r in col):
                     return False
         return True
 
@@ -164,26 +164,31 @@ def _signature(i: int, n: int, mask: int, kI: int, kJ: int,
     return ("split", kI, cI, cJ if cJ > aJ else aJ)
 
 
-def _edge_signature(rI: Resolution, rJ: Resolution, i: int) -> tuple:
-    """``_signature`` of the cube edge rI -> rJ at crossing i, read from
-    the arrows of the two resolutions, which join the circles of arcs c
-    and a.  No direction is read.  Raises NotAnEdge unless rI -> rJ
-    flips bit i from 0 to 1 and no other bit.
+def _edges(d: Diagram, cube: list):
+    """(mask, i, ``_signature``) for every cube edge (I, i) of `d`, in
+    ascending masks, then ascending crossings; `cube` is
+    ``circle_labels(d)``, and vertex I sits at mask(I), crossing j at bit
+    n - 1 - j.
+
+    Crossing i's arrow joins the circles of its arcs c and a, so each
+    signature reads those two arcs' labels in I and in J = I + e_i.
+    Raises NonPlanarInconsistency for a virtual diagram.
     """
-    bits = rI.index
-    if bits[i] or rJ.index != bits[:i] + (1,) + bits[i + 1:]:
-        raise NotAnEdge(f"{rI.index} -> {rJ.index} is not the edge at {i}")
-    n = len(bits)
-    mask = sum(b << (n - 1 - j) for j, b in enumerate(bits))
-    arr_I, arr_J = rI.arrows[i], rJ.arrows[i]
-    return _signature(i, n, mask, rI.k, rJ.k, arr_I.source, arr_I.target,
-                      arr_J.source, arr_J.target)
+    n = d.n
+    ends = [(1 << (n - 1 - i), c, a)
+            for i, (a, _, c, _) in enumerate(d.crossings)]
+    for mask, (at_I, kI) in enumerate(cube):
+        for i, (bit, c, a) in enumerate(ends):
+            if not mask & bit:
+                at_J, kJ = cube[mask | bit]
+                yield mask, i, _signature(i, n, mask, kI, kJ, at_I[c],
+                                          at_I[a], at_J[c], at_J[a])
 
 
 def edge_map(sig: tuple, p: RingParams) -> list:
     """Unsigned chain map A^{(x)k(I)} -> A^{(x)k(J)} along a cube edge
-    whose local picture is `sig` (``_signature``; ``_edge_signature``
-    reads it from two resolutions).
+    whose local picture is `sig` (``_signature``, which ``_edges`` reads
+    for every edge of a cube).
 
     The map is monomial: entry idx is the image of basis tensor idx, a
     tuple of at most two (row, coeff) pairs with rows in increasing
@@ -398,41 +403,32 @@ def _build(d: Diagram, p: RingParams, convention: str,
     of every vertex block (x on circle 0, the base circle) with q + 1.
 
     Each edge's signature is read from the circle labels of its two
-    vertices.  Signs are solved over the full shared edge maps either
-    way.  Raises NonPlanarInconsistency for a virtual diagram, and
-    NotASubcomplex when `reduced` and an edge map sends a kept generator
-    into the discarded half of its target block.
+    vertices (``_edges``).  Signs are solved over the full shared edge
+    maps either way.  Raises NonPlanarInconsistency for a virtual
+    diagram, and NotASubcomplex when `reduced` and an edge map sends a
+    kept generator into the discarded half of its target block.
     """
     if convention not in ("standard", "paper"):
         raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
     cube = circle_labels(d)
-    # crossing i flips bit n - 1 - i; its arrow joins the circles of its
-    # arcs c and a
-    ends = [(1 << (n - 1 - i), c, a)
-            for i, (a, _, c, _) in enumerate(d.crossings)]
     # edges with one signature share one map object, which also lets
     # solve_signs check each distinct face once
     shared: dict[tuple, list] = {}
     maps: list = [None] * (n << n)
-    for mask, (at_I, kI) in enumerate(cube):
-        for i, (bit, c, a) in enumerate(ends):
-            if mask & bit:
-                continue
-            at_J, kJ = cube[mask | bit]
-            sig = _signature(i, n, mask, kI, kJ, at_I[c], at_I[a],
-                             at_J[c], at_J[a])
-            emap = shared.get(sig)
-            if emap is None:
-                emap = shared[sig] = edge_map(sig, p)
-                # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
-                if reduced and any(row < 1 << (kJ - 1)
-                                   for images in emap[1 << (kI - 1):]
-                                   for row, _ in images):
-                    raise NotASubcomplex(
-                        f"boundary from degree {mask.bit_count() - d.n_minus}"
-                        f" leaves the reduced generators")
-            maps[mask * n + i] = emap
+    for mask, i, sig in _edges(d, cube):
+        emap = shared.get(sig)
+        if emap is None:
+            emap = shared[sig] = edge_map(sig, p)
+            kI, kJ = sig[1], cube[mask | 1 << (n - 1 - i)][1]
+            # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
+            if reduced and any(row < 1 << (kJ - 1)
+                               for images in emap[1 << (kI - 1):]
+                               for row, _ in images):
+                raise NotASubcomplex(
+                    f"boundary from degree {mask.bit_count() - d.n_minus}"
+                    f" leaves the reduced generators")
+        maps[mask * n + i] = emap
     signs = solve_signs(maps, n)
 
     # generator idx of a block sits at q = k - 2 |idx| + |I| + shift, |idx|

@@ -20,12 +20,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from time import perf_counter
 
 from . import corpus
 from .algebra import EVEN, ODD, RingParams
 from .chain import FaceNotProportional, Unsolvable, build_unreduced
+from .cube import arrows, circle_labels
 from .diagram import DiagramError, parse_gauss, parse_pd
 from .homology import NotAComplex, homology
 from .jones import TooLarge, euler_characteristic, jones
@@ -162,16 +162,13 @@ def _suite_commuting_square(report):
 
 
 def _suite_graph_span(report):
-    from .cube import resolve, vertices
     for name in corpus.names():
         d = corpus.get(name)
         if d.n > 6:
             continue
-        ok = True
-        for bits in vertices(d.n):
-            if not check_graph_span(resolve(d, bits))["equal"]:
-                ok = False
-        report(f"graph-span {name}", ok)
+        report(f"graph-span {name}",
+               all(check_graph_span(k, arrows(d, labels))["equal"]
+                   for labels, k in circle_labels(d)))
 
 
 def _suite_rm_invariance(report):
@@ -189,23 +186,22 @@ def _suite_rm_invariance(report):
 def _suite_arrows(report):
     # arrow direction is recorded but read by no map: reversing every
     # arrow changes no edge map and no single-arrow operator
-    from .chain import _edge_signature, edge_map
-    from .cube import resolve, vertices
+    from .chain import _edges, _signature, edge_map
     from .lattice import value
     for name in corpus.names():
         d = corpus.get(name)
-        res = {I: resolve(d, I) for I in vertices(d.n)}
-        rev = {I: replace(r, arrows=tuple(
-            replace(a, source=a.target, target=a.source) for a in r.arrows))
-            for I, r in res.items()}
-        edges = [(I, I[:i] + (1,) + I[i + 1:], i)
-                 for I in res for i in range(d.n) if not I[i]]
-        ok = all(value(res[I], (a,)) == value(rev[I], (a,))
-                 for I in res for a in range(d.n))
-        ok = ok and all(
-            edge_map(_edge_signature(res[I], res[J], i), p)
-            == edge_map(_edge_signature(rev[I], rev[J], i), p)
-            for I, J, i in edges for p in PRESETS)
+        n = d.n
+        cube = circle_labels(d)
+        fwd = [arrows(d, labels) for labels, _ in cube]
+        rev = [[(t, s) for s, t in arr] for arr in fwd]
+        ok = all(value(k, fwd[I], (a,)) == value(k, rev[I], (a,))
+                 for I, (_, k) in enumerate(cube) for a in range(n))
+        for I, i, sig in _edges(d, cube):
+            J = I | 1 << (n - 1 - i)
+            flipped = _signature(i, n, I, cube[I][1], cube[J][1],
+                                 *rev[I][i], *rev[J][i])
+            ok = ok and all(edge_map(sig, p) == edge_map(flipped, p)
+                            for p in PRESETS)
         report(f"arrows {name}", ok)
 
 

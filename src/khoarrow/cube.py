@@ -5,53 +5,18 @@ of two crossingless local pictures selected by the bits of I.  For a
 crossing (a, b, c, d) the 0-smoothing joins (a,b) and (c,d), the
 1-smoothing joins (a,d) and (b,c).  Circles are connected components of
 arcs under these joins; every crossing contributes one arrow between the
-circles carrying its two smoothing arcs.  ``circle_labels`` is the one
-routine that finds circles: for one vertex, or in one walk for the whole
-cube, which the chain-complex build reads without making a
-``Resolution`` per vertex.
+circles carrying its two smoothing arcs.  A vertex is its circle labels,
+one dict from arc to circle, and its circle count k.  ``circle_labels``
+is the one routine that finds circles: for one vertex, or in one walk
+for the whole cube, which every consumer of the cube reads; ``arrows``
+reads a vertex's arrows off its labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-
 from .diagram import Diagram
 
-__all__ = [
-    "Arrow",
-    "Resolution",
-    "vertices",
-    "circle_labels",
-    "resolve",
-    "count_circles",
-    "khovanov_sign",
-    "check_planarity",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class Arrow:
-    crossing: int
-    source: int   # circle index within the resolution
-    target: int
-
-
-@dataclass(frozen=True)
-class Resolution:
-    index: tuple[int, ...]
-    circles: tuple[tuple[int, ...], ...]   # sorted arc labels; free loops empty
-    arrows: tuple[Arrow, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.circles)
-
-    def circle_of(self, arc: int) -> int:
-        for i, circ in enumerate(self.circles):
-            if arc in circ:
-                return i
-        raise KeyError(f"arc {arc} not in resolution {self.index}")
+__all__ = ["circle_labels", "arrows", "check_planarity"]
 
 
 def circle_labels(d: Diagram, bits=None) -> list[tuple[dict[int, int], int]]:
@@ -115,38 +80,16 @@ def circle_labels(d: Diagram, bits=None) -> list[tuple[dict[int, int], int]]:
     return out
 
 
-def resolve(d: Diagram, bits) -> Resolution:
-    """Smooth every crossing of `d` according to `bits`."""
-    bits = tuple(int(b) for b in bits)
-    (labels, k), = circle_labels(d, bits)
-    members: list[list[int]] = [[] for _ in range(k - d.free_loops)]
-    for a, c in labels.items():
-        members[c].append(a)
-    circles = tuple(map(tuple, members)) + ((),) * d.free_loops
-    # the arrow leaves the smoothing arc carrying the outgoing under
-    # strand (arc c sits in the second pair for either bit) and points
-    # at the circle through the other smoothing arc, which holds arc a
-    arrows = tuple(Arrow(ci, labels[c], labels[a])
-                   for ci, (a, _, c, _) in enumerate(d.crossings))
-    return Resolution(bits, circles, arrows)
+def arrows(d: Diagram, labels: dict[int, int]) -> list[tuple[int, int]]:
+    """The arrow of every crossing of `d` in the vertex whose circle
+    labels (``circle_labels``) are `labels`, as (source, target) circles.
 
-
-def count_circles(d: Diagram, bits) -> int:
-    """Number of circles of D(I)."""
-    return circle_labels(d, bits)[0][1]
-
-
-def khovanov_sign(bits, i: int) -> int:
-    """(-1)^(number of 1-bits strictly before coordinate i); i is 0-based."""
-    bits = tuple(bits)
-    if bits[i] != 0:
-        raise ValueError(f"coordinate {i} of {bits} is already 1")
-    return -1 if sum(bits[:i]) % 2 else 1
-
-
-def vertices(n: int):
-    """The 2^n vertices of the n-cube as bit tuples, in lexicographic order."""
-    return product((0, 1), repeat=n)
+    The arrow leaves the smoothing arc carrying the outgoing under strand
+    (arc c sits in the second pair for either bit) and points at the
+    circle through the other smoothing arc, which holds arc a; both on
+    one circle make a loop arrow.
+    """
+    return [(labels[c], labels[a]) for a, _, c, _ in d.crossings]
 
 
 def check_planarity(d: Diagram) -> bool:

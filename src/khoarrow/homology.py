@@ -85,7 +85,7 @@ def _graph(c):
         for col_idx, col in enumerate(c.boundaries.get(h, ())):
             src, q = first[h] + col_idx, c.groups[h][col_idx]
             for row_idx, a in col.items():
-                if row_idx >= size or qs_next[row_idx] != q:
+                if not 0 <= row_idx < size or qs_next[row_idx] != q:
                     raise NotAComplex(
                         f"d_{h} entry ({row_idx}, {col_idx}) does not map "
                         f"into degree (h={h + 1}, q={q})")
@@ -144,7 +144,11 @@ def _snf_of_block(out, cols, rows):
 
 def homology(c) -> HomologyTable:
     """Integer homology of a BigradedComplex, exact over Z."""
-    if not c.check_d_squared():
+    try:
+        squares = c.check_d_squared()
+    except ValueError as exc:          # d_h does not fit its groups
+        raise NotAComplex(str(exc)) from exc
+    if not squares:
         raise NotAComplex("boundary maps do not square to zero")
     grading, out, inc = _graph(c)
     _cancel_units(out, inc)

@@ -1,17 +1,50 @@
-"""Slow, plain reference versions of three build steps.
+"""Slow, plain reference versions of build steps, and test-only helpers.
 
 ``resolve`` finds circles with a union-find class, ``resolution_build``
 assembles a complex from one ``Resolution`` per vertex with bit-tuple
 keys, and ``restricted_reduced`` builds the whole unreduced complex and
 keeps the top half of every vertex block.  The package does all three
-faster; the tests compare its results with these.
+faster; the tests compare its results with these.  The last part holds
+the graph model of the operator lattices that only the tests read:
+``enumerate_admissible``, ``psi``, ``find_cycles`` and
+``check_cycle_relations``, evaluated with the package's
+``lattice.value`` and ``lattice._with_loops``.
 """
+
+from dataclasses import dataclass
+from itertools import product
 
 from khoarrow.algebra import EVEN
 from khoarrow.chain import (BigradedComplex, Unsolvable, _compose,
-                            _edge_signature, _proportion, build_unreduced,
+                            _proportion, _signature, build_unreduced,
                             edge_map)
-from khoarrow.cube import Arrow, Resolution, khovanov_sign, vertices
+from khoarrow.lattice import _admissible, _with_loops, value
+
+
+@dataclass(frozen=True)
+class Resolution:
+    """The smoothing D(I) of a diagram at the vertex `index`."""
+
+    index: tuple
+    circles: tuple     # sorted arc labels, by smallest arc; free loops empty
+    arrows: tuple      # (source, target) circles, one pair per crossing
+
+    @property
+    def k(self):
+        return len(self.circles)
+
+
+def vertices(n):
+    """The 2^n vertices of the n-cube as bit tuples, in lexicographic order."""
+    return product((0, 1), repeat=n)
+
+
+def khovanov_sign(bits, i):
+    """(-1)^(number of 1-bits strictly before coordinate i); i is 0-based."""
+    bits = tuple(bits)
+    if bits[i] != 0:
+        raise ValueError(f"coordinate {i} of {bits} is already 1")
+    return -1 if sum(bits[:i]) % 2 else 1
 
 
 class UnionFind:
@@ -52,10 +85,21 @@ def resolve(d, bits):
     circles += [()] * d.free_loops
     index_of = {a: i for i, circ in enumerate(circles) for a in circ}
     arrows = []
-    for ci, (c, bit) in enumerate(zip(d.crossings, bits)):
+    for c, bit in zip(d.crossings, bits):
         p_ab, p_cd = _smoothing_pairs(c, bit)
-        arrows.append(Arrow(ci, index_of[p_cd[0]], index_of[p_ab[0]]))
+        arrows.append((index_of[p_cd[0]], index_of[p_ab[0]]))
     return Resolution(bits, tuple(circles), tuple(arrows))
+
+
+def edge_signature(rI, rJ, i):
+    """``chain._signature`` of the cube edge rI -> rJ at crossing i, read
+    from the arrows of the two resolutions, which join the circles of
+    arcs c and a.  No direction is read."""
+    bits = rI.index
+    assert not bits[i] and rJ.index == _flip(bits, i, 1), (bits, rJ.index, i)
+    mask = int("".join(map(str, bits)) or "0", 2)
+    return _signature(i, len(bits), mask, rI.k, rJ.k, *rI.arrows[i],
+                      *rJ.arrows[i])
 
 
 def cube_layout(d):
@@ -120,7 +164,7 @@ def _solve_signs(maps, n):
 
 def resolution_build(d, p=EVEN, convention="standard", reduced=False):
     """``chain.build_unreduced`` (or, with `reduced`, ``build_reduced``)
-    assembled from one ``resolve`` per vertex and one ``_edge_signature``
+    assembled from one ``resolve`` per vertex and one ``edge_signature``
     per edge, with maps, signs and block offsets keyed by bit tuples."""
     n = d.n
     res = {bits: resolve(d, bits) for bits in vertices(n)}
@@ -128,7 +172,7 @@ def resolution_build(d, p=EVEN, convention="standard", reduced=False):
     for bits, r in res.items():
         for i in range(n):
             if not bits[i]:
-                sig = _edge_signature(r, res[_flip(bits, i, 1)], i)
+                sig = edge_signature(r, res[_flip(bits, i, 1)], i)
                 if sig not in shared:
                     shared[sig] = edge_map(sig, p)
                 maps[(bits, i)] = shared[sig]
@@ -194,3 +238,86 @@ def restricted_reduced(d, p=EVEN, convention="standard"):
         for g in keep[h]:
             boundaries[h].append({row_of[r]: v for r, v in cols[g].items()})
     return BigradedComplex(groups=groups, boundaries=boundaries)
+
+
+# --- the graph model of the operator lattices ---------------------------
+
+@dataclass(frozen=True)
+class AdmissibleSubgraph:
+    """Sub-multigraph of the arrow graph with distinguished vertices.
+
+    edges are arrow indices; every connected component is either a tree
+    with at most one distinguished vertex, a single-cycle subgraph with
+    none, or (when the circle carries a loop arrow) a lone distinguished
+    vertex.
+    """
+
+    edges: tuple
+    distinguished: tuple
+
+
+def enumerate_admissible(k, arrows):
+    """All admissible subgraphs of the arrow multigraph of the resolution
+    with `k` circles and `arrows`, in ascending edge mask, then ascending
+    distinguished-vertex mask (``lattice._admissible``)."""
+    return [AdmissibleSubgraph(edges, dist)
+            for edges, dists in _admissible(k, arrows) for dist in dists]
+
+
+def psi(g, k, arrows):
+    """Evaluate a subgraph: merge operator per edge, loop per vertex."""
+    return _with_loops(k, value(k, arrows, g.edges), g.distinguished)
+
+
+def find_cycles(arrows, max_len=6):
+    """Simple cycles in the arrow multigraph as (edge list, vertex list).
+
+    Vertex list v_0..v_m has v_m = v_0; parallel arrows give 2-cycles.
+    Loop arrows are excluded (they are cycles of length 1 handled by the
+    loop operator directly).
+    """
+    ends = [(i, s, t) for i, (s, t) in enumerate(arrows) if s != t]
+    cycles = []
+    seen = set()
+
+    def extend(path_edges, path_verts):
+        last = path_verts[-1]
+        for i, s, t in ends:
+            if i in path_edges:
+                continue
+            nxt = t if s == last else (s if t == last else None)
+            if nxt is None:
+                continue
+            if nxt == path_verts[0] and len(path_edges) >= 1:
+                key = frozenset(path_edges + [i])
+                if key not in seen:
+                    seen.add(key)
+                    cycles.append((path_edges + [i], path_verts + [nxt]))
+                continue
+            if nxt in path_verts or len(path_edges) + 1 >= max_len:
+                continue
+            extend(path_edges + [i], path_verts + [nxt])
+
+    for i, s, t in ends:
+        extend([i], [s, t])
+    return cycles
+
+
+def check_cycle_relations(k, arrows, cycle):
+    """The two kernel relations of the graph assignment on one cycle.
+
+    For an even cycle, the alternating edge sums agree; for any cycle,
+    the full edge product equals the product with one edge dropped and a
+    loop operator at a cycle vertex inserted instead.
+    """
+    edges, verts = cycle
+    out = {}
+    if len(edges) % 2 == 0:
+        sums = [[sum(c) for c in zip(*(value(k, arrows, (i,)) for i in half))]
+                for half in (edges[0::2], edges[1::2])]
+        out["even_sum"] = sums[0] == sums[1]
+    full = value(k, arrows, edges)
+    out["product_loop"] = all(
+        _with_loops(k, value(k, arrows, edges[:-1]), (v,)) == full
+        for v in set(verts))
+    return out

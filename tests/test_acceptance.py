@@ -8,21 +8,20 @@ output of a failing run as well.
 import random
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import sympy
 
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import _edge_signature, build_unreduced, edge_map
-from khoarrow.cube import resolve
+from khoarrow.chain import _edges, _signature, build_unreduced, edge_map
+from khoarrow.cube import arrows, circle_labels
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, euler_characteristic, jones
-from khoarrow.lattice import (check_commuting_square, check_cycle_relations,
-                              check_graph_span, find_cycles, value)
+from khoarrow.lattice import check_commuting_square, check_graph_span, value
 from khoarrow.reduced import build_reduced
 from khoarrow.snf import smith_normal_form
+from reference import check_cycle_relations, find_cycles
 
 PRESETS = (RingParams(1, 1, 1), RingParams(1, -1, 1),
            RingParams(-1, 1, 1), RingParams(-1, -1, -1))
@@ -35,11 +34,6 @@ def _report(n, ok, detail=""):
     print(line, file=sys.__stdout__)
     print(line)
     assert ok, detail
-
-
-def _all_bits(n):
-    for m in range(2 ** n):
-        yield tuple((m >> (n - 1 - j)) & 1 for j in range(n))
 
 
 def _shift_aligned(tables):
@@ -115,22 +109,17 @@ def test_acceptance_5_graph_group_span():
         d = corpus.get(name)
         if d.n > 6:
             continue
-        for bits in _all_bits(d.n):
-            r = resolve(d, bits)
-            if not check_graph_span(r)["equal"]:
+        for labels, k in circle_labels(d):
+            arr = arrows(d, labels)
+            if not check_graph_span(k, arr)["equal"]:
                 ok = False
-            for cyc in find_cycles(r):
-                rep = check_cycle_relations(r, cyc)
+            for cyc in find_cycles(arr):
+                rep = check_cycle_relations(k, arr, cyc)
                 if not all(rep.values()):
                     ok = False
                 cycles_checked += 1
     _report(5, ok and cycles_checked >= 10,
             f"{cycles_checked} cycle instance(s)")
-
-
-def _reversed_arrows(r):
-    return replace(r, arrows=tuple(replace(a, source=a.target, target=a.source)
-                                   for a in r.arrows))
 
 
 def test_acceptance_6_arrow_convention():
@@ -141,20 +130,19 @@ def test_acceptance_6_arrow_convention():
     edges = 0
     for name in corpus.names():
         d = corpus.get(name)
-        for bits in _all_bits(d.n):
-            rI = resolve(d, bits)
-            for i in range(d.n):
-                if bits[i]:
-                    continue
-                rJ = resolve(d, bits[:i] + (1,) + bits[i + 1:])
-                fI, fJ = _reversed_arrows(rI), _reversed_arrows(rJ)
-                ok = ok and all(edge_map(_edge_signature(rI, rJ, i), p)
-                                == edge_map(_edge_signature(fI, fJ, i), p)
-                                for p in PRESETS)
-                ok = ok and all(value(r, (a,)) == value(f, (a,))
-                                for r, f in ((rI, fI), (rJ, fJ))
-                                for a in range(d.n))
-                edges += 1
+        n = d.n
+        cube = circle_labels(d)
+        fwd = [arrows(d, labels) for labels, _ in cube]
+        rev = [[(t, s) for s, t in arr] for arr in fwd]
+        for I, i, sig in _edges(d, cube):
+            J = I | 1 << (n - 1 - i)
+            kI, kJ = cube[I][1], cube[J][1]
+            flipped = _signature(i, n, I, kI, kJ, *rev[I][i], *rev[J][i])
+            ok = ok and all(edge_map(sig, p) == edge_map(flipped, p)
+                            for p in PRESETS)
+            ok = ok and all(value(k, fwd[v], (a,)) == value(k, rev[v], (a,))
+                            for v, k in ((I, kI), (J, kJ)) for a in range(n))
+            edges += 1
     _report(6, ok and edges > 0, f"{edges} cube edge(s)")
 
 

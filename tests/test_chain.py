@@ -12,14 +12,13 @@ import reference
 from khoarrow import chain, cli, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (BigradedComplex, FaceNotProportional,
-                            _edge_signature, build_unreduced, edge_map,
-                            solve_signs)
-from khoarrow.cube import khovanov_sign, resolve, vertices
+                            build_unreduced, edge_map, solve_signs)
 from khoarrow.diagram import NonPlanarInconsistency, mirror, parse_gauss
 from khoarrow.homology import NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
 from khoarrow.reduced import build_reduced
 from knots import positive_braid_closure, random_signed_knots, torus
+from reference import edge_signature, khovanov_sign, resolve, vertices
 
 PRESETS = [EVEN, ODD, RingParams(-1, 1, 1), RingParams(-1, -1, -1)]
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
@@ -55,19 +54,20 @@ def dense_edge_map(rI, rJ, i, p):
     the dense structure maps of ``dense`` with Kronecker products."""
     kI = rI.k
     arr = rI.arrows[i]
-    if arr.source != arr.target:
-        ps, pt = sorted((arr.source, arr.target))
+    if arr[0] != arr[1]:
+        ps, pt = sorted(arr)
         pre = _bubble(p, kI, pt, ps + 1)
         m_op = np.kron(
             np.kron(np.eye(2 ** ps, dtype=np.int64), dense.mul(p)),
             np.eye(2 ** (kI - ps - 2), dtype=np.int64))
         return m_op @ pre @ _reach_twist(kI, range(ps), p.x, p.z)
-    pu = arr.source
+    pu = arr[0]
     d_op = np.kron(
         np.kron(np.eye(2 ** pu, dtype=np.int64), dense.comul(p)),
         np.eye(2 ** (kI - pu - 1), dtype=np.int64))
-    d_min = rJ.circle_of(rI.circles[pu][0])
-    daughters = {rJ.circle_of(a) for a in rI.circles[pu]}
+    circle_of = {a: c for c, circ in enumerate(rJ.circles) for a in circ}
+    d_min = circle_of[rI.circles[pu][0]]
+    daughters = {circle_of[a] for a in rI.circles[pu]}
     d_other = (daughters - {d_min}).pop()
     post = _bubble(p, kI + 1, pu + 1, d_other)
     return post @ d_op @ _reach_twist(kI, range(pu), p.z, p.y)
@@ -93,8 +93,7 @@ def _edges(d):
 
 def _reversed_arrows(r):
     """`r` with every arrow pointing the other way."""
-    return replace(r, arrows=tuple(replace(a, source=a.target, target=a.source)
-                                   for a in r.arrows))
+    return replace(r, arrows=tuple((t, s) for s, t in r.arrows))
 
 
 def _edge(bits, i):
@@ -118,7 +117,7 @@ def _maps(d, p, reverse=False):
     for rI, rJ, i in _edges(d):
         if reverse:
             rI, rJ = _reversed_arrows(rI), _reversed_arrows(rJ)
-        maps[_edge(rI.index, i)] = edge_map(_edge_signature(rI, rJ, i), p)
+        maps[_edge(rI.index, i)] = edge_map(edge_signature(rI, rJ, i), p)
     return maps
 
 
@@ -210,7 +209,7 @@ def test_edge_map_shapes_and_grading():
     d = corpus.get("hopf")
     r00 = resolve(d, (0, 0))
     r10 = resolve(d, (1, 0))
-    m = edge_map(_edge_signature(r00, r10, 0), EVEN)
+    m = edge_map(edge_signature(r00, r10, 0), EVEN)
     assert len(m) == 2 ** r00.k
     assert any(m)
     # one column per source tensor, each image at most two tensors of one
@@ -229,7 +228,7 @@ def test_even_kink_edge_is_plain_structure_map():
     from khoarrow.diagram import parse_pd
     d = parse_pd("X[1,2,2,1]")       # one kink
     r0, r1 = resolve(d, (0,)), resolve(d, (1,))
-    m = _dense(edge_map(_edge_signature(r0, r1, 0), EVEN), 2 ** r1.k)
+    m = _dense(edge_map(edge_signature(r0, r1, 0), EVEN), 2 ** r1.k)
     expected = mul(EVEN) if r0.k > r1.k else comul(EVEN)
     assert abs(m).tolist() == abs(expected).tolist()
 
@@ -242,7 +241,7 @@ def test_sparse_edge_maps_equal_dense_oracle(name, reverse):
     for rI, rJ, i in _edges(corpus.get(name)):
         fI, fJ = map(_reversed_arrows, (rI, rJ)) if reverse else (rI, rJ)
         for p in ALL_PRESETS:
-            sparse = edge_map(_edge_signature(fI, fJ, i), p)
+            sparse = edge_map(edge_signature(fI, fJ, i), p)
             assert all([r for r, _ in images] == sorted(r for r, _ in images)
                        for images in sparse)
             assert np.array_equal(_dense(sparse, 2 ** rJ.k),

@@ -1,46 +1,39 @@
-"""Resolutions, arrows, and the hypercube bookkeeping."""
+"""Circle labels, arrows, and the hypercube bookkeeping."""
 
 import pytest
 
 from khoarrow import corpus
-from khoarrow.cube import (check_planarity, count_circles, khovanov_sign,
-                           resolve, vertices)
+from khoarrow.cube import arrows, check_planarity, circle_labels
 from khoarrow.diagram import mirror, parse_pd
 from knots import positive_braid_closure, torus
 import reference
+from reference import khovanov_sign, vertices
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 
 def test_trefoil_circle_counts():
-    ks = {bits: resolve(TREFOIL, bits).k
-          for bits in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                       (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]}
-    assert ks[(0, 0, 0)] == 3
-    assert ks[(1, 0, 0)] == ks[(0, 1, 0)] == ks[(0, 0, 1)] == 2
-    assert ks[(1, 1, 0)] == ks[(1, 0, 1)] == ks[(0, 1, 1)] == 1
-    assert ks[(1, 1, 1)] == 2
-
-
-def test_count_circles_matches_resolve():
-    for m in range(8):
-        bits = tuple((m >> (2 - j)) & 1 for j in range(3))
-        assert count_circles(TREFOIL, bits) == resolve(TREFOIL, bits).k
+    # k of every vertex, by mask: crossing i is bit 2 - i
+    ks = [k for _, k in circle_labels(TREFOIL)]
+    assert ks[0b000] == 3
+    assert ks[0b100] == ks[0b010] == ks[0b001] == 2
+    assert ks[0b110] == ks[0b101] == ks[0b011] == 1
+    assert ks[0b111] == 2
 
 
 def test_resolution_structure():
-    r = resolve(HOPF, (0, 0))
-    assert r.k == 2
-    assert len(r.arrows) == 2
-    for arr in r.arrows:
-        assert 0 <= arr.source < r.k and 0 <= arr.target < r.k
-    # every arc belongs to exactly one circle
-    arcs = [a for circ in r.circles for a in circ]
-    assert sorted(arcs) == list(HOPF.arcs)
-    assert r.circle_of(r.circles[0][0]) == 0
-    with pytest.raises(KeyError):
-        r.circle_of(999)
+    (labels, k), = circle_labels(HOPF, (0, 0))
+    assert k == 2
+    arr = arrows(HOPF, labels)
+    assert len(arr) == 2
+    for s, t in arr:
+        assert 0 <= s < k and 0 <= t < k
+    # every arc belongs to exactly one circle, and circle 0 holds the
+    # smallest arc
+    assert sorted(labels) == list(HOPF.arcs)
+    assert set(labels.values()) == set(range(k))
+    assert labels[min(HOPF.arcs)] == 0
 
 
 REFERENCE_DIAGRAMS = {name: corpus.get(name) for name in corpus.names()}
@@ -54,38 +47,39 @@ REFERENCE_DIAGRAMS.update({
 
 @pytest.mark.parametrize("name", REFERENCE_DIAGRAMS)
 def test_resolve_equals_union_find_reference(name):
+    # circle membership, circle count and arrows of every vertex, from the
+    # whole-cube walk and from the walk of that vertex alone, agree with
+    # the union-find of reference.resolve
     d = REFERENCE_DIAGRAMS[name]
-    unknown = max(d.arcs, default=0) + 1
-    for bits in vertices(d.n):
-        r = resolve(d, bits)
-        assert r == reference.resolve(d, bits), bits
-        assert count_circles(d, bits) == r.k, bits
-        assert all(r.circle_of(a) == c
-                   for c, circ in enumerate(r.circles) for a in circ), bits
-        with pytest.raises(KeyError):
-            r.circle_of(unknown)
+    cube = circle_labels(d)
+    assert len(cube) == 2 ** d.n
+    for (labels, k), bits in zip(cube, vertices(d.n)):
+        r = reference.resolve(d, bits)
+        assert k == r.k, bits
+        assert circle_labels(d, bits) == [(labels, k)], bits
+        assert labels == {a: c for c, circ in enumerate(r.circles)
+                          for a in circ}, bits
+        assert arrows(d, labels) == list(r.arrows), bits
 
 
 def test_free_loops_become_empty_circles():
-    d = parse_pd("")
-    r = resolve(d, ())
-    assert r.circles == ((),)
-    assert r.k == 1
+    # a free loop holds no arc but counts as a circle
+    assert circle_labels(parse_pd(""), ()) == [({}, 1)]
+    assert circle_labels(parse_pd("")) == [({}, 1)]
 
 
 def test_resolve_validates_bits():
     with pytest.raises(ValueError):
-        resolve(HOPF, (0,))
+        circle_labels(HOPF, (0,))
     with pytest.raises(ValueError):
-        resolve(HOPF, (0, 2))
+        circle_labels(HOPF, (0, 2))
 
 
 @pytest.mark.parametrize("bits", [(0,), (2, 0, 0), (0, 0, 0, 1)])
-def test_count_circles_validates_bits_like_resolve(bits):
-    # too short, not a bit, too long: neither counts circles of such a vertex
-    for fn in (resolve, count_circles):
-        with pytest.raises(ValueError, match="bad resolution index"):
-            fn(TREFOIL, bits)
+def test_circle_labels_validates_bits(bits):
+    # too short, not a bit, too long: no circles of such a vertex
+    with pytest.raises(ValueError, match="bad resolution index"):
+        circle_labels(TREFOIL, bits)
 
 
 def test_khovanov_sign():
@@ -97,9 +91,11 @@ def test_khovanov_sign():
 
 
 def _edges(d):
-    """(I bits, J bits, crossing) for every cube edge I -> J of `d`."""
-    return [(bits, bits[:i] + (1,) + bits[i + 1:], i)
-            for bits in vertices(d.n) for i in range(d.n) if not bits[i]]
+    """(I mask, J mask, crossing) for every cube edge I -> J of `d`,
+    crossing i being bit n - 1 - i of a mask."""
+    n = d.n
+    return [(m, m | 1 << (n - 1 - i), i) for m in range(2 ** n)
+            for i in range(n) if not m >> (n - 1 - i) & 1]
 
 
 def test_cube_edge_and_face_counts():
@@ -107,17 +103,19 @@ def test_cube_edge_and_face_counts():
     edges = _edges(TREFOIL)
     assert len(edges) == n * 2 ** (n - 1)
     # an arrow joins two circles (a merge) or one circle to itself (a split)
-    arrows = [resolve(TREFOIL, bits).arrows[i] for bits, _, i in edges]
-    assert {a.source == a.target for a in arrows} == {False, True}
+    cube = circle_labels(TREFOIL)
+    ends = [arrows(TREFOIL, cube[m][0])[i] for m, _, i in edges]
+    assert {s == t for s, t in ends} == {False, True}
 
 
 def test_edge_kind_matches_circle_count_change():
     # arrow i of D(I) joins two circles exactly when the edge at i merges
     for d in (TREFOIL, HOPF):
+        cube = circle_labels(d)
         for frm, to, i in _edges(d):
-            arr = resolve(d, frm).arrows[i]
-            dk = count_circles(d, to) - count_circles(d, frm)
-            assert dk == (-1 if arr.source != arr.target else 1)
+            s, t = arrows(d, cube[frm][0])[i]
+            dk = cube[to][1] - cube[frm][1]
+            assert dk == (-1 if s != t else 1)
 
 
 def test_check_planarity():

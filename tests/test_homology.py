@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import BigradedComplex, build_unreduced
-from khoarrow.cube import count_circles
+from khoarrow.cube import circle_labels
 from khoarrow.diagram import mirror
 from khoarrow.homology import NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
@@ -91,11 +91,24 @@ def test_rejects_non_complex():
 
 
 def test_rejects_entries_leaving_a_bidegree():
-    # an entry between quantum degrees 0 and 5, and one into a degree
-    # with no generators, are not part of any complex
+    # an entry between quantum degrees 0 and 5, one into a degree with no
+    # generators, boundaries with more columns than their degree has
+    # generators (the second on d_1 of a d^2 pair), a row past the
+    # generators of degree 1 on d_0 of such a pair, and negative rows,
+    # alone and in a pair, are not part of any complex
     for bad in (BigradedComplex(groups={0: [0], 1: [5]},
                                 boundaries={0: [{0: 1}]}),
-                BigradedComplex(groups={0: [0]}, boundaries={0: [{0: 1}]})):
+                BigradedComplex(groups={0: [0]}, boundaries={0: [{0: 1}]}),
+                BigradedComplex(groups={0: [1], 1: [1]},
+                                boundaries={0: [{0: 1}, {0: 1}]}),
+                BigradedComplex(groups={0: [1], 1: [1], 2: [1]},
+                                boundaries={0: [{0: 1}], 1: [{}, {}]}),
+                BigradedComplex(groups={0: [1], 1: [1], 2: [1]},
+                                boundaries={0: [{1: 1}], 1: [{0: 1}]}),
+                BigradedComplex(groups={0: [0], 1: [0]},
+                                boundaries={0: [{-1: 2}]}),
+                BigradedComplex(groups={0: [1], 1: [1], 2: [1]},
+                                boundaries={0: [{-1: 1}], 1: [{0: 1}]})):
         with pytest.raises(NotAComplex):
             homology(bad)
 
@@ -242,7 +255,8 @@ def test_positive_torus_knots(q, p):
     # q = c - O + 1 +- 1
     d = positive_braid_closure([0, 1] * q)
     assert (d.n, d.n_minus) == (2 * q, 0)
-    s = d.n - count_circles(d, (0,) * d.n) + 1
+    (_, k0), = circle_labels(d, (0,) * d.n)
+    s = d.n - k0 + 1
     c = build_unreduced(d, p)
     table = homology(c)
     assert all(h >= 0 for h, _ in table.bidegrees())
@@ -257,7 +271,8 @@ def test_odd_b12_finishes_through_the_library():
     # does not finish; homology() reads its invariant factors through
     # snf_diagonal (test_snf.B12_BLOCK)
     d = positive_braid_closure((0, 1) * 5 + (0, 0))
-    s = d.n - count_circles(d, (0,) * d.n) + 1
+    (_, k0), = circle_labels(d, (0,) * d.n)
+    s = d.n - k0 + 1
     table = homology(build_unreduced(d, ODD))
     assert all(h >= 0 for h, _ in table.bidegrees())
     assert [row for row in table.group_rows() if row[0] == 0] == [

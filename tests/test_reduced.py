@@ -5,24 +5,23 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from khoarrow import corpus
+from khoarrow import corpus, lattice
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import build_unreduced
 from khoarrow.cli import PRESETS
-from khoarrow.cube import (Arrow, Resolution, check_planarity, resolve,
-                           vertices)
+from khoarrow.cube import arrows, check_planarity, circle_labels
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
-from khoarrow.lattice import (AdmissibleSubgraph, check_commuting_square,
-                              check_cycle_relations, check_graph_span,
-                              enumerate_admissible, find_cycles,
-                              operator_lattice, psi, value)
+from khoarrow.lattice import (check_commuting_square, check_graph_span,
+                              operator_lattice, value)
 from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 from dense import t_merge, t_split
 from knots import positive_braid_closure, random_signed_knots, torus
-from reference import UnionFind, restricted_reduced
+from reference import (AdmissibleSubgraph, UnionFind, check_cycle_relations,
+                       enumerate_admissible, find_cycles, psi,
+                       restricted_reduced)
 
 KINK = parse_pd("X[1,2,2,1]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -30,21 +29,27 @@ HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 # ---------------------------------------------------------------- lattices
 
+def _vertex(d, bits):
+    """The circle count and the arrows of D(`bits`)."""
+    (labels, k), = circle_labels(d, bits)
+    return k, arrows(d, labels)
+
+
 def test_pinned_lattice_ranks():
     # crossingless unknot: only the identity
-    assert len(operator_lattice(resolve(parse_pd(""), ()))) == 1
+    assert len(operator_lattice(*_vertex(parse_pd(""), ()))) == 1
     # one circle with a loop arrow: {id, 2x}
-    r = resolve(KINK, (0,))
-    assert r.k == 1 and r.arrows[0].source == r.arrows[0].target
-    assert len(operator_lattice(r)) == 2
+    k, arr = _vertex(KINK, (0,))
+    assert k == 1 and arr[0][0] == arr[0][1]
+    assert len(operator_lattice(k, arr)) == 2
     # two circles joined by one arrow: {id, x1+x2, 2 x1x2}
-    r = resolve(KINK, (1,))
-    assert r.k == 2
-    assert len(operator_lattice(r)) == 3
+    k, arr = _vertex(KINK, (1,))
+    assert k == 2
+    assert len(operator_lattice(k, arr)) == 3
 
 
 def test_lattice_strata_are_homogeneous():
-    basis = operator_lattice(resolve(HOPF, (0, 0)))
+    basis = operator_lattice(*_vertex(HOPF, (0, 0)))
     degrees = []
     for row in basis:
         support = {bin(m).count("1") for m, c in enumerate(row) if c}
@@ -70,26 +75,25 @@ def test_values_are_faithful_to_dense_operators(name):
     # every T-operator is multiplication by its value at 1, so a word's
     # value determines its dense product of t_merge / t_split matrices
     d = corpus.get(name)
-    for bits in vertices(d.n):
-        r = resolve(d, bits)
-        ops = [t_merge(r.k, a.source + 1, a.target + 1)
-               if a.source != a.target else t_split(r.k, a.source + 1)
-               for a in r.arrows]
+    for labels, k in circle_labels(d):
+        arr = arrows(d, labels)
+        ops = [t_merge(k, s + 1, t + 1) if s != t else t_split(k, s + 1)
+               for s, t in arr]
         for m in range(4):
             for w in combinations_with_replacement(range(len(ops)), m):
-                dense = np.eye(2 ** r.k, dtype=np.int64)
+                dense = np.eye(2 ** k, dtype=np.int64)
                 for i in w:
                     dense = ops[i] @ dense
-                vec = value(r, w)
-                assert dense[:, 0].tolist() == vec, (bits, w)
-                assert np.array_equal(dense, _multiplication(vec)), (bits, w)
+                vec = value(k, arr, w)
+                assert dense[:, 0].tolist() == vec, (labels, w)
+                assert np.array_equal(dense, _multiplication(vec)), (labels, w)
 
 
 def test_lattice_guard():
     code = " ".join(f"X[{4*i+1},{4*i+2},{4*i+2},{4*i+1}]" for i in range(9))
     d = parse_pd(code)
     with pytest.raises(TooLarge):
-        operator_lattice(resolve(d, (0,) * 9))
+        operator_lattice(*_vertex(d, (0,) * 9))
 
 
 # ------------------------------------------------------- reduced complexes
@@ -109,9 +113,8 @@ def test_reduced_complex_is_a_complex(name):
 def test_base_circle_is_circle_0(name, mirrored):
     # build_reduced keeps the top half of every block, x on circle 0
     d = mirror(corpus.get(name)) if mirrored else corpus.get(name)
-    for bits in vertices(d.n):
-        r = resolve(d, bits)
-        assert (r.circle_of(d.arcs[0]) if d.arcs else 0) == 0, bits
+    for labels, _ in circle_labels(d):
+        assert (labels[d.arcs[0]] if d.arcs else 0) == 0, labels
 
 
 def test_unknot_reduced_homology_is_pinned_at_origin():
@@ -327,35 +330,60 @@ def test_commuting_squares(name):
     assert check_commuting_square(corpus.get(name)) == []
 
 
+def test_commuting_square_catches_a_wrong_map(monkeypatch):
+    # negate the map of one local picture: every edge with it, and only
+    # those, then breaks the square for some word
+    d = corpus.get("trefoil")
+    wrong = ("merge", 2, 0, 1)
+    right = lattice.edge_map
+
+    def negated(sig, p):
+        emap = right(sig, p)
+        if sig != wrong:
+            return emap
+        return [tuple((r, -v) for r, v in images) for images in emap]
+
+    monkeypatch.setattr(lattice, "edge_map", negated)
+    found = check_commuting_square(d)
+    assert found
+    cube = circle_labels(d)
+    n = d.n
+    for bits, i, w in found:
+        assert len(bits) == n and set(bits) <= {0, 1} and not bits[i]
+        mask = int("".join(map(str, bits)), 2)
+        (at_I, kI), (at_J, _) = cube[mask], cube[mask | 1 << (n - 1 - i)]
+        a, _, c, _ = d.crossings[i]
+        assert ("merge", kI, *sorted((at_I[c], at_I[a]))) == wrong
+        assert isinstance(w, tuple) and all(0 <= j < n for j in w)
+
+
 # ------------------------------------------------- graph model of lattices
 
 def test_graph_span_equals_lattice():
     for name in ("kink", "hopf", "trefoil", "figure8"):
         d = corpus.get(name)
-        n = d.n
-        for m in range(2 ** n):
-            bits = tuple((m >> (n - 1 - j)) & 1 for j in range(n))
-            rep = check_graph_span(resolve(d, bits))
-            assert rep["equal"], (name, bits, rep)
+        for labels, k in circle_labels(d):
+            rep = check_graph_span(k, arrows(d, labels))
+            assert rep["equal"], (name, labels, rep)
 
 
 def test_enumerate_admissible_small_cases():
-    r = resolve(KINK, (0,))       # one circle, one loop arrow
-    subs = enumerate_admissible(r)
+    k, arr = _vertex(KINK, (0,))     # one circle, one loop arrow
+    subs = enumerate_admissible(k, arr)
     # empty graph, the lone distinguished vertex, and the loop edge itself
     assert len(subs) == 3
-    assert sorted(psi(g, r) for g in subs) == [[0, 2], [0, 2], [1, 0]]
+    assert sorted(psi(g, k, arr) for g in subs) == [[0, 2], [0, 2], [1, 0]]
     # loop edge and distinguished vertex evaluate identically (kernel)
-    rep = check_graph_span(r)
+    rep = check_graph_span(k, arr)
     assert rep["equal"] and rep["kernel_rank"] == 1
 
 
-def _is_admissible(r, edges, distinguished, loops):
+def _is_admissible(arrows, edges, distinguished, loops):
     """The admissibility rule, tested one (edges, distinguished) pair at
     a time: every component is a tree with at most one distinguished
     vertex, a single cycle with none, or a lone distinguished vertex on
     a circle with a loop arrow."""
-    ends = [(r.arrows[i].source, r.arrows[i].target) for i in edges]
+    ends = [arrows[i] for i in edges]
     comp = UnionFind({v for e in ends for v in e} | set(distinguished))
     for s, t in ends:
         comp.union(s, t)
@@ -375,16 +403,16 @@ def _is_admissible(r, edges, distinguished, loops):
     return True
 
 
-def _admissible_oracle(r):
+def _admissible_oracle(k, arrows):
     """Every (edges, distinguished) pair that passes `_is_admissible`, in
     ascending edge mask, then ascending distinguished-vertex mask."""
-    loops = {a.source for a in r.arrows if a.source == a.target}
+    loops = {s for s, t in arrows if s == t}
     out = []
-    for emask in range(2 ** len(r.arrows)):
-        edges = tuple(i for i in range(len(r.arrows)) if emask >> i & 1)
-        for dmask in range(2 ** r.k):
-            dist = tuple(v for v in range(r.k) if dmask >> v & 1)
-            if _is_admissible(r, edges, dist, loops):
+    for emask in range(2 ** len(arrows)):
+        edges = tuple(i for i in range(len(arrows)) if emask >> i & 1)
+        for dmask in range(2 ** k):
+            dist = tuple(v for v in range(k) if dmask >> v & 1)
+            if _is_admissible(arrows, edges, dist, loops):
                 out.append(AdmissibleSubgraph(edges, dist))
     return out
 
@@ -393,15 +421,10 @@ def _admissible_oracle(r):
                                   if corpus.get(n).n <= 6])
 def test_enumerate_admissible_equals_oracle(name):
     d = corpus.get(name)
-    for bits in vertices(d.n):
-        r = resolve(d, bits)
-        assert enumerate_admissible(r) == _admissible_oracle(r), bits
-
-
-def _resolution(k, ends):
-    """k circles joined by one arrow per (source, target) in `ends`."""
-    return Resolution((), ((),) * k,
-                      tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends)))
+    for labels, k in circle_labels(d):
+        arr = arrows(d, labels)
+        assert (enumerate_admissible(k, arr)
+                == _admissible_oracle(k, arr)), labels
 
 
 def _dists(subs, edges):
@@ -410,18 +433,18 @@ def _dists(subs, edges):
 
 def test_enumerate_admissible_cycle_rank_two():
     # three parallel arrows: any two are a cycle, all three have rank 2
-    r = _resolution(2, [(0, 1), (0, 1), (1, 0)])
-    subs = enumerate_admissible(r)
-    assert subs == _admissible_oracle(r)
+    ends = [(0, 1), (0, 1), (1, 0)]
+    subs = enumerate_admissible(2, ends)
+    assert subs == _admissible_oracle(2, ends)
     assert _dists(subs, (0, 1)) == [()]
     assert _dists(subs, (0, 1, 2)) == []
 
 
 def test_enumerate_admissible_loop_inside_a_tree():
     # the loop arrow at circle 1 turns the path 0 - 1 - 2 into rank 1
-    r = _resolution(3, [(0, 1), (1, 1), (1, 2)])
-    subs = enumerate_admissible(r)
-    assert subs == _admissible_oracle(r)
+    ends = [(0, 1), (1, 1), (1, 2)]
+    subs = enumerate_admissible(3, ends)
+    assert subs == _admissible_oracle(3, ends)
     assert _dists(subs, (0, 2)) == [(), (0,), (1,), (2,)]
     assert _dists(subs, (0, 1)) == _dists(subs, (0, 1, 2)) == [()]
     assert _dists(subs, ()) == [(), (1,)]
@@ -429,9 +452,9 @@ def test_enumerate_admissible_loop_inside_a_tree():
 
 def test_enumerate_admissible_isolated_circles():
     # circle 2 carries a loop arrow and circle 3 none
-    r = _resolution(4, [(0, 1), (2, 2)])
-    subs = enumerate_admissible(r)
-    assert subs == _admissible_oracle(r)
+    ends = [(0, 1), (2, 2)]
+    subs = enumerate_admissible(4, ends)
+    assert subs == _admissible_oracle(4, ends)
     assert _dists(subs, ()) == [(), (2,)]
     assert _dists(subs, (0,)) == [(), (0,), (1,), (2,), (0, 2), (1, 2)]
     assert _dists(subs, (1,)) == [()]
@@ -441,13 +464,11 @@ def test_cycle_relations():
     checked = 0
     for name in ("hopf", "trefoil", "figure8"):
         d = corpus.get(name)
-        n = d.n
-        for m in range(2 ** n):
-            bits = tuple((m >> (n - 1 - j)) & 1 for j in range(n))
-            r = resolve(d, bits)
-            for cyc in find_cycles(r):
-                rep = check_cycle_relations(r, cyc)
-                assert all(rep.values()), (name, bits, cyc, rep)
+        for labels, k in circle_labels(d):
+            arr = arrows(d, labels)
+            for cyc in find_cycles(arr):
+                rep = check_cycle_relations(k, arr, cyc)
+                assert all(rep.values()), (name, labels, cyc, rep)
                 checked += 1
     assert checked >= 10
 
