@@ -25,9 +25,9 @@ only the top half of every vertex block, x on the base circle (the
 reduced complex of ``reduced``); the signs are solved over the full
 maps either way.
 
-Gradings: homological degree h = |I| - n_minus.  Quantum degree in the
-``standard`` convention is (#1 - #x) + |I| + n_plus - 2 n_minus; the
-``paper`` convention is its negative.
+Gradings: homological degree h = |I| - n_minus, and quantum degree
+(#1 - #x) + |I| + n_plus - 2 n_minus, the standard convention (the CLI
+can print the paper's, which negates q).
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ class BigradedComplex:
             if len(cols) != len(qs_src):
                 return False
             size = len(qs_dst)
-            for c, col in enumerate(cols):
-                if any(not 0 <= r < size or qs_dst[r] != qs_src[c]
-                       for r in col):
-                    return False
+            for q, col in zip(qs_src, cols):
+                for r in col:
+                    if not 0 <= r < size or qs_dst[r] != q:
+                        return False
         return True
 
 
@@ -383,8 +383,7 @@ def solve_signs(maps: list, n: int) -> list:
             else 1 for mask in masks]
 
 
-def build_unreduced(d: Diagram, p: RingParams,
-                    convention: str = "standard") -> BigradedComplex:
+def build_unreduced(d: Diagram, p: RingParams) -> BigradedComplex:
     """The unreduced complex of `d` at specialization `p`.
 
     Every generator of every vertex block is written.  Each distinct
@@ -394,11 +393,10 @@ def build_unreduced(d: Diagram, p: RingParams,
     448 edges on T(2, 7)).  Nothing is cached across calls.  The reduced
     complex (``reduced.build_reduced``) comes from the same assembly.
     """
-    return _build(d, p, convention, reduced=False)
+    return _build(d, p, reduced=False)
 
 
-def _build(d: Diagram, p: RingParams, convention: str,
-           reduced: bool) -> BigradedComplex:
+def _build(d: Diagram, p: RingParams, reduced: bool) -> BigradedComplex:
     """The complex of `d` at `p`: unreduced, or reduced to the top half
     of every vertex block (x on circle 0, the base circle) with q + 1.
 
@@ -408,8 +406,6 @@ def _build(d: Diagram, p: RingParams, convention: str,
     diagram, and NotASubcomplex when `reduced` and an edge map sends a
     kept generator into the discarded half of its target block.
     """
-    if convention not in ("standard", "paper"):
-        raise ValueError(f"unknown grading convention {convention!r}")
     n = d.n
     cube = circle_labels(d)
     # edges with one signature share one map object, which also lets
@@ -435,7 +431,6 @@ def _build(d: Diagram, p: RingParams, convention: str,
     # its number of x's, plus 1 in the reduced theory; that theory keeps
     # idx from first[I] = 2^(k-1) on, x on circle 0
     shift = d.n_plus - 2 * d.n_minus + reduced
-    q_sign = 1 if convention == "standard" else -1
     first = [1 << (k - 1) if reduced else 0 for _, k in cube]
     # the chain group of degree h = |I| - n_minus lays out one block of
     # generators per vertex, in ascending masks (lexicographic order),
@@ -451,7 +446,7 @@ def _build(d: Diagram, p: RingParams, convention: str,
             k = cube[mask][1]
             q0 = k + size + shift
             offsets[mask] = len(qs) - first[mask]
-            qs += [q_sign * (q0 - 2 * idx.bit_count())
+            qs += [q0 - 2 * idx.bit_count()
                    for idx in range(first[mask], 1 << k)]
         groups[size - d.n_minus] = qs
 

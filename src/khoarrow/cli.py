@@ -2,9 +2,11 @@
 
 ``khoarrow homology`` computes the unreduced (at a chosen specialization)
 or reduced homology of one diagram and prints it as JSON or a text
-table.  ``khoarrow verify`` runs hermetic self-check suites over the
-built-in corpus, one ``[pass]``/``[FAIL]`` line per check on stdout and
-the time each suite took on stderr.
+table, graded in the standard convention or, with
+``--grading-convention paper``, with q negated.  ``khoarrow verify``
+runs hermetic self-check suites over the built-in corpus, one
+``[pass]``/``[FAIL]`` line per check on stdout and the time each suite
+took on stderr.
 
 Exit codes: 0 success / all checks pass; 1 input could not be parsed
 or is not a planar diagram; 2 the input exceeds a size guard, or the
@@ -41,12 +43,13 @@ EXIT_INCONSISTENT = 3
 
 # unreduced complexes walk 2^n cube vertices with 2^k(I)-dimensional
 # groups.  On one core of a shared 2-vCPU VM (fresh process, median of
-# three runs), odd T(3,5) (10 crossings) builds in 0.09 s and takes
-# 0.31 s and 26 MB with homology, and odd T(2,9) builds in 0.09 s and
-# takes 0.37 s and 39 MB.  Odd T(2,11) (11 crossings) builds in 0.74 s
-# and 81 MB, but homology's generator graph (homology._graph) takes it
-# to 259 MB peak RSS in 3.4 s more, well past the 150 MB target: memory,
-# not build time, keeps the guard at 10
+# three runs), odd T(3,5) (10 crossings) and T(2,9) (9) take 0.33 s and
+# 21 MB and 0.39 s and 26 MB with homology.  Homology holds one q-slice at a
+# time, so odd T(2,11) (11 crossings, 177,150 generators) builds in
+# 0.6 s and peaks at 112 MB after 3 s of homology, and odd B12 (12
+# crossings) peaks at 56 MB, both under the 150 MB target.  The crossing
+# number does not bound the generators, though, so the guard stays at
+# 10 until a guard on the generator count replaces it
 MAX_CLI_CROSSINGS = 10
 
 
@@ -76,9 +79,9 @@ def _input_label(args) -> str:
     return f"pd:{args.pd}"
 
 
-def _format_table(table) -> str:
+def _format_table(rows) -> str:
     lines = ["    h     q  betti  torsion"]
-    for h, q, betti, torsion in table.group_rows():
+    for h, q, betti, torsion in rows:
         tor = ",".join(f"Z/{t}" for t in torsion) if torsion else "-"
         lines.append(f"{h:5d} {q:5d} {betti:6d}  {tor}")
     return "\n".join(lines)
@@ -97,8 +100,7 @@ def cmd_homology(args) -> int:
     p = _theory(args)
     build = build_reduced if args.reduced else build_unreduced
     try:
-        complex_ = build(d, p, convention=args.grading_convention)
-        table = homology(complex_)
+        rows = homology(build(d, p)).group_rows()
     except DiagramError as exc:     # a virtual diagram, found on building
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -110,6 +112,8 @@ def cmd_homology(args) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 
+    if args.grading_convention == "paper":      # the paper's q is -q
+        rows = sorted((h, -q, b, t) for h, q, b, t in rows)
     if args.format == "json":
         doc = {
             "input": _input_label(args),
@@ -118,12 +122,12 @@ def cmd_homology(args) -> int:
             "convention": args.grading_convention,
             "groups": [
                 {"h": h, "q": q, "betti": betti, "torsion": list(torsion)}
-                for h, q, betti, torsion in table.group_rows()
+                for h, q, betti, torsion in rows
             ],
         }
         print(json.dumps(doc, sort_keys=True))
     else:
-        print(_format_table(table))
+        print(_format_table(rows))
     return 0
 
 

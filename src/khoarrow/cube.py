@@ -7,9 +7,9 @@ crossing (a, b, c, d) the 0-smoothing joins (a,b) and (c,d), the
 arcs under these joins; every crossing contributes one arrow between the
 circles carrying its two smoothing arcs.  A vertex is its circle labels,
 one dict from arc to circle, and its circle count k.  ``circle_labels``
-is the one routine that finds circles: for one vertex, or in one walk
-for the whole cube, which every consumer of the cube reads; ``arrows``
-reads a vertex's arrows off its labels.
+is the one routine that finds circles, in one walk of the whole cube,
+which every consumer of the cube reads; ``arrows`` reads a vertex's
+arrows off its labels.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .diagram import Diagram
 __all__ = ["circle_labels", "arrows", "check_planarity"]
 
 
-def circle_labels(d: Diagram, bits=None) -> list[tuple[dict[int, int], int]]:
-    """Each arc's circle and the circle count k of D(I), for the vertex
-    `bits`, or for every vertex of the cube when `bits` is None.
+def circle_labels(d: Diagram) -> list[tuple[dict[int, int], int]]:
+    """Each arc's circle and the circle count k of D(I), for every
+    vertex I of the cube.
 
     The labels map every arc to its circle.  Circles are numbered by
     their smallest arc, and the free loops, which hold no arc, come after
@@ -31,20 +31,11 @@ def circle_labels(d: Diagram, bits=None) -> list[tuple[dict[int, int], int]]:
     0-smoothing first, with one union-find over the arcs: each step
     joins the two pairs of arcs a crossing's smoothing brings together,
     (a,b) and (c,d) at 0, (a,d) and (b,c) at 1, in a copy of the parents
-    above it (in place when there is one vertex), so a prefix of
-    smoothings is joined once for all the vertices below it.  A root is
-    the smallest arc of its circle, and every parent is smaller than its
-    child.  Raises ValueError unless
-    `bits` has one 0 or 1 per crossing.
+    above it, so a prefix of smoothings is joined once for all the
+    vertices below it.  A root is the smallest arc of its circle, and
+    every parent is smaller than its child.
     """
     n = d.n
-    if bits is None:
-        choices = [(0, 1)] * n
-    else:
-        bits = tuple(bits)
-        if len(bits) != n or not {*bits} <= {0, 1}:
-            raise ValueError(f"bad resolution index {bits} for {n} crossings")
-        choices = [(b,) for b in bits]
     arcs, crossings = d.arcs, d.crossings
     out: list[tuple[dict[int, int], int]] = []
 
@@ -63,8 +54,8 @@ def circle_labels(d: Diagram, bits=None) -> list[tuple[dict[int, int], int]]:
             out.append((labels, k + d.free_loops))
             return
         a, b, c, e = crossings[i]
-        for bit in choices[i]:
-            joined = parent.copy() if len(choices[i]) > 1 else parent
+        for bit in (0, 1):
+            joined = parent.copy()
             for x, y in ((a, e), (b, c)) if bit else ((a, b), (c, e)):
                 while joined[x] != x:
                     joined[x] = x = joined[joined[x]]

@@ -1,16 +1,17 @@
 """Exact integer homology of bigraded complexes.
 
 The boundaries of a ``BigradedComplex`` are sparse columns, one
-``{row: entry}`` dict of Python integers per generator, and d^2 = 0 is
-checked exactly on them.  Every +-1 entry of the complex is then
-cancelled by Gaussian elimination (Bar-Natan, *Fast Khovanov
-homology computations*, math/0606318): an invertible entry a = d(c -> r)
-splits off the contractible summand c -> r, and every other pair gets
-d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
-equivalence, so torsion survives intact.  The boundary maps preserve
-the quantum grading, so the few generators left split into small blocks
-per bidegree, and each block's homology is read off from the Smith
-normal forms of its incoming and outgoing boundaries.
+``{row: entry}`` dict of Python integers per generator.  Their shape
+and quantum degrees are checked, and d^2 = 0 exactly.  The boundary
+preserves q, so the complex is the direct sum of its q-slices, and each
+slice is reduced on its own and dropped before the next.  Every +-1
+entry of a slice is cancelled by Gaussian elimination (Bar-Natan, *Fast
+Khovanov homology computations*, math/0606318): an invertible entry
+a = d(c -> r) splits off the contractible summand c -> r, and every
+other pair gets d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a
+homotopy equivalence, so torsion survives intact.  The few generators
+left split into small blocks per degree h, and each block's homology is
+read off from the Smith normal forms of its boundaries in and out.
 """
 
 from __future__ import annotations
@@ -65,34 +66,25 @@ class HomologyTable:
             (hq, b, tuple(t)) for hq, (b, t) in self.entries.items())))
 
 
-def _graph(c):
-    """Generators as ids with their (h, q), and the boundary both ways.
-
-    out[g] maps each target of g to its coefficient and inc[g] each
-    source.  Raises NotAComplex for an entry that changes the quantum
-    degree or names no generator of degree h + 1.
-    """
-    grading: list[tuple[int, int]] = []
-    first: dict[int, int] = {}
-    for h in c.degrees():
-        first[h] = len(grading)
-        grading += [(h, q) for q in c.groups[h]]
-    out: dict[int, dict[int, int]] = {g: {} for g in range(len(grading))}
-    inc: dict[int, dict[int, int]] = {g: {} for g in range(len(grading))}
-    for h in c.degrees():
-        qs_next = c.groups.get(h + 1, [])
-        size = len(qs_next)
-        for col_idx, col in enumerate(c.boundaries.get(h, ())):
-            src, q = first[h] + col_idx, c.groups[h][col_idx]
-            for row_idx, a in col.items():
-                if not 0 <= row_idx < size or qs_next[row_idx] != q:
-                    raise NotAComplex(
-                        f"d_{h} entry ({row_idx}, {col_idx}) does not map "
-                        f"into degree (h={h + 1}, q={q})")
-                dst = first[h + 1] + row_idx
-                out[src][dst] = a
-                inc[dst][src] = a
-    return grading, out, inc
+def _graph(c, gens):
+    """The degree h of each id of the q-slice of `c` on `gens` (h -> its
+    generator indices, in the order the ids take), and the boundary both
+    ways: out[g] maps each target of g to its coefficient, inc[g] each
+    source.  Needs ``check_q_preserved``: no row then leaves the slice."""
+    degree: list[int] = []
+    ids: dict[int, dict[int, int]] = {}
+    for h, idx in gens.items():
+        ids[h] = dict(zip(idx, range(len(degree), len(degree) + len(idx))))
+        degree += [h] * len(idx)
+    out: dict[int, dict[int, int]] = {g: {} for g in range(len(degree))}
+    inc: dict[int, dict[int, int]] = {g: {} for g in range(len(degree))}
+    for h, cols in c.boundaries.items():
+        for i in gens.get(h, ()):
+            src = ids[h][i]
+            for r, a in cols[i].items():
+                dst = ids[h + 1][r]
+                out[src][dst] = inc[dst][src] = a
+    return degree, out, inc
 
 
 def _cancel(src, dst, out, inc):
@@ -142,30 +134,38 @@ def _snf_of_block(out, cols, rows):
     return len(diag), tuple(d for d in diag if d > 1)
 
 
-def homology(c) -> HomologyTable:
-    """Integer homology of a BigradedComplex, exact over Z."""
-    try:
-        squares = c.check_d_squared()
-    except ValueError as exc:          # d_h does not fit its groups
-        raise NotAComplex(str(exc)) from exc
-    if not squares:
-        raise NotAComplex("boundary maps do not square to zero")
-    grading, out, inc = _graph(c)
+def _slice_homology(c, q, gens, entries):
+    """Add the homology of the q-slice of `c` on `gens` to `entries`."""
+    degree, out, inc = _graph(c, gens)
     _cancel_units(out, inc)
-    residue: dict[tuple[int, int], list[int]] = {}
+    residue: dict[int, list[int]] = {}
     for g in out:
-        residue.setdefault(grading[g], []).append(g)
-    # rank and torsion of the boundary leaving each bidegree
-    leaving = {(h, q): _snf_of_block(out, gens, residue[(h + 1, q)])
-               for (h, q), gens in residue.items() if (h + 1, q) in residue}
-    entries: dict = {}
-    for (h, q), gens in residue.items():
-        rank_out, _ = leaving.get((h, q), (0, ()))
-        rank_in, torsion = leaving.get((h - 1, q), (0, ()))
-        betti = len(gens) - rank_out - rank_in
+        residue.setdefault(degree[g], []).append(g)
+    # rank and torsion of the boundary leaving each degree
+    leaving = {h: _snf_of_block(out, ids, residue[h + 1])
+               for h, ids in residue.items() if h + 1 in residue}
+    for h, ids in residue.items():
+        rank_out, _ = leaving.get(h, (0, ()))
+        rank_in, torsion = leaving.get(h - 1, (0, ()))
+        betti = len(ids) - rank_out - rank_in
         if betti < 0:
             raise NotAComplex(
                 f"negative rank at (h={h}, q={q}): not a complex")
         if betti or torsion:
             entries[(h, q)] = (betti, torsion)
+
+
+def homology(c) -> HomologyTable:
+    """Integer homology of a BigradedComplex, exact over Z, per q-slice."""
+    if not c.check_q_preserved():
+        raise NotAComplex("a boundary leaves its groups or its q")
+    if not c.check_d_squared():
+        raise NotAComplex("boundary maps do not square to zero")
+    slices: dict[int, dict[int, list[int]]] = {}
+    for h in c.degrees():
+        for i, q in enumerate(c.groups[h]):
+            slices.setdefault(q, {}).setdefault(h, []).append(i)
+    entries: dict = {}
+    for q in sorted(slices):
+        _slice_homology(c, q, slices.pop(q), entries)
     return HomologyTable(entries)

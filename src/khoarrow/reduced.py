@@ -23,8 +23,7 @@ from .diagram import Diagram
 __all__ = ["NotASubcomplex", "build_reduced"]
 
 
-def build_reduced(d: Diagram, p: RingParams = EVEN,
-                  convention: str = "standard") -> BigradedComplex:
+def build_reduced(d: Diagram, p: RingParams = EVEN) -> BigradedComplex:
     """The reduced Khovanov complex of `d`, a subcomplex of the one at `p`.
 
     The generators are those of ``build_unreduced(d, p)`` whose base
@@ -48,4 +47,4 @@ def build_reduced(d: Diagram, p: RingParams = EVEN,
     NotASubcomplex if an edge map sends a kept generator outside the
     kept ones.
     """
-    return _build(d, p, convention, reduced=True)
+    return _build(d, p, reduced=True)

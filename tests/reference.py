@@ -162,7 +162,7 @@ def _solve_signs(maps, n):
             for key, mask in masks.items()}
 
 
-def resolution_build(d, p=EVEN, convention="standard", reduced=False):
+def resolution_build(d, p=EVEN, reduced=False):
     """``chain.build_unreduced`` (or, with `reduced`, ``build_reduced``)
     assembled from one ``resolve`` per vertex and one ``edge_signature``
     per edge, with maps, signs and block offsets keyed by bit tuples."""
@@ -179,7 +179,6 @@ def resolution_build(d, p=EVEN, convention="standard", reduced=False):
     signs = _solve_signs(maps, n)
 
     shift = d.n_plus - 2 * d.n_minus + reduced
-    q_sign = 1 if convention == "standard" else -1
     first = {bits: 2 ** (r.k - 1) if reduced else 0 for bits, r in res.items()}
     groups, offsets = {}, {}
     layout = cube_layout(d)
@@ -188,7 +187,7 @@ def resolution_build(d, p=EVEN, convention="standard", reduced=False):
         for bits in layer:
             offsets[bits] = len(groups[h]) - first[bits]
             q0 = res[bits].k + sum(bits) + shift
-            groups[h] += [q_sign * (q0 - 2 * bin(idx).count("1"))
+            groups[h] += [q0 - 2 * bin(idx).count("1")
                           for idx in range(first[bits], 2 ** res[bits].k)]
     boundaries = {}
     for h, layer in layout.items():
@@ -211,7 +210,7 @@ def resolution_build(d, p=EVEN, convention="standard", reduced=False):
     return BigradedComplex(groups=groups, boundaries=boundaries)
 
 
-def restricted_reduced(d, p=EVEN, convention="standard"):
+def restricted_reduced(d, p=EVEN):
     """The reduced complex as the restriction of ``build_unreduced(d, p)``
     to the generators with x on the base circle, the top half of every
     vertex block, with q + 1.  A boundary that leaves them raises KeyError."""
@@ -228,8 +227,7 @@ def restricted_reduced(d, p=EVEN, convention="standard"):
             keep[h] += range(offset + 2 ** (k - 1), offset + 2 ** k)
             offset += 2 ** k
 
-    sign = 1 if convention == "standard" else -1
-    groups = {h: [sign * (full.groups[h][j] + 1) for j in kept]
+    groups = {h: [full.groups[h][j] + 1 for j in kept]
               for h, kept in keep.items()}
     boundaries = {}
     for h, cols in full.boundaries.items():

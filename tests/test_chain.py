@@ -194,17 +194,6 @@ def test_homological_range_and_group_sizes():
                    for col in c.boundaries[h] for r in col)
 
 
-def test_paper_convention_negates_q():
-    d = corpus.get("hopf")
-    std = build_unreduced(d, ODD, convention="standard")
-    pap = build_unreduced(d, ODD, convention="paper")
-    for h in std.groups:
-        assert sorted(pap.groups[h]) == sorted(-q for q in std.groups[h])
-    assert pap.check_d_squared() and pap.check_q_preserved()
-    with pytest.raises(ValueError):
-        build_unreduced(d, ODD, convention="upside-down")
-
-
 def test_edge_map_shapes_and_grading():
     d = corpus.get("hopf")
     r00 = resolve(d, (0, 0))
@@ -324,10 +313,10 @@ def _columns(c):
             for h, cols in c.boundaries.items()}
 
 
-def _assert_builds_equal(d, p, convention, reduced):
+def _assert_builds_equal(d, p, reduced):
     build = build_reduced if reduced else build_unreduced
-    c = build(d, p, convention=convention)
-    ref = reference.resolution_build(d, p, convention, reduced)
+    c = build(d, p)
+    ref = reference.resolution_build(d, p, reduced)
     assert c.groups == ref.groups
     assert _columns(c) == _columns(ref)
 
@@ -337,22 +326,21 @@ def _assert_builds_equal(d, p, convention, reduced):
 def test_mask_build_equals_resolution_build_on_the_corpus(name, reduced):
     for d in (corpus.get(name), mirror(corpus.get(name))):
         for p in cli.PRESETS:
-            for convention in ("standard", "paper"):
-                _assert_builds_equal(d, p, convention, reduced)
+            _assert_builds_equal(d, p, reduced)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_mask_build_equals_resolution_build_on_torus_diagrams(n):
     for d in (torus(n), mirror(torus(n))):
-        _assert_builds_equal(d, ODD, "standard", False)
-        _assert_builds_equal(d, EVEN, "paper", True)
+        _assert_builds_equal(d, ODD, False)
+        _assert_builds_equal(d, EVEN, True)
 
 
 def test_mask_build_equals_resolution_build_on_signed_braids():
     for _, d in random_signed_knots(20):
         for p in (EVEN, ODD):
-            _assert_builds_equal(d, p, "standard", False)
-            _assert_builds_equal(d, p, "standard", True)
+            _assert_builds_equal(d, p, False)
+            _assert_builds_equal(d, p, True)
 
 
 def test_builds_reject_a_virtual_code():

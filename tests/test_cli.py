@@ -194,6 +194,25 @@ def test_paper_convention_flag(capsys):
     assert (_circle_times_chi(rows)
             == jones(parse_pd(TREFOIL)).substitute_inverse())
 
+    def groups(*argv):
+        assert main(["homology", "--pd", TREFOIL, *argv]) == 0
+        return capsys.readouterr().out
+
+    # unreduced and reduced, as JSON and as a table, the paper's groups
+    # are the standard ones with q negated
+    for reduced in ((), ("--reduced",)):
+        std = json.loads(groups(*reduced))["groups"]
+        paper = json.loads(groups(*reduced, "--grading-convention", "paper"))
+        assert paper["convention"] == "paper"
+        assert paper["groups"] == sorted(
+            ({**g, "q": -g["q"]} for g in std), key=lambda g: (g["h"], g["q"]))
+        table = groups(*reduced, "--grading-convention", "paper",
+                       "--format", "table").splitlines()[1:]
+        assert [line.split() for line in table] == [
+            [str(g["h"]), str(g["q"]), str(g["betti"]),
+             ",".join(f"Z/{t}" for t in g["torsion"]) or "-"]
+            for g in paper["groups"]]
+
 
 def test_cli_never_imports_numpy():
     script = (

@@ -1,5 +1,11 @@
 """Integral homology of the unreduced complexes against known tables."""
 
+import importlib
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +117,27 @@ def test_rejects_entries_leaving_a_bidegree():
                                 boundaries={0: [{-1: 1}], 1: [{0: 1}]})):
         with pytest.raises(NotAComplex):
             homology(bad)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8", "trefoil_r2"])
+@pytest.mark.parametrize("p", [EVEN, ODD])
+def test_each_graph_holds_one_quantum_degree(name, p, monkeypatch):
+    # homology() builds one generator graph per q-slice: each holds the
+    # generators of one q, and together they hold every generator once
+    module = importlib.import_module("khoarrow.homology")
+    graph, seen = module._graph, []
+
+    def spy(c, gens):
+        seen.append({(h, i) for h, idx in gens.items() for i in idx})
+        assert len({c.groups[h][i] for h, i in seen[-1]}) == 1
+        return graph(c, gens)
+
+    monkeypatch.setattr(module, "_graph", spy)
+    c = build_unreduced(corpus.get(name), p)
+    homology(c)
+    assert len(seen) == len({q for qs in c.groups.values() for q in qs})
+    assert sorted(g for gens in seen for g in gens) == sorted(
+        (h, i) for h, qs in c.groups.items() for i in range(len(qs)))
 
 
 def test_synthetic_torsion():
@@ -255,7 +282,7 @@ def test_positive_torus_knots(q, p):
     # q = c - O + 1 +- 1
     d = positive_braid_closure([0, 1] * q)
     assert (d.n, d.n_minus) == (2 * q, 0)
-    (_, k0), = circle_labels(d, (0,) * d.n)
+    _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
     c = build_unreduced(d, p)
     table = homology(c)
@@ -271,10 +298,43 @@ def test_odd_b12_finishes_through_the_library():
     # does not finish; homology() reads its invariant factors through
     # snf_diagonal (test_snf.B12_BLOCK)
     d = positive_braid_closure((0, 1) * 5 + (0, 0))
-    (_, k0), = circle_labels(d, (0,) * d.n)
+    _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
     table = homology(build_unreduced(d, ODD))
     assert all(h >= 0 for h, _ in table.bidegrees())
     assert [row for row in table.group_rows() if row[0] == 0] == [
         (0, s - 1, 1, ()), (0, s + 1, 1, ())]
     assert euler_characteristic(table) == jones(d)
+
+
+def test_odd_t_2_11_stays_under_150_mb():
+    # 177,150 generators; a graph of the whole complex took a fresh
+    # interpreter to 259 MB; one q-slice at a time peaks near 112 MB.
+    # Linux carries ru_maxrss over fork and exec, so a child started from
+    # this test process would report the process's own peak: the child
+    # reads the high-water mark of its own memory, VmHWM, where it can
+    script = (
+        "import json, resource, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from khoarrow import ODD, build_unreduced, homology\n"
+        "from khoarrow.jones import euler_characteristic, jones\n"
+        "from knots import torus\n"
+        "d = torus(11)\n"
+        "table = homology(build_unreduced(d, ODD))\n"
+        "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        kb = next(int(line.split()[1]) for line in fh\n"
+        "                  if line.startswith('VmHWM:'))\n"
+        "except (OSError, StopIteration):\n"
+        "    pass\n"
+        "chi = euler_characteristic(table) == jones(d)\n"
+        "print(json.dumps({'mb': kb / 1024, 'rows': table.group_rows(),\n"
+        "                  'chi': chi}))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["mb"] < 150, doc["mb"]
+    assert all(torsion == [] for _, _, _, torsion in doc["rows"])
+    assert sum(betti for _, _, betti, _ in doc["rows"]) == 22
+    assert doc["chi"]

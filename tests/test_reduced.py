@@ -29,27 +29,27 @@ HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 # ---------------------------------------------------------------- lattices
 
-def _vertex(d, bits):
-    """The circle count and the arrows of D(`bits`)."""
-    (labels, k), = circle_labels(d, bits)
+def _vertex(d, mask):
+    """The circle count and the arrows of the vertex at `mask`."""
+    labels, k = circle_labels(d)[mask]
     return k, arrows(d, labels)
 
 
 def test_pinned_lattice_ranks():
     # crossingless unknot: only the identity
-    assert len(operator_lattice(*_vertex(parse_pd(""), ()))) == 1
+    assert len(operator_lattice(*_vertex(parse_pd(""), 0))) == 1
     # one circle with a loop arrow: {id, 2x}
-    k, arr = _vertex(KINK, (0,))
+    k, arr = _vertex(KINK, 0)
     assert k == 1 and arr[0][0] == arr[0][1]
     assert len(operator_lattice(k, arr)) == 2
     # two circles joined by one arrow: {id, x1+x2, 2 x1x2}
-    k, arr = _vertex(KINK, (1,))
+    k, arr = _vertex(KINK, 1)
     assert k == 2
     assert len(operator_lattice(k, arr)) == 3
 
 
 def test_lattice_strata_are_homogeneous():
-    basis = operator_lattice(*_vertex(HOPF, (0, 0)))
+    basis = operator_lattice(*_vertex(HOPF, 0))
     degrees = []
     for row in basis:
         support = {bin(m).count("1") for m, c in enumerate(row) if c}
@@ -93,7 +93,7 @@ def test_lattice_guard():
     code = " ".join(f"X[{4*i+1},{4*i+2},{4*i+2},{4*i+1}]" for i in range(9))
     d = parse_pd(code)
     with pytest.raises(TooLarge):
-        operator_lattice(*_vertex(d, (0,) * 9))
+        operator_lattice(*_vertex(d, 0))
 
 
 # ------------------------------------------------------- reduced complexes
@@ -211,10 +211,8 @@ def test_direct_reduced_build_equals_the_restriction(name):
     # full unreduced complex to them must give the same complex
     d = corpus.get(name)
     for p in PRESETS:
-        for convention in ("standard", "paper"):
-            assert (_columns(build_reduced(d, p, convention))
-                    == _columns(restricted_reduced(d, p, convention))), (
-                p, convention)
+        assert (_columns(build_reduced(d, p))
+                == _columns(restricted_reduced(d, p))), p
 
 
 @pytest.mark.parametrize("p", [EVEN, ODD], ids=["even", "odd"])
@@ -316,15 +314,6 @@ def test_even_unreduced_is_not_two_copies_of_reduced():
             != homology(build_unreduced(d, EVEN)).entries)
 
 
-def test_paper_convention_negates_q():
-    std = build_reduced(corpus.get("hopf"))
-    pap = build_reduced(corpus.get("hopf"), convention="paper")
-    for h in std.groups:
-        assert sorted(pap.groups[h]) == sorted(-q for q in std.groups[h])
-    with pytest.raises(ValueError):
-        build_reduced(corpus.get("hopf"), convention="bogus")
-
-
 @pytest.mark.parametrize("name", ["kink", "hopf", "trefoil"])
 def test_commuting_squares(name):
     assert check_commuting_square(corpus.get(name)) == []
@@ -368,7 +357,7 @@ def test_graph_span_equals_lattice():
 
 
 def test_enumerate_admissible_small_cases():
-    k, arr = _vertex(KINK, (0,))     # one circle, one loop arrow
+    k, arr = _vertex(KINK, 0)     # one circle, one loop arrow
     subs = enumerate_admissible(k, arr)
     # empty graph, the lone distinguished vertex, and the loop edge itself
     assert len(subs) == 3
