@@ -43,6 +43,7 @@ __all__ = [
     "FaceNotProportional",
     "Unsolvable",
     "NotASubcomplex",
+    "NotAComplex",
     "edge_map",
     "solve_signs",
     "build_unreduced",
@@ -61,6 +62,10 @@ class NotASubcomplex(RuntimeError):
     pass
 
 
+class NotAComplex(ValueError):
+    pass
+
+
 @dataclass
 class BigradedComplex:
     """Chain groups per homological degree with sparse integer boundaries.
@@ -69,6 +74,8 @@ class BigradedComplex:
     h.  boundaries[h] maps degree h to degree h+1 as one ``{row: entry}``
     dict per generator of degree h: the nonzero entries of that column,
     keyed by the index of a generator of degree h+1, as Python ints.
+    ``check`` is the one soundness check every homology table rests on:
+    the shape fits the groups, the boundary preserves q, and d^2 = 0.
     """
 
     groups: dict[int, list[int]] = field(default_factory=dict)
@@ -85,50 +92,35 @@ class BigradedComplex:
             for q, count in seen.items():
                 yield h, q, count
 
-    def check_d_squared(self) -> bool:
-        """Whether every composite d_{h+1} d_h vanishes, exactly over Z.
+    def check(self) -> None:
+        """Raise NotAComplex, naming the first defect and its degree,
+        unless this is a bigraded complex: d_h has one column per
+        generator of degree h, every row of a column is a generator of
+        degree h + 1 (0 <= row < their number) of the column's q, and
+        every composite d_{h+1} d_h vanishes, exactly over Z.
 
-        Raises ValueError if a boundary does not fit its groups: d_h has
-        a column count other than the number of generators of degree h,
-        or, where d_{h+1} follows it, a row index outside the generators
-        of degree h + 1 (negative, or past them).
+        The column counts are checked first, so that one walk of the
+        columns can check each row and sum the composites.
         """
         for h, cols in self.boundaries.items():
             if len(cols) != len(self.groups.get(h, [])):
-                raise ValueError(f"d_{h} has {len(cols)} columns for "
-                                 f"{len(self.groups.get(h, []))} generators")
-        for h, first in self.boundaries.items():
-            second = self.boundaries.get(h + 1)
-            if second is None:
-                continue
-            size = len(self.groups.get(h + 1, []))
-            if any(not 0 <= r < size for col in first for r in col):
-                raise ValueError(f"d_{h + 1} and d_{h} do not compose")
-            for col in first:
+                raise NotAComplex(f"d_{h} has {len(cols)} columns for "
+                                  f"{len(self.groups.get(h, []))} generators")
+        for h, cols in self.boundaries.items():
+            qs = self.groups.get(h + 1, [])
+            size = len(qs)
+            second = self.boundaries.get(h + 1) or [{}] * size
+            for q, col in zip(self.groups.get(h, []), cols):
                 acc: dict[int, int] = {}
                 for mid, a in col.items():
+                    if not 0 <= mid < size or qs[mid] != q:
+                        raise NotAComplex(
+                            f"d_{h}: row {mid} of a column of q = {q} is no "
+                            f"generator of degree {h + 1} and that q")
                     for r, b in second[mid].items():
                         acc[r] = acc.get(r, 0) + a * b
                 if any(acc.values()):
-                    return False
-        return True
-
-    def check_q_preserved(self) -> bool:
-        """Whether every boundary entry joins two generators of one
-        quantum degree; False too for a column count other than the
-        number of generators of degree h, or a row index outside those of
-        degree h + 1 (negative, or past them)."""
-        for h, cols in self.boundaries.items():
-            qs_src = self.groups.get(h, [])
-            qs_dst = self.groups.get(h + 1, [])
-            if len(cols) != len(qs_src):
-                return False
-            size = len(qs_dst)
-            for q, col in zip(qs_src, cols):
-                for r in col:
-                    if not 0 <= r < size or qs_dst[r] != q:
-                        return False
-        return True
+                    raise NotAComplex(f"d_{h + 1} d_{h} is not zero")
 
 
 def _graded(one: int, ex: int, n: int, xs: int) -> int:

@@ -26,10 +26,11 @@ from time import perf_counter
 
 from . import corpus
 from .algebra import EVEN, ODD, RingParams
-from .chain import FaceNotProportional, Unsolvable, build_unreduced
+from .chain import (FaceNotProportional, NotAComplex, Unsolvable,
+                    build_unreduced)
 from .cube import arrows, circle_labels
 from .diagram import DiagramError, parse_gauss, parse_pd
-from .homology import NotAComplex, homology
+from .homology import homology
 from .jones import TooLarge, euler_characteristic, jones
 from .lattice import check_commuting_square, check_graph_span
 from .reduced import NotASubcomplex, build_reduced
@@ -63,8 +64,11 @@ def _theory(args) -> RingParams:
 
 def _load_diagram(args):
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DiagramError(exc) from exc
         return parse_pd(text)
     if args.gauss is not None:
         return parse_gauss(args.gauss)
@@ -88,30 +92,14 @@ def _format_table(rows) -> str:
 
 
 def cmd_homology(args) -> int:
-    try:
-        d = _load_diagram(args)
-    except (DiagramError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    d = _load_diagram(args)
     if d.n > MAX_CLI_CROSSINGS:
-        print(f"error: {d.n} crossings exceeds the CLI guard "
-              f"({MAX_CLI_CROSSINGS})", file=sys.stderr)
-        return EXIT_TOO_LARGE
+        raise TooLarge(f"{d.n} crossings exceeds the CLI guard "
+                       f"({MAX_CLI_CROSSINGS})")
     p = _theory(args)
     build = build_reduced if args.reduced else build_unreduced
-    try:
-        rows = homology(build(d, p)).group_rows()
-    except DiagramError as exc:     # a virtual diagram, found on building
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (NotAComplex, FaceNotProportional, Unsolvable,
-            NotASubcomplex) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-
+    # a virtual diagram raises DiagramError here, on building
+    rows = homology(build(d, p)).group_rows()
     if args.grading_convention == "paper":      # the paper's q is -q
         rows = sorted((h, -q, b, t) for h, q, b, t in rows)
     if args.format == "json":
@@ -138,15 +126,19 @@ PRESETS = (RingParams(1, 1, 1), RingParams(1, -1, 1),
 
 
 def _suite_d2(report):
+    def sound(c):
+        try:
+            c.check()
+        except NotAComplex:
+            return False
+        return True
+
     for name in corpus.names():
         d = corpus.get(name)
         for p in PRESETS:
-            c = build_unreduced(d, p)
             report(f"d2 unreduced {name} ({p.x},{p.y},{p.z})",
-                   c.check_d_squared() and c.check_q_preserved())
-        c = build_reduced(d)
-        report(f"d2 reduced {name}",
-               c.check_d_squared() and c.check_q_preserved())
+                   sound(build_unreduced(d, p)))
+        report(f"d2 reduced {name}", sound(build_reduced(d)))
 
 
 def _suite_euler(report):
@@ -250,18 +242,10 @@ def cmd_verify(args) -> int:
             failures.append(label)
 
     wanted = SUITES if args.suite == "all" else (args.suite,)
-    try:
-        for name in wanted:
-            t0 = perf_counter()
-            _SUITE_RUNNERS[name](report)
-            print(f"{name} {perf_counter() - t0:.2f} s", file=sys.stderr)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (NotAComplex, FaceNotProportional, Unsolvable,
-            NotASubcomplex) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    for name in wanted:
+        t0 = perf_counter()
+        _SUITE_RUNNERS[name](report)
+        print(f"{name} {perf_counter() - t0:.2f} s", file=sys.stderr)
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -299,8 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps a failure to its exit
+    code, with a one-line diagnostic on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiagramError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except TooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except (NotAComplex, FaceNotProportional, Unsolvable,
+            NotASubcomplex) as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

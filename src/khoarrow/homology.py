@@ -1,30 +1,28 @@
 """Exact integer homology of bigraded complexes.
 
 The boundaries of a ``BigradedComplex`` are sparse columns, one
-``{row: entry}`` dict of Python integers per generator.  Their shape
-and quantum degrees are checked, and d^2 = 0 exactly.  The boundary
-preserves q, so the complex is the direct sum of its q-slices, and each
-slice is reduced on its own and dropped before the next.  Every +-1
-entry of a slice is cancelled by Gaussian elimination (Bar-Natan, *Fast
-Khovanov homology computations*, math/0606318): an invertible entry
-a = d(c -> r) splits off the contractible summand c -> r, and every
-other pair gets d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a
-homotopy equivalence, so torsion survives intact.  The few generators
-left split into small blocks per degree h, and each block's homology is
-read off from the Smith normal forms of its boundaries in and out.
+``{row: entry}`` dict of Python integers per generator.  One check
+(``BigradedComplex.check``) shows that their shape fits the groups,
+that they preserve q and that d^2 = 0 exactly.  The complex is then the
+direct sum of its q-slices, and each slice is reduced on its own and
+dropped before the next.  Every +-1 entry of a slice is cancelled by
+Gaussian elimination (Bar-Natan, *Fast Khovanov homology computations*,
+math/0606318): an invertible entry a = d(c -> r) splits off the
+contractible summand c -> r, and every other pair gets
+d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
+equivalence, so torsion survives intact.  The few generators left split
+into small blocks per degree h, and each block's homology is read off
+from the Smith normal forms of its boundaries in and out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .chain import NotAComplex
 from .snf import snf_diagonal
 
 __all__ = ["HomologyTable", "NotAComplex", "homology"]
-
-
-class NotAComplex(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,8 @@ def _graph(c, gens):
     """The degree h of each id of the q-slice of `c` on `gens` (h -> its
     generator indices, in the order the ids take), and the boundary both
     ways: out[g] maps each target of g to its coefficient, inc[g] each
-    source.  Needs ``check_q_preserved``: no row then leaves the slice."""
+    source.  Needs ``c.check()`` to have passed: no row then leaves the
+    slice."""
     degree: list[int] = []
     ids: dict[int, dict[int, int]] = {}
     for h, idx in gens.items():
@@ -157,10 +156,7 @@ def _slice_homology(c, q, gens, entries):
 
 def homology(c) -> HomologyTable:
     """Integer homology of a BigradedComplex, exact over Z, per q-slice."""
-    if not c.check_q_preserved():
-        raise NotAComplex("a boundary leaves its groups or its q")
-    if not c.check_d_squared():
-        raise NotAComplex("boundary maps do not square to zero")
+    c.check()
     slices: dict[int, dict[int, list[int]]] = {}
     for h in c.degrees():
         for i, q in enumerate(c.groups[h]):

@@ -14,7 +14,8 @@ import sympy
 
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import _edges, _signature, build_unreduced, edge_map
+from khoarrow.chain import (NotAComplex, _edges, _signature,
+                            build_unreduced, edge_map)
 from khoarrow.cube import arrows, circle_labels
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, euler_characteristic, jones
@@ -54,13 +55,14 @@ def _shift_aligned(tables):
 def test_acceptance_1_d_squared():
     t0 = time.perf_counter()
     ok = True
-    for name in corpus.names():
-        d = corpus.get(name)
-        for p in PRESETS:
-            c = build_unreduced(d, p)
-            ok = ok and c.check_d_squared() and c.check_q_preserved()
-        c = build_reduced(d)
-        ok = ok and c.check_d_squared() and c.check_q_preserved()
+    try:
+        for name in corpus.names():
+            d = corpus.get(name)
+            for p in PRESETS:
+                build_unreduced(d, p).check()
+            build_reduced(d).check()
+    except NotAComplex:
+        ok = False
     elapsed = time.perf_counter() - t0
     _report(1, ok and elapsed < 60.0, f"{elapsed:.1f}s")
 

@@ -12,9 +12,10 @@ import reference
 from khoarrow import chain, cli, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (BigradedComplex, FaceNotProportional,
-                            build_unreduced, edge_map, solve_signs)
+                            NotAComplex, build_unreduced, edge_map,
+                            solve_signs)
 from khoarrow.diagram import NonPlanarInconsistency, mirror, parse_gauss
-from khoarrow.homology import NotAComplex, homology
+from khoarrow.homology import homology
 from khoarrow.jones import euler_characteristic, jones
 from khoarrow.reduced import build_reduced
 from knots import positive_braid_closure, random_signed_knots, torus
@@ -163,9 +164,7 @@ def _double_one_coefficient(maps, bits, j, i):
 @pytest.mark.parametrize("p", PRESETS)
 @pytest.mark.parametrize("name", NAMES)
 def test_d_squared_and_q_preserved(name, p):
-    c = build_unreduced(corpus.get(name), p)
-    assert c.check_d_squared()
-    assert c.check_q_preserved()
+    build_unreduced(corpus.get(name), p).check()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -401,23 +400,39 @@ def test_bigraded_complex_checks_catch_errors():
         groups={0: [0, 0], 1: [0, 0]},
         boundaries={0: [{0: 1}, {1: 1}], 1: [{0: 1}, {1: 1}]})
     # identity followed by identity is not a differential
-    assert not bad.check_d_squared()
+    with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
+        bad.check()
     bad_q = BigradedComplex(
         groups={0: [0], 1: [5]},
         boundaries={0: [{0: 1}]})
-    assert not bad_q.check_q_preserved()
+    with pytest.raises(NotAComplex, match=r"d_0: row 0 .* q = 0"):
+        bad_q.check()
     # a row past degree h + 1 is no generator: rejected, not an IndexError
     bad_row = BigradedComplex(
         groups={0: [1], 1: [1]},
         boundaries={0: [{5: 1}]})
-    assert not bad_row.check_q_preserved()
+    with pytest.raises(NotAComplex, match=r"d_0: row 5 "):
+        bad_row.check()
     with pytest.raises(NotAComplex):
         homology(bad_row)
+    # a negative row, which a list index would read from the end
+    bad_neg = BigradedComplex(
+        groups={0: [1], 1: [1]},
+        boundaries={0: [{-1: 1}]})
+    with pytest.raises(NotAComplex, match=r"d_0: row -1 "):
+        bad_neg.check()
     # a column past the generators of degree h, likewise
     bad_col = BigradedComplex(
         groups={0: [1], 1: [1]},
         boundaries={0: [{0: 1}, {0: 1}]})
-    assert not bad_col.check_q_preserved()
+    with pytest.raises(NotAComplex, match=r"d_0 has 2 columns for 1"):
+        bad_col.check()
+    # d_1 d_0 = 0, but d_2 d_1 is not: the defect sits past degree 0
+    bad_late = BigradedComplex(
+        groups={0: [0], 1: [0, 0], 2: [0, 0], 3: [0]},
+        boundaries={0: [{0: 1}], 1: [{}, {0: 1}], 2: [{0: 1}, {}]})
+    with pytest.raises(NotAComplex, match=r"d_2 d_1 is not zero"):
+        bad_late.check()
 
 
 @pytest.mark.parametrize("boundaries", [
@@ -427,8 +442,8 @@ def test_bigraded_complex_checks_catch_errors():
 def test_d_squared_rejects_boundaries_that_do_not_compose(boundaries):
     c = BigradedComplex(groups={0: [0, 0], 1: [0, 0], 2: [0]},
                         boundaries=boundaries)
-    with pytest.raises(ValueError):
-        c.check_d_squared()
+    with pytest.raises(NotAComplex):
+        c.check()
 
 
 def test_d_squared_is_exact_beyond_int64():
@@ -436,4 +451,5 @@ def test_d_squared_is_exact_beyond_int64():
     c = BigradedComplex(
         groups={0: [0], 1: [0], 2: [0]},
         boundaries={0: [{0: 2 ** 32}], 1: [{0: 2 ** 32}]})
-    assert not c.check_d_squared()
+    with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
+        c.check()

@@ -251,3 +251,34 @@ def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert "leaves the reduced generators" in captured.err
+
+
+def test_file_that_is_not_utf8_exit_code(tmp_path):
+    f = tmp_path / "d.pd"
+    f.write_bytes(b"\xff\xfe X[1,4,2,5]")
+    code, out, err = run("homology", "--file", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_complex_failing_its_check_exits_3(monkeypatch, capsys):
+    import khoarrow.cli as cli
+    from khoarrow.chain import BigradedComplex
+
+    def not_a_complex(d, p):
+        # identity followed by identity: d^2 != 0
+        return BigradedComplex(
+            groups={0: [0], 1: [0], 2: [0]},
+            boundaries={0: [{0: 1}], 1: [{0: 1}]})
+
+    monkeypatch.setattr(cli, "build_unreduced", not_a_complex)
+    assert main(["verify", "--suite", "d2"]) == 3
+    captured = capsys.readouterr()
+    failed = [l for l in captured.out.splitlines() if l.startswith("[FAIL]")]
+    assert failed and all(l.startswith("[FAIL] d2 unreduced ")
+                          for l in failed)
+    assert "check(s) failed" in captured.err
+    assert main(["homology", "--pd", TREFOIL]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure:")

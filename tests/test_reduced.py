@@ -103,9 +103,7 @@ NAMES = ["unknot", "kink", "hopf", "trefoil", "figure8"]
 
 @pytest.mark.parametrize("name", NAMES)
 def test_reduced_complex_is_a_complex(name):
-    c = build_reduced(corpus.get(name))
-    assert c.check_d_squared()
-    assert c.check_q_preserved()
+    build_reduced(corpus.get(name)).check()
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -225,8 +223,7 @@ def test_direct_reduced_build_equals_the_restriction_on_larger_knots(name, p):
 @pytest.mark.parametrize("p", ALL_PRESETS)
 def test_reduced_subcomplex_at_every_preset(p):
     for name in corpus.names():
-        c = build_reduced(corpus.get(name), p)
-        assert c.check_d_squared() and c.check_q_preserved()
+        build_reduced(corpus.get(name), p).check()
 
 
 def _doubled(table):
