@@ -2,22 +2,23 @@
 
 A planar-diagram (PD) code lists one 4-tuple of arc labels per crossing,
 read counterclockwise starting from the incoming under-strand, e.g.
-``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]`` for a left trefoil.  Arc labels may
-be any positive integers; each label must occur exactly twice in total.
+``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]`` for a left trefoil.  Arc labels are
+non-negative integers (``parse_pd`` reads decimal digits, so ``0`` and
+leading zeros are accepted); each label must occur exactly twice in total.
 
-Slot rule: the under-strand enters at slot 0 and leaves at slot 2; the
-over-strand enters at slot ``o`` (1 or 3, ``Diagram.over_in``) and
-leaves at ``4 - o``.  ``Diagram.strands`` holds this rule and
-``Diagram.head`` reads it; orientation, components, ``mirror`` and the
-Reidemeister moves go through them.  ``o`` is solved by constraint
-propagation so that every arc has exactly one head and one tail, and
-crossing signs then follow from the right-hand rule.
+Slot rule: a strand that arrives at slot s of a crossing leaves at slot
+(s + 2) % 4.  One walk along every strand (``Diagram._walk``) orients the
+diagram from it: the under-strand arrives at slot 0, the over-strand at
+``Diagram.over_in`` (1 or 3), and the walk records every arc's head
+(``Diagram.head``) and the components.  Crossing signs then follow from
+the right-hand rule.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 
 __all__ = [
     "Diagram",
@@ -98,14 +99,15 @@ class Diagram:
         the incoming under-strand.
     free_loops : number of crossingless unknot components.
     over_in : per crossing, the slot (1 or 3) holding the incoming
-        over-strand arc.
+        over-strand arc, set by the one walk along every strand.
     signs : per crossing, +1 or -1.
-    components : tuple of arc cycles, one per link component that has
-        at least one crossing.
+    components : tuple of arc cycles in strand order, one per link
+        component that has at least one crossing, each starting at its
+        smallest arc, sorted by it.
     """
 
     __slots__ = ("crossings", "free_loops", "over_in", "signs", "components",
-                 "arcs", "n_plus", "n_minus", "_ends")
+                 "arcs", "n_plus", "n_minus", "_ends", "_heads")
 
     def __init__(self, crossings, free_loops=0):
         crossings = tuple(tuple(int(a) for a in c) for c in crossings)
@@ -125,13 +127,14 @@ class Diagram:
                     f"arc label {a} occurs {len(e)} times, expected 2")
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "arcs", tuple(sorted(ends)))
-        over_in = self._solve_orientation()
+        over_in, heads, components = self._walk()
         object.__setattr__(self, "over_in", over_in)
+        object.__setattr__(self, "_heads", heads)
         signs = tuple(-1 if o == 1 else 1 for o in over_in)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "n_plus", sum(1 for s in signs if s > 0))
         object.__setattr__(self, "n_minus", sum(1 for s in signs if s < 0))
-        object.__setattr__(self, "components", self._trace_components())
+        object.__setattr__(self, "components", components)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -153,90 +156,49 @@ class Diagram:
 
     # -- construction helpers ------------------------------------------
 
-    def _solve_orientation(self):
-        """Pick the incoming over-slot (1 or 3) for every crossing.
+    def _walk(self):
+        """Orient every strand and trace the components in one pass.
 
-        Propagates head/tail constraints: slot 0 is always a head (arc
-        arrives), slot 2 a tail; the over-slots of a crossing are one
-        head and one tail depending on its orientation variable.
+        Returns the incoming over-slot of every crossing, the (crossing,
+        slot) head of every arc, and the components.  A walk starts at
+        every slot 0 it has not yet passed; a component that passes only
+        over other strands is then walked from slot 1 of its lowest-index
+        crossing.  Each crossing joins its slots in the fixed pairs 0-2
+        and 1-3, so a walk meets no arc or over-slot twice before its
+        loop closes, and the one defect it can meet is a strand arriving
+        at slot 2: no orientation gives every arc one head and one tail.
         """
         over_in: list[int | None] = [None] * len(self.crossings)
-
-        def role(ci, slot):
-            """True = head (incoming), False = tail, None = not yet known."""
-            if slot == 0:
-                return True
-            if slot == 2:
-                return False
-            if over_in[ci] is None:
-                return None
-            return slot == over_in[ci]
-
-        def set_over(ci, slot_in):
-            if over_in[ci] is None:
-                over_in[ci] = slot_in
-                return True
-            if over_in[ci] != slot_in:
-                raise NonPlanarInconsistency(
-                    f"orientation conflict at crossing {ci}")
-            return False
-
-        def propagate():
-            changed = True
-            while changed:
-                changed = False
-                for a, ((c1, s1), (c2, s2)) in self._ends.items():
-                    r1, r2 = role(c1, s1), role(c2, s2)
-                    if r1 is not None and r2 is not None:
-                        if r1 == r2:
-                            raise NonPlanarInconsistency(
-                                f"arc {a} has two heads or two tails")
-                    elif r2 is not None:
-                        # the other end takes the opposite role
-                        changed |= set_over(c1, s1 if not r2 else 4 - s1)
-                    elif r1 is not None:
-                        changed |= set_over(c2, s2 if not r1 else 4 - s2)
-
-        propagate()
-        # components passing only over other strands leave free choices
-        for ci in range(len(self.crossings)):
-            if over_in[ci] is None:
-                over_in[ci] = 1
-                propagate()
-        return tuple(over_in)  # type: ignore[return-value]
-
-    def _trace_components(self):
-        """Decompose arcs into closed loops via the successor relation.
-
-        Orientation gives every arc one head and one tail, so following
-        each strand from its entry to its exit is a permutation of arcs.
-        """
-        succ = {c[s_in]: c[s_out] for ci, c in enumerate(self.crossings)
-                for s_in, s_out in self.strands(ci).items()}
-        comps = []
-        remaining = set(succ)
-        while remaining:
-            start = min(remaining)
-            loop = [start]
-            cur = succ[start]
-            while cur != start:
-                loop.append(cur)
-                cur = succ[cur]
-            remaining.difference_update(loop)
-            comps.append(tuple(loop))
-        return tuple(comps)
+        heads: dict[int, tuple[int, int]] = {}
+        loops = []
+        for slot, ci in product((0, 1), range(len(self.crossings))):
+            first = self.crossings[ci][slot]
+            if first in heads:
+                continue
+            loop, arc = [], first
+            while arc not in heads:
+                if slot == 2:
+                    raise NonPlanarInconsistency(
+                        f"arc {arc} has two tails: it ends at slot 2 of "
+                        f"crossing {ci}")
+                if slot % 2:
+                    over_in[ci] = slot
+                heads[arc] = (ci, slot)
+                loop.append(arc)
+                # leave at the opposite slot and arrive at the arc's other end
+                end = (ci, (slot + 2) % 4)
+                arc = self.crossings[ci][end[1]]
+                e0, e1 = self._ends[arc]
+                ci, slot = e1 if e0 == end else e0
+            i = loop.index(min(loop))
+            loops.append(tuple(loop[i:] + loop[:i]))
+        return tuple(over_in), heads, tuple(sorted(loops))
 
     # -- queries --------------------------------------------------------
 
-    def strands(self, ci: int) -> dict[int, int]:
-        """Entry slot -> exit slot of the two strands through crossing ci."""
-        o = self.over_in[ci]
-        return {0: 2, o: 4 - o}
-
     def head(self, arc: int) -> tuple[int, int]:
         """The (crossing, slot) where `arc` arrives."""
-        end, other = self._ends[arc]
-        return end if end[1] in self.strands(end[0]) else other
+        return self._heads[arc]
 
     def endpoints(self, arc: int) -> list[tuple[int, int]]:
         """The two (crossing, slot) positions of an arc."""
@@ -508,8 +470,7 @@ def _r3(d: Diagram, m: MoveSpec) -> Diagram:
         # the strand runs s_in -> t -> mid -> h -> s_out
         h, h_slot = head = d.head(mid)
         t, t_slot = next(e for e in ends[mid] if e != head)
-        in_slot = next(s for s, x in d.strands(t).items() if x == t_slot)
-        out_slot = d.strands(h)[h_slot]
+        in_slot, out_slot = (t_slot + 2) % 4, (h_slot + 2) % 4
         s_in, s_out = d.crossings[t][in_slot], d.crossings[h][out_slot]
         # after the move: s_in -> h -> mid -> t -> s_out
         crossings[t][in_slot] = mid

@@ -2,13 +2,14 @@
 
 ``resolve`` finds circles with a union-find class, ``resolution_build``
 assembles a complex from one ``Resolution`` per vertex with bit-tuple
-keys, and ``restricted_reduced`` builds the whole unreduced complex and
-keeps the top half of every vertex block.  The package does all three
-faster; the tests compare its results with these.  The last part holds
-the graph model of the operator lattices that only the tests read:
-``enumerate_admissible``, ``psi``, ``find_cycles`` and
-``check_cycle_relations``, evaluated with the package's
-``lattice.value`` and ``lattice._with_loops``.
+keys, ``restricted_reduced`` builds the whole unreduced complex and
+keeps the top half of every vertex block, and ``orient`` orients a PD
+code by constraint propagation and then traces its components.  The
+package does all four faster; the tests compare its results with
+these.  The last part holds the graph model of the operator lattices
+that only the tests read: ``enumerate_admissible``, ``psi``,
+``find_cycles`` and ``check_cycle_relations``, evaluated with the
+package's ``lattice.value`` and ``lattice._with_loops``.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from khoarrow.algebra import EVEN
 from khoarrow.chain import (BigradedComplex, Unsolvable, _compose,
                             _proportion, _signature, build_unreduced,
                             edge_map)
+from khoarrow.diagram import NonPlanarInconsistency
 from khoarrow.lattice import _admissible, _with_loops, value
 
 
@@ -236,6 +238,80 @@ def restricted_reduced(d, p=EVEN):
         for g in keep[h]:
             boundaries[h].append({row_of[r]: v for r, v in cols[g].items()})
     return BigradedComplex(groups=groups, boundaries=boundaries)
+
+
+# --- diagram orientation by constraint propagation ----------------------
+
+def orient(crossings):
+    """(over_in, signs, components) of a PD code whose labels each occur
+    twice, as ``Diagram`` once solved them: propagate head/tail roles
+    over every arc until nothing changes, seed the lowest unset crossing
+    with over-slot 1 and propagate again, then follow each strand from
+    its entry to its exit.  Raises NonPlanarInconsistency where no
+    orientation gives every arc one head and one tail."""
+    ends = {}
+    for ci, c in enumerate(crossings):
+        for slot, a in enumerate(c):
+            ends.setdefault(a, []).append((ci, slot))
+    over_in = [None] * len(crossings)
+
+    def role(ci, slot):
+        """True = head (incoming), False = tail, None = not yet known."""
+        if slot == 0:
+            return True
+        if slot == 2:
+            return False
+        if over_in[ci] is None:
+            return None
+        return slot == over_in[ci]
+
+    def set_over(ci, slot_in):
+        if over_in[ci] is None:
+            over_in[ci] = slot_in
+            return True
+        if over_in[ci] != slot_in:
+            raise NonPlanarInconsistency(
+                f"orientation conflict at crossing {ci}")
+        return False
+
+    def propagate():
+        changed = True
+        while changed:
+            changed = False
+            for a, ((c1, s1), (c2, s2)) in ends.items():
+                r1, r2 = role(c1, s1), role(c2, s2)
+                if r1 is not None and r2 is not None:
+                    if r1 == r2:
+                        raise NonPlanarInconsistency(
+                            f"arc {a} has two heads or two tails")
+                elif r2 is not None:
+                    # the other end takes the opposite role
+                    changed |= set_over(c1, s1 if not r2 else 4 - s1)
+                elif r1 is not None:
+                    changed |= set_over(c2, s2 if not r1 else 4 - s2)
+
+    propagate()
+    # components passing only over other strands leave free choices
+    for ci in range(len(crossings)):
+        if over_in[ci] is None:
+            over_in[ci] = 1
+            propagate()
+
+    succ = {c[s_in]: c[s_out] for c, o in zip(crossings, over_in)
+            for s_in, s_out in ((0, 2), (o, 4 - o))}
+    comps = []
+    remaining = set(succ)
+    while remaining:
+        start = min(remaining)
+        loop = [start]
+        cur = succ[start]
+        while cur != start:
+            loop.append(cur)
+            cur = succ[cur]
+        remaining.difference_update(loop)
+        comps.append(tuple(loop))
+    signs = tuple(-1 if o == 1 else 1 for o in over_in)
+    return tuple(over_in), signs, tuple(comps)
 
 
 # --- the graph model of the operator lattices ---------------------------

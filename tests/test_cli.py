@@ -172,6 +172,19 @@ def test_main_callable_in_process(capsys):
         {"h": 0, "q": 1, "betti": 1, "torsion": []}]
 
 
+def test_label_zero_reads_like_any_other_label(capsys):
+    # parse_pd reads decimal digits, so 0 is a label: the kink X[0,1,1,0]
+    # has the table of the kink X[2,1,1,2], reduced or not
+    for flags in ([], ["--reduced"]):
+        for theory in ("even", "odd"):
+            groups = []
+            for pd in ("X[0,1,1,0]", "X[2,1,1,2]"):
+                assert main(["homology", "--pd", pd, "--theory", theory,
+                             "--format", "json", *flags]) == 0
+                groups.append(json.loads(capsys.readouterr().out)["groups"])
+            assert groups[0] == groups[1] and groups[0], (flags, theory)
+
+
 def test_main_reuses_one_parser(capsys):
     assert build_parser() is build_parser()
     argv = ["homology", "--pd", TREFOIL, "--theory", "odd"]

@@ -1,6 +1,7 @@
 """PD / Gauss parsing, orientation solving, and Reidemeister rewriting."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,12 +9,14 @@ from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import build_unreduced
 from khoarrow.cube import check_planarity
-from khoarrow.diagram import (ArcCountMismatch, DiagramError, MalformedSyntax,
-                              MoveSpec, PatternMismatch, SiteNotFound,
-                              apply_move, mirror, parse_gauss, parse_pd,
-                              to_pd)
+from khoarrow.diagram import (ArcCountMismatch, Diagram, DiagramError,
+                              MalformedSyntax, MoveSpec, PatternMismatch,
+                              SiteNotFound, apply_move, mirror, parse_gauss,
+                              parse_pd, to_pd)
 from khoarrow.homology import homology
 from khoarrow.jones import jones
+from knots import random_signed_knots, torus
+from reference import orient
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -66,8 +69,8 @@ def test_hopf_signs():
 
 def test_orientation_seeded_for_a_component_passing_only_over():
     # a 2-component unlink: the second component (arcs 3, 4) never enters
-    # a crossing at slot 0, so propagation alone cannot orient it and the
-    # solver seeds a crossing
+    # a crossing at slot 0, so no walk from a slot 0 reaches it, and it is
+    # walked from slot 1 of its lowest-index crossing
     d = parse_pd("X[1,3,2,4] X[2,3,1,4]")
     assert d.over_in == (1, 3)
     assert d.signs == (-1, 1)
@@ -233,3 +236,52 @@ def test_accepted_moves_stay_planar_and_keep_both_tables():
             assert _tables(moved) == tables, (name, moved)
             count += 1
     assert count == 78
+
+
+# -- the strand walk against the propagation solver ----------------------
+
+
+def _codes(n):
+    """Every arrangement of the labels 1..2n, each used twice, into n
+    crossings."""
+    labels = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
+    for p in sorted(set(itertools.permutations(labels))):
+        yield [p[i:i + 4] for i in range(0, 4 * n, 4)]
+
+
+def _random_codes(n, count, seed):
+    rng = random.Random(seed)
+    labels = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
+    for _ in range(count):
+        rng.shuffle(labels)
+        yield [labels[i:i + 4] for i in range(0, 4 * n, 4)]
+
+
+def _outcome(solve, code):
+    try:
+        return solve(code)
+    except DiagramError as e:
+        return type(e)
+
+
+def _walked(code):
+    d = Diagram(code)
+    return d.over_in, d.signs, d.components
+
+
+def test_strand_walk_matches_the_propagation_solver():
+    # every 1- and 2-crossing code, seeded random 3- to 6-crossing codes
+    # (most of them rejected), and the diagrams the other tests use, links
+    # included: the same over_in, signs and components, or the same error
+    known = [d for _, d in _corpus_and_mirrors()]
+    known += [k for n in range(3, 12) for k in (torus(n), mirror(torus(n)))]
+    known += [d for _, d in random_signed_knots(50)]
+    codes = [*_codes(1), *_codes(2)]
+    codes += [c for n in range(3, 7) for c in _random_codes(n, 2000, n)]
+    codes += [d.crossings for d in known]
+    accepted = 0
+    for code in codes:
+        got = _outcome(_walked, code)
+        assert got == _outcome(orient, code), code
+        accepted += isinstance(got, tuple)
+    assert (len(codes), accepted) == (10614, 3422)

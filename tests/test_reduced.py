@@ -170,16 +170,24 @@ def _relabel(d, s):
     return Diagram([[(a - 1 + s) % m + 1 for a in c] for c in d.crossings])
 
 
-@pytest.mark.parametrize("name", [
-    n for n in corpus.names()
-    if corpus.get(n).n and len(corpus.get(n).components) == 1])
+# corpus knots, and signed braid closures of at most 7 crossings, whose
+# arcs are 1..2n in traversal order too
+BASE_ARC_KNOTS = {n: corpus.get(n) for n in corpus.names()
+                  if corpus.get(n).n and len(corpus.get(n).components) == 1}
+BASE_ARC_KNOTS.update(
+    (f"signed{i}", d) for i, d in enumerate(
+        d for _, d in random_signed_knots(20) if d.n <= 7))
+
+
+@pytest.mark.parametrize("name", BASE_ARC_KNOTS)
 def test_reduced_table_does_not_depend_on_the_base_arc(name):
     # the smallest label, which picks the base arc, lands on every arc
-    d = corpus.get(name)
+    d = BASE_ARC_KNOTS[name]
     assert d.arcs == tuple(range(1, 2 * d.n + 1))
-    table = homology(build_reduced(d))
-    for s in range(1, 2 * d.n):
-        assert homology(build_reduced(_relabel(d, s))) == table, s
+    for p in (EVEN, ODD):
+        table = homology(build_reduced(d, p))
+        for s in range(1, 2 * d.n):
+            assert homology(build_reduced(_relabel(d, s), p)) == table, (p, s)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
