@@ -15,11 +15,15 @@ crossing (``cube.arrows``).
 
 ``check_commuting_square`` checks that the even edge map sends the value
 of every word of D(I) to the value of the same word in D(J) along a
-merge, and of the word with the new arrow prepended along a split.
-``check_graph_span`` realizes the same lattice from the admissible
-subgraphs of the arrow multigraph (edges evaluate to merge operators,
-distinguished vertices to loop operators) and checks that both spans
-agree.
+merge, and of the word with the new arrow prepended along a split; it
+builds one words table per distinct resolution of the cube and one map
+per edge signature.  ``check_graph_span`` realizes the same lattice from
+the admissible subgraphs of the arrow multigraph (edges evaluate to
+merge operators, distinguished vertices to loop operators) and checks
+that both spans agree.  One walk over the edge sets (``_admissible``)
+finds each set's components and product from the set without its top
+edge, and each subgraph's value is the value of one smaller subgraph
+times one operator.  Lattices are Hermite forms of the distinct values.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ __all__ = [
     "check_graph_span",
 ]
 
+# the word and subgraph walks are exponential in both: at the guard's
+# edge, 8 circles on a path with 5 more seeded arrows (BENCH_lattice.json),
+# check_graph_span walks 30,711 subgraphs in 0.9-1.6 s and 50 MB peak on
+# one core of a shared 2-vCPU VM
 MAX_LATTICE_CIRCLES = 8
 MAX_LATTICE_ARROWS = 12
 
@@ -114,9 +122,10 @@ def operator_lattice(k: int, arrows) -> list:
 
     Its length is the rank of the lattice.  A word of length m has a
     value of x-degree m, so words of different lengths have disjoint
-    supports and every basis row is homogeneous; the first is 1.
+    supports and every basis row is homogeneous; the first is 1.  Words
+    with equal values span nothing more, so each value enters once.
     """
-    return hermite(vec for _, vec in _words(k, arrows))
+    return hermite(dict.fromkeys(tuple(vec) for _, vec in _words(k, arrows)))
 
 
 def check_commuting_square(d: Diagram) -> list:
@@ -129,20 +138,32 @@ def check_commuting_square(d: Diagram) -> list:
     """
     n = d.n
     cube = circle_labels(d)
-    # the value of every sorted word of each vertex that does not vanish;
-    # a word missing from its vertex's table has value 0
-    values = [dict(_words(k, arrows_of(d, labels))) for labels, k in cube]
+    # the value of every sorted word that does not vanish, one table per
+    # distinct resolution (circle count and arrows) of the cube; a word
+    # missing from its vertex's table has value 0
+    tables: dict = {}
+    values = []
+    for labels, k in cube:
+        key = (k, tuple(arrows_of(d, labels)))
+        if key not in tables:
+            tables[key] = dict(_words(*key))
+        values.append(tables[key])
+    # edges with one signature share one map, as in a complex build
+    maps: dict = {}
     violations = []
     for mask, i, sig in _edges(d, cube):
         to = mask | 1 << (n - 1 - i)
         table, size = values[to], 2 ** cube[to][1]
-        emap = edge_map(sig, EVEN)
+        if sig not in maps:
+            maps[sig] = edge_map(sig, EVEN)
+        emap = maps[sig]
         zero = [0] * size
         for w, vec in values[mask].items():
             image = [0] * size
             for m, c in enumerate(vec):
-                for row, e in emap[m]:
-                    image[row] += e * c
+                if c:
+                    for row, e in emap[m]:
+                        image[row] += e * c
             target = tuple(sorted(w + (i,))) if sig[0] == "split" else w
             if image != table.get(target, zero):
                 bits = tuple(mask >> (n - 1 - j) & 1 for j in range(n))
@@ -153,61 +174,100 @@ def check_commuting_square(d: Diagram) -> list:
 # --- admissible subgraphs and the graph description of the lattice ----
 
 def _admissible(k: int, arrows):
-    """(edges, distinguished sets) for every edge set of the arrow
-    multigraph that admits a subgraph, in ascending edge mask, each list
-    in ascending vertex mask.
+    """(edge mask, edge product, distinguished masks) for every edge set
+    of the arrow multigraph that admits a subgraph, in ascending edge
+    mask, the distinguished masks ascending.
 
-    Edges are arrow indices.  Every component of an admissible subgraph
-    is a tree with at most one distinguished vertex, a single-cycle
+    Arrow i is bit i of an edge mask and circle v bit v of a vertex
+    mask; the edge product is the value at 1 of the product of the
+    set's arrow operators.  Every component of an admissible subgraph is
+    a tree with at most one distinguished vertex, a single-cycle
     subgraph (cycle rank 1) with none, or a lone distinguished circle
-    that carries a loop arrow; an edge set with a component of cycle
-    rank 2 or more admits none.  Components depend only on the edge set,
-    so they are found once per edge set, and the distinguished sets are
-    the product of what each component allows.
+    that carries a loop arrow.  A component of cycle rank 2 or more
+    rules out the edge set and every superset, so each admissible set
+    is the set without its top edge, yielded before it, plus that edge:
+    the walk keeps every admissible set's components as (vertex mask,
+    edge count), merges the ones the new edge touches, and multiplies
+    the set's product by the new arrow.
     """
     _guard(k, arrows, "admissible-subgraph")
-    loops = {s for s, t in arrows if s == t}
+    terms = [_arrow(k, a) for a in arrows]
+    loops = 0                            # circles that carry a loop arrow
+    for s, t in arrows:
+        if s == t:
+            loops |= 1 << s
+    # edge mask -> (components, product) of an admissible set, else None
+    sets: list = [None] * 2 ** len(arrows)
+    sets[0] = (), [1] + [0] * (2 ** k - 1)
     for emask in range(2 ** len(arrows)):
-        edges = tuple(i for i in range(len(arrows)) if emask >> i & 1)
-        label = list(range(k))           # circle -> its component's label
-        for i in edges:
-            a, b = label[arrows[i][0]], label[arrows[i][1]]
-            if a != b:
-                label = [a if c == b else c for c in label]
-        touched = {v for i in edges for v in arrows[i]}
-        comps: dict = {}                 # label -> [vertices, edge count]
-        for v in touched:
-            comps.setdefault(label[v], [[], 0])[0].append(v)
-        for i in edges:
-            comps[label[arrows[i][0]]][1] += 1
+        if emask:
+            top = emask.bit_length() - 1
+            parent = sets[emask ^ 1 << top]
+            if parent is None:
+                continue
+            s, t = arrows[top]
+            vmask, n_edges = 1 << s | 1 << t, 1
+            comps = []
+            for comp in parent[0]:
+                if comp[0] & vmask:
+                    vmask |= comp[0]
+                    n_edges += comp[1]
+                else:
+                    comps.append(comp)
+            if n_edges >= vmask.bit_count() + 1:     # cycle rank >= 2
+                continue
+            comps.append((vmask, n_edges))
+            sets[emask] = comps, _times(parent[1], terms[top])
+        comps, product = sets[emask]
         masks = [0]
-        for members, n_edges in comps.values():
-            rank = n_edges - len(members) + 1
-            if rank >= 2:
-                break
-            if rank == 0:
-                masks = [m | bit for m in masks
-                         for bit in (0, *(1 << v for v in members))]
-        else:
-            for v in loops - touched:
+        touched = 0
+        for vmask, n_edges in comps:
+            touched |= vmask
+            if n_edges < vmask.bit_count():          # a tree
+                masks = [m | bit for m in masks for bit in
+                         (0, *(1 << v for v in range(k) if vmask >> v & 1))]
+        free = loops & ~touched
+        for v in range(k):
+            if free >> v & 1:
                 masks += [m | 1 << v for m in masks]
-            yield edges, [tuple(v for v in range(k) if m >> v & 1)
-                          for m in sorted(masks)]
+        yield emask, product, sorted(masks)
+
+
+def _subgraph_values(k: int, arrows):
+    """The value of every admissible subgraph, in the order of
+    ``_admissible``: its edge product times 2 x_v for each distinguished
+    circle v.  Each is the value of the subgraph without its top
+    distinguished circle, yielded before it, times one loop operator.
+    """
+    for _, product, dists in _admissible(k, arrows):
+        values = {}                      # distinguished mask -> value
+        for dist in dists:
+            if dist:
+                top = dist.bit_length() - 1
+                values[dist] = _with_loops(k, values[dist ^ 1 << top], (top,))
+            else:
+                values[dist] = product
+            yield values[dist]
 
 
 def check_graph_span(k: int, arrows) -> dict:
     """Compare the admissible-subgraph span with the operator lattice of
-    the resolution with `k` circles and `arrows`."""
+    the resolution with `k` circles and `arrows`.
+
+    Only the distinct subgraph values enter the Hermite form, which is
+    unique, so the span does not depend on which of them are repeated.
+    """
     lattice = operator_lattice(k, arrows)
-    values = []
-    for edges, dists in _admissible(k, arrows):
-        base = value(k, arrows, edges)   # the edge product, shared
-        values += [_with_loops(k, base, dist) for dist in dists]
-    span = hermite(values)
+    rows: dict = {}                      # distinct values, in order
+    subgraphs = 0
+    for vec in _subgraph_values(k, arrows):
+        rows[tuple(vec)] = None
+        subgraphs += 1
+    span = hermite(rows)
     return {
         "equal": span == lattice,
         "lattice_rank": len(lattice),
         "span_rank": len(span),
-        "kernel_rank": len(values) - len(span),
-        "subgraphs": len(values),
+        "kernel_rank": subgraphs - len(span),
+        "subgraphs": subgraphs,
     }

@@ -6,21 +6,30 @@ keys, ``restricted_reduced`` builds the whole unreduced complex and
 keeps the top half of every vertex block, and ``orient`` orients a PD
 code by constraint propagation and then traces its components.  The
 package does all four faster; the tests compare its results with
-these.  The last part holds the graph model of the operator lattices
-that only the tests read: ``enumerate_admissible``, ``psi``,
-``find_cycles`` and ``check_cycle_relations``, evaluated with the
-package's ``lattice.value`` and ``lattice._with_loops``.
+these.  Then comes the graph model of the operator lattices that only
+the tests read: ``enumerate_admissible``, ``psi``, ``find_cycles`` and
+``check_cycle_relations``, evaluated with the package's
+``lattice.value`` and ``lattice._with_loops``.  The last part holds the
+lattice checks with no work shared between subgraphs or vertices:
+``admissible`` relabels every circle for each edge set,
+``check_graph_span`` evaluates every subgraph from scratch and puts
+every value into one Hermite form, like ``operator_lattice``, and
+``check_commuting_square`` builds a words table per cube vertex and a
+map per cube edge.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from khoarrow.algebra import EVEN
-from khoarrow.chain import (BigradedComplex, Unsolvable, _compose,
+from khoarrow.chain import (BigradedComplex, Unsolvable, _compose, _edges,
                             _proportion, _signature, build_unreduced,
                             edge_map)
+from khoarrow.cube import arrows as arrows_of, circle_labels
 from khoarrow.diagram import NonPlanarInconsistency
-from khoarrow.lattice import _admissible, _with_loops, value
+from khoarrow.lattice import (_admissible, _guard, _with_loops, _words,
+                              value)
+from khoarrow.snf import hermite
 
 
 @dataclass(frozen=True)
@@ -334,8 +343,13 @@ def enumerate_admissible(k, arrows):
     """All admissible subgraphs of the arrow multigraph of the resolution
     with `k` circles and `arrows`, in ascending edge mask, then ascending
     distinguished-vertex mask (``lattice._admissible``)."""
-    return [AdmissibleSubgraph(edges, dist)
-            for edges, dists in _admissible(k, arrows) for dist in dists]
+    return [AdmissibleSubgraph(_members(emask, len(arrows)),
+                               _members(dist, k))
+            for emask, _, dists in _admissible(k, arrows) for dist in dists]
+
+
+def _members(mask, size):
+    return tuple(i for i in range(size) if mask >> i & 1)
 
 
 def psi(g, k, arrows):
@@ -395,3 +409,86 @@ def check_cycle_relations(k, arrows, cycle):
         _with_loops(k, value(k, arrows, edges[:-1]), (v,)) == full
         for v in set(verts))
     return out
+
+
+# --- the lattice checks, one edge set and one vertex at a time ----------
+
+def admissible(k, arrows):
+    """``lattice._admissible`` as (edges, distinguished sets), each edge
+    set's components found afresh by relabelling every circle."""
+    _guard(k, arrows, "admissible-subgraph")
+    loops = {s for s, t in arrows if s == t}
+    for emask in range(2 ** len(arrows)):
+        edges = tuple(i for i in range(len(arrows)) if emask >> i & 1)
+        label = list(range(k))           # circle -> its component's label
+        for i in edges:
+            a, b = label[arrows[i][0]], label[arrows[i][1]]
+            if a != b:
+                label = [a if c == b else c for c in label]
+        touched = {v for i in edges for v in arrows[i]}
+        comps: dict = {}                 # label -> [vertices, edge count]
+        for v in touched:
+            comps.setdefault(label[v], [[], 0])[0].append(v)
+        for i in edges:
+            comps[label[arrows[i][0]]][1] += 1
+        masks = [0]
+        for members, n_edges in comps.values():
+            rank = n_edges - len(members) + 1
+            if rank >= 2:
+                break
+            if rank == 0:
+                masks = [m | bit for m in masks
+                         for bit in (0, *(1 << v for v in members))]
+        else:
+            for v in loops - touched:
+                masks += [m | 1 << v for m in masks]
+            yield edges, [tuple(v for v in range(k) if m >> v & 1)
+                          for m in sorted(masks)]
+
+
+def operator_lattice(k, arrows):
+    """``lattice.operator_lattice``: the Hermite form of every word value."""
+    return hermite(vec for _, vec in _words(k, arrows))
+
+
+def check_graph_span(k, arrows):
+    """``lattice.check_graph_span``, evaluating every subgraph from
+    scratch and putting every value, repeats included, into one Hermite
+    form."""
+    lattice = operator_lattice(k, arrows)
+    values = []
+    for edges, dists in admissible(k, arrows):
+        base = value(k, arrows, edges)   # the edge product, shared
+        values += [_with_loops(k, base, dist) for dist in dists]
+    span = hermite(values)
+    return {
+        "equal": span == lattice,
+        "lattice_rank": len(lattice),
+        "span_rank": len(span),
+        "kernel_rank": len(values) - len(span),
+        "subgraphs": len(values),
+    }
+
+
+def check_commuting_square(d):
+    """``lattice.check_commuting_square`` with one words table per cube
+    vertex and one edge map per cube edge."""
+    n = d.n
+    cube = circle_labels(d)
+    values = [dict(_words(k, arrows_of(d, labels))) for labels, k in cube]
+    violations = []
+    for mask, i, sig in _edges(d, cube):
+        to = mask | 1 << (n - 1 - i)
+        table, size = values[to], 2 ** cube[to][1]
+        emap = edge_map(sig, EVEN)
+        zero = [0] * size
+        for w, vec in values[mask].items():
+            image = [0] * size
+            for m, c in enumerate(vec):
+                for row, e in emap[m]:
+                    image[row] += e * c
+            target = tuple(sorted(w + (i,))) if sig[0] == "split" else w
+            if image != table.get(target, zero):
+                bits = tuple(mask >> (n - 1 - j) & 1 for j in range(n))
+                violations.append((bits, i, w))
+    return violations

@@ -19,6 +19,7 @@ from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 from dense import t_merge, t_split
 from knots import positive_braid_closure, random_signed_knots, torus
+import reference
 from reference import (AdmissibleSubgraph, UnionFind, check_cycle_relations,
                        enumerate_admissible, find_cycles, psi,
                        restricted_reduced)
@@ -338,8 +339,10 @@ def test_commuting_square_catches_a_wrong_map(monkeypatch):
         return [tuple((r, -v) for r, v in images) for images in emap]
 
     monkeypatch.setattr(lattice, "edge_map", negated)
+    monkeypatch.setattr(reference, "edge_map", negated)
     found = check_commuting_square(d)
     assert found
+    assert found == reference.check_commuting_square(d)
     cube = circle_labels(d)
     n = d.n
     for bits, i, w in found:
@@ -359,6 +362,28 @@ def test_graph_span_equals_lattice():
         for labels, k in circle_labels(d):
             rep = check_graph_span(k, arrows(d, labels))
             assert rep["equal"], (name, labels, rep)
+
+
+def test_lattice_checks_equal_the_reference():
+    # the incremental walk and the shared tables give the reports,
+    # lattices and violation lists of the per-subgraph, per-vertex code
+    diagrams = [corpus.get(name) for name in corpus.names()]
+    diagrams += [mirror(d) for d in diagrams]
+    diagrams += [torus(n) for n in (3, 5, 7)]
+    diagrams += [d for _, d in random_signed_knots(30) if d.n <= 7]
+    vertices = []
+    for d in diagrams:
+        assert (check_commuting_square(d)
+                == reference.check_commuting_square(d)), d.crossings
+        vertices += [(k, tuple(arrows(d, labels)))
+                     for labels, k in circle_labels(d)]
+    assert (len(diagrams), len(vertices)) == (44, 2318)
+    # both sides are functions of the resolution alone: check each once
+    for k, arr in dict.fromkeys(vertices):
+        assert (operator_lattice(k, arr)
+                == reference.operator_lattice(k, arr)), arr
+        assert (check_graph_span(k, arr)
+                == reference.check_graph_span(k, arr)), arr
 
 
 def test_enumerate_admissible_small_cases():
@@ -419,6 +444,9 @@ def test_enumerate_admissible_equals_oracle(name):
         arr = arrows(d, labels)
         assert (enumerate_admissible(k, arr)
                 == _admissible_oracle(k, arr)), labels
+        # each subgraph's value, built from a smaller one, is its psi
+        assert (list(lattice._subgraph_values(k, arr))
+                == [psi(g, k, arr) for g in _admissible_oracle(k, arr)]), labels
 
 
 def _dists(subs, edges):
