@@ -9,7 +9,7 @@ is not reproduced.
 
 from .algebra import EVEN, ODD, RingParams
 from .chain import BigradedComplex, build_unreduced
-from .diagram import Diagram, MoveSpec, apply_move, mirror, parse_gauss, parse_pd
+from .diagram import Diagram, mirror, parse_gauss, parse_pd
 from .homology import HomologyTable, NotAComplex, homology
 from .jones import LaurentPoly, euler_characteristic, jones
 from .lattice import operator_lattice
@@ -25,8 +25,6 @@ __all__ = [
     "BigradedComplex",
     "build_unreduced",
     "Diagram",
-    "MoveSpec",
-    "apply_move",
     "mirror",
     "parse_gauss",
     "parse_pd",

@@ -10,7 +10,8 @@ took on stderr.
 
 Exit codes: 0 success / all checks pass; 1 input could not be parsed
 or is not a planar diagram; 2 the input exceeds a size guard, or the
-command line is malformed (argparse's usage error, e.g. ``--x 2``); 3
+command line is malformed (argparse's usage error, e.g. ``--x 2``, or
+``--x`` with a ``--theory`` other than ``custom``); 3
 an internal consistency check failed (d² != 0 and friends) or a verify
 suite reported failures.
 Diagnostics go to stderr; stdout carries data only.
@@ -59,7 +60,8 @@ def _theory(args) -> RingParams:
         return EVEN
     if args.theory == "odd":
         return ODD
-    return RingParams(args.x, args.y, args.z)
+    return RingParams(*(1 if v is None else v
+                        for v in (args.x, args.y, args.z)))
 
 
 def _load_diagram(args):
@@ -269,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="path to a file holding a PD code")
     hom.add_argument("--theory", choices=("even", "odd", "custom"),
                      default="even")
+    # default None tells a flag left out from one given: only custom reads them
     for name in ("--x", "--y", "--z"):
-        hom.add_argument(name, type=int, choices=(1, -1), default=1)
+        hom.add_argument(name, type=int, choices=(1, -1), default=None)
     hom.add_argument("--reduced", action="store_true")
     hom.add_argument("--grading-convention",
                      choices=("standard", "paper"), default="standard")
@@ -286,7 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the one place that maps a failure to its exit
     code, with a one-line diagnostic on stderr."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "homology" and args.theory != "custom":
+        for name in ("x", "y", "z"):
+            if getattr(args, name) is not None:
+                parser.error(f"argument --{name}: not allowed with --theory "
+                             f"{args.theory} (only custom reads the sign flags)")
     try:
         return args.func(args)
     except DiagramError as exc:

@@ -1,10 +1,14 @@
 """Curated test diagrams and Reidemeister-equivalence classes.
 
-Every diagram here is planar-verified (each crossing change alters the
-circle count by exactly 1) and the moved presentations were generated by
-``apply_move`` at sites additionally checked to preserve the Kauffman
-bracket.  The moved PD codes are frozen as strings so the corpus does
-not silently drift if the rewriting heuristics change.
+Every diagram here passes ``cube.check_planarity`` (each crossing change
+alters the circle count by exactly 1), which is weaker than planarity.
+A face count says more: the genus of the surface a code's faces close up
+is 0 for every diagram here but two, ``figure8_r2`` (genus 1) and
+``figure8_r3`` (genus 2), so those two are not planar diagrams.  The
+moved presentations were generated by the test helper ``tests/moves.py``
+at sites additionally checked to preserve the Kauffman bracket.  The
+moved PD codes are frozen as strings so the corpus does not silently
+drift if the rewriting changes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ CORPUS: dict[str, str] = {
     "hopf": "X[4,1,3,2] X[2,3,1,4]",                     # negative Hopf link
     "trefoil": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",       # left-handed trefoil
     "figure8": "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]",
-    # moved presentations (frozen apply_move outputs)
+    # moved presentations (frozen tests/moves.py outputs)
     # trefoil + R1 (negative kink on arc 1)
     "trefoil_r1": "X[7,4,2,5] X[3,6,4,1] X[5,2,6,3] X[1,8,8,7]",
     # trefoil + R2 (arcs 1 and 4 pushed across each other)

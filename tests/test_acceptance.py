@@ -109,8 +109,6 @@ def test_acceptance_5_graph_group_span():
     cycles_checked = 0
     for name in corpus.names():
         d = corpus.get(name)
-        if d.n > 6:
-            continue
         for labels, k in circle_labels(d):
             arr = arrows(d, labels)
             if not check_graph_span(k, arr)["equal"]:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 from khoarrow.algebra import ODD
 from khoarrow.chain import build_unreduced
 from khoarrow.cli import SUITES, build_parser, main
@@ -107,6 +109,27 @@ def test_sign_flags_outside_plus_minus_one_are_usage_errors():
                              "--x", "2")
         assert code == 2 and out == ""
         assert "invalid choice" in err and "Traceback" not in err
+
+
+def test_sign_flags_outside_the_custom_theory_are_usage_errors(capsys):
+    # even and odd fix all three signs; a sign flag beside them used to be
+    # dropped without a word.  The default theory is even
+    code, out, err = run("homology", "--pd", TREFOIL, "--theory", "odd",
+                         "--x", "-1")
+    assert code == 2 and out == ""
+    assert "argument --x" in err and "Traceback" not in err
+    for theory in (("--theory", "even"), ("--theory", "odd"), ()):
+        for flag in ("--x", "--y", "--z"):
+            with pytest.raises(SystemExit) as exc:
+                main(["homology", "--pd", TREFOIL, *theory, flag, "1"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"argument {flag}" in captured.err
+    # custom reads a flag left out as 1
+    assert main(["homology", "--pd", "", "--theory", "custom",
+                 "--y", "-1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["theory"] == {"x": 1, "y": -1, "z": 1}
 
 
 def test_parse_error_exit_code():

@@ -10,12 +10,13 @@ from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import build_unreduced
 from khoarrow.cube import check_planarity
 from khoarrow.diagram import (ArcCountMismatch, Diagram, DiagramError,
-                              MalformedSyntax, MoveSpec, PatternMismatch,
-                              SiteNotFound, apply_move, mirror, parse_gauss,
-                              parse_pd, to_pd)
+                              MalformedSyntax, mirror, parse_gauss, parse_pd,
+                              to_pd)
 from khoarrow.homology import homology
 from khoarrow.jones import jones
 from knots import random_signed_knots, torus
+from moves import (MoveSpec, PatternMismatch, SiteNotFound, apply_move,
+                   fresh_label)
 from reference import orient
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -198,7 +199,7 @@ def test_every_rejected_move_raises_a_diagram_error():
     # out-of-range and repeated sites included; nothing but DiagramError
     # (or a Diagram) may come back
     for _, d in _corpus_and_mirrors():
-        arcs = d.arcs + (d.fresh_label(),)
+        arcs = d.arcs + (fresh_label(d),)
         idx = range(d.n + 1)
         sites = ([MoveSpec("R1+", (a,)) for a in arcs]
                  + [MoveSpec("R1-", (i,)) for i in idx]
