@@ -20,10 +20,15 @@ non-tree edge from one face it closes, so that every 2-face
 anticommutes; the few edges no face fixes become GF(2) unknowns, solved
 by XOR elimination against the remaining faces.  Faces built from the
 same four map objects are composed and compared once per sign solve.
-One assembly writes either every generator (the unreduced complex) or
-only the top half of every vertex block, x on the base circle (the
-reduced complex of ``reduced``); the signs are solved over the full
-maps either way.
+That work is done once per build (``_Assembly``).  Every differential
+preserves q, so the complex is the direct sum of its q-slices, and one
+assembly writes the columns of one slice at a time (``q_slices``), with
+rows numbered as in the whole complex: either every generator (the
+unreduced complex) or only the top half of every vertex block, x on the
+base circle (the reduced complex of ``reduced``); the signs are solved
+over the full maps either way.  ``build_unreduced`` and
+``reduced.build_reduced`` are the direct sum of those slices, and
+``check_slice`` is the one soundness check of a slice.
 
 Gradings: homological degree h = |I| - n_minus, and quantum degree
 (#1 - #x) + |I| + n_plus - 2 n_minus, the standard convention (the CLI
@@ -33,6 +38,7 @@ can print the paper's, which negates q).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .algebra import RingParams
 from .cube import circle_labels
@@ -44,9 +50,11 @@ __all__ = [
     "Unsolvable",
     "NotASubcomplex",
     "NotAComplex",
+    "check_slice",
     "edge_map",
     "solve_signs",
     "build_unreduced",
+    "q_slices",
 ]
 
 
@@ -74,8 +82,10 @@ class BigradedComplex:
     h.  boundaries[h] maps degree h to degree h+1 as one ``{row: entry}``
     dict per generator of degree h: the nonzero entries of that column,
     keyed by the index of a generator of degree h+1, as Python ints.
-    ``check`` is the one soundness check every homology table rests on:
-    the shape fits the groups, the boundary preserves q, and d^2 = 0.
+    ``slices`` cuts it into its q-slices, in the form ``q_slices`` yields
+    for a diagram, and ``check`` runs the one soundness check every
+    homology table rests on: the shape fits the groups, and on each
+    slice (``check_slice``) the boundary preserves q and d^2 = 0.
     """
 
     groups: dict[int, list[int]] = field(default_factory=dict)
@@ -92,35 +102,70 @@ class BigradedComplex:
             for q, count in seen.items():
                 yield h, q, count
 
-    def check(self) -> None:
-        """Raise NotAComplex, naming the first defect and its degree,
-        unless this is a bigraded complex: d_h has one column per
-        generator of degree h, every row of a column is a generator of
-        degree h + 1 (0 <= row < their number) of the column's q, and
-        every composite d_{h+1} d_h vanishes, exactly over Z.
-
-        The column counts are checked first, so that one walk of the
-        columns can check each row and sum the composites.
+    def slices(self):
+        """Yield (q, gens, cols) for every q-slice, ascending in q, as
+        ``q_slices`` does for a diagram: gens[h] lists the indices in
+        degree h of the generators of quantum degree q, and cols[h] their
+        columns of d_h.  Raises NotAComplex, before the first slice, when
+        some d_h has other than one column per generator of degree h.
         """
         for h, cols in self.boundaries.items():
             if len(cols) != len(self.groups.get(h, [])):
                 raise NotAComplex(f"d_{h} has {len(cols)} columns for "
                                   f"{len(self.groups.get(h, []))} generators")
-        for h, cols in self.boundaries.items():
-            qs = self.groups.get(h + 1, [])
-            size = len(qs)
-            second = self.boundaries.get(h + 1) or [{}] * size
-            for q, col in zip(self.groups.get(h, []), cols):
-                acc: dict[int, int] = {}
-                for mid, a in col.items():
-                    if not 0 <= mid < size or qs[mid] != q:
-                        raise NotAComplex(
-                            f"d_{h}: row {mid} of a column of q = {q} is no "
-                            f"generator of degree {h + 1} and that q")
-                    for r, b in second[mid].items():
-                        acc[r] = acc.get(r, 0) + a * b
-                if any(acc.values()):
-                    raise NotAComplex(f"d_{h + 1} d_{h} is not zero")
+        slices: dict[int, dict[int, list[int]]] = {}
+        for h in self.degrees():
+            qs = self.groups[h].__getitem__
+            # a stable sort keeps the order of each q's generators
+            for q, idx in groupby(sorted(range(len(self.groups[h])), key=qs),
+                                  key=qs):
+                slices.setdefault(q, {})[h] = list(idx)
+        for q in sorted(slices):
+            gens = slices.pop(q)
+            yield q, gens, {h: list(map(self.boundaries[h].__getitem__, idx))
+                            for h, idx in gens.items()
+                            if h in self.boundaries}
+
+    def check(self) -> None:
+        """Raise NotAComplex, naming the first defect and its degree,
+        unless this is a bigraded complex: d_h has one column per
+        generator of degree h, and each q-slice passes ``check_slice``:
+        the boundary preserves q and d^2 = 0, exactly over Z.
+        """
+        for q, gens, cols in self.slices():
+            check_slice(q, gens, cols)
+
+
+def check_slice(q: int, gens: dict, cols: dict) -> dict:
+    """The one soundness check of a q-slice (gens, cols), as
+    ``q_slices`` and ``BigradedComplex.slices`` yield it.
+
+    Raises NotAComplex, naming the first defect and its degree, unless
+    every row of a column in degree h is one of the slice's generators
+    of degree h + 1, and every composite d_{h+1} d_h vanishes, exactly
+    over Z.  Returns the ids it numbers the slice with: ids[h] maps each
+    generator of gens[h] to its id, 0, 1, ... in the order of `gens`.
+    """
+    ids: dict[int, dict[int, int]] = {}
+    by_id: list[dict[int, int]] = []   # the column of each id
+    for h, idx in gens.items():
+        ids[h] = dict(zip(idx, range(len(by_id), len(by_id) + len(idx))))
+        by_id += cols.get(h) or [{}] * len(idx)
+    for h, hcols in cols.items():
+        targets = ids.get(h + 1, {})
+        for col in hcols:
+            acc: dict[int, int] = {}
+            for mid, a in col.items():
+                dst = targets.get(mid)
+                if dst is None:
+                    raise NotAComplex(
+                        f"d_{h}: row {mid} of a column of q = {q} is no "
+                        f"generator of degree {h + 1} and that q")
+                for r, b in by_id[dst].items():
+                    acc[r] = acc.get(r, 0) + a * b
+            if any(acc.values()):
+                raise NotAComplex(f"d_{h + 1} d_{h} is not zero")
+    return ids
 
 
 def _graded(one: int, ex: int, n: int, xs: int) -> int:
@@ -375,89 +420,166 @@ def solve_signs(maps: list, n: int) -> list:
             else 1 for mask in masks]
 
 
-def build_unreduced(d: Diagram, p: RingParams) -> BigradedComplex:
-    """The unreduced complex of `d` at specialization `p`.
 
-    Every generator of every vertex block is written.  Each distinct
-    edge map is built once per call: every edge with the same
-    ``_signature`` gets the same map object, so a build makes as
-    many ``edge_map`` calls as there are distinct local pictures (27 of
-    448 edges on T(2, 7)).  Nothing is cached across calls.  The reduced
-    complex (``reduced.build_reduced``) comes from the same assembly.
+
+class _Assembly:
+    """The work a build of `d` at `p` does once, whatever q-slices it
+    then writes: unreduced, or reduced to the top half of every vertex
+    block (x on circle 0, the base circle) with q + 1.
+
+    Each edge's signature is read from the circle labels of its two
+    vertices (``_edges``), and edges with one signature share one map
+    object, so a build makes one ``edge_map`` call per distinct local
+    picture (27 of 448 edges on T(2, 7)) and ``solve_signs`` checks each
+    distinct face once.  Signs are solved over the full maps either way.
+    The arc labels die with the build's first stage; ``slice`` writes
+    the columns of one q-slice from what each vertex keeps: its kept
+    block indices by q, its offset in the layout, and its outgoing
+    edges, each made once per build.  Nothing is cached across builds.
+    Raises NonPlanarInconsistency for a virtual diagram, and
+    NotASubcomplex when `reduced` and an edge map sends a kept
+    generator into the discarded half of its target block.
+    """
+
+    def __init__(self, d: Diagram, p: RingParams, reduced: bool):
+        n = self.n = d.n
+        self.n_minus = d.n_minus
+        cube = circle_labels(d)
+        shared: dict[tuple, list] = {}
+        maps: list = [None] * (n << n)
+        for mask, i, sig in _edges(d, cube):
+            emap = shared.get(sig)
+            if emap is None:
+                emap = shared[sig] = edge_map(sig, p)
+                kI, kJ = sig[1], cube[mask | 1 << (n - 1 - i)][1]
+                # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
+                if reduced and any(row < 1 << (kJ - 1)
+                                   for images in emap[1 << (kI - 1):]
+                                   for row, _ in images):
+                    raise NotASubcomplex(
+                        f"boundary from degree {mask.bit_count() - d.n_minus}"
+                        f" leaves the reduced generators")
+            maps[mask * n + i] = emap
+        signs = solve_signs(maps, n)
+
+        # generator idx of a block sits at q = k - 2 |idx| + |I| + shift,
+        # |idx| its number of x's, plus 1 in the reduced theory; that
+        # theory keeps idx from first[k] = 2^(k-1) on, x on circle 0
+        self.shift = d.n_plus - 2 * d.n_minus + reduced
+        ks = [k for _, k in cube]
+        first = {k: 1 << (k - 1) if reduced else 0 for k in set(ks)}
+        # blocks[k][k - 2x]: the kept indices of a k-circle block with x
+        # x's, in the basis order of A^{(x)k}
+        blocks: dict[int, dict[int, list[int]]] = {k: {} for k in first}
+        for k, lo in first.items():
+            for idx in range(lo, 1 << k):
+                blocks[k].setdefault(k - 2 * idx.bit_count(), []).append(idx)
+        # the chain group of degree h = |I| - n_minus lays out one block
+        # of generators per vertex, in ascending masks (lexicographic
+        # order), each block in the basis order of A^{(x)k(I)}
+        by_size: list[list[int]] = [[] for _ in range(n + 1)]
+        for mask in range(1 << n):
+            by_size[mask.bit_count()].append(mask)
+        self.sizes = [0] * (n + 1)       # generators per degree
+        offsets = [0] * (1 << n)         # position of idx 0 of a block
+        for size, layer in enumerate(by_size):
+            for mask in layer:
+                offsets[mask] = self.sizes[size] - first[ks[mask]]
+                self.sizes[size] += (1 << ks[mask]) - first[ks[mask]]
+        # the later the bit that flips, the earlier its target in the
+        # layout: listing the crossings backwards writes each column's
+        # rows in increasing order, the order homology() picks pivots in
+        backwards = [(i, 1 << (n - 1 - i)) for i in reversed(range(n))]
+        # by_q[q][size]: (kept indices, offset, outgoing edges) of each
+        # vertex with generators of quantum degree q in that degree, in
+        # ascending masks; an edge is (sign, offset of its target, map)
+        self.by_q: dict[int, dict[int, list]] = {}
+        for size, layer in enumerate(by_size):
+            here: dict[int, list] = {}
+            for mask in layer:
+                out = [(signs[mask * n + i], offsets[mask | bit],
+                        maps[mask * n + i])
+                       for i, bit in backwards if not mask & bit]
+                for q0, block in blocks[ks[mask]].items():
+                    vertex = (block, offsets[mask], out)
+                    if q0 in here:
+                        here[q0].append(vertex)
+                    else:
+                        here[q0] = [vertex]
+            for q0, vertices in here.items():
+                q = q0 + size + self.shift
+                self.by_q.setdefault(q, {})[size] = vertices
+        # one int object per row index, shared by every column that has it
+        self.row_ids = list(range(max(self.sizes)))
+
+    def slice(self, q: int) -> tuple[dict, dict]:
+        """The generators of quantum degree `q` and their columns.
+
+        gens[h] lists their indices in the chain group of degree h,
+        ascending, and cols[h] the column of each, as ``{row: entry}``
+        with rows numbered in degree h + 1 of the whole complex; the top
+        degree has no columns.
+        """
+        row_ids = self.row_ids
+        gens: dict[int, list[int]] = {}
+        cols: dict[int, list[dict[int, int]]] = {}
+        for size, vertices in self.by_q[q].items():      # ascending sizes
+            h = size - self.n_minus
+            gens[h] = [base + c for block, base, _ in vertices
+                       for c in block]
+            if size < self.n:
+                # blocks of distinct edges never overlap
+                cols[h] = [{row_ids[r0 + r]: sign * v
+                            for sign, r0, emap in out for r, v in emap[c]}
+                           for block, _, out in vertices for c in block]
+        return gens, cols
+
+
+def q_slices(d: Diagram, p: RingParams, reduced: bool = False):
+    """Yield (q, gens, cols) for every q-slice of the complex of `d` at
+    `p`, ascending in q: the unreduced complex, or with `reduced` the
+    one of ``reduced.build_reduced``.
+
+    Every differential preserves q, so the complex is the direct sum of
+    these slices.  The edge maps and signs are made once, before the
+    first slice; each slice is then written on its own
+    (``_Assembly.slice``), with the indices and rows of the whole
+    complex, so a caller that drops a slice before asking for the next
+    never holds the whole complex.
+    """
+    assembly = _Assembly(d, p, reduced)
+    for q in sorted(assembly.by_q):
+        yield (q, *assembly.slice(q))
+
+
+def build_unreduced(d: Diagram, p: RingParams) -> BigradedComplex:
+    """The unreduced complex of `d` at specialization `p`: the direct
+    sum of its q-slices (``q_slices``), each generator and column at its
+    place in the block layout.  The reduced complex
+    (``reduced.build_reduced``) comes from the same assembly.  The whole
+    complex is held at once; ``homology.slice_homology(q_slices(d, p))``
+    gives its table one slice at a time, as ``khoarrow homology`` does.
     """
     return _build(d, p, reduced=False)
 
 
 def _build(d: Diagram, p: RingParams, reduced: bool) -> BigradedComplex:
-    """The complex of `d` at `p`: unreduced, or reduced to the top half
-    of every vertex block (x on circle 0, the base circle) with q + 1.
-
-    Each edge's signature is read from the circle labels of its two
-    vertices (``_edges``).  Signs are solved over the full shared edge
-    maps either way.  Raises NonPlanarInconsistency for a virtual
-    diagram, and NotASubcomplex when `reduced` and an edge map sends a
-    kept generator into the discarded half of its target block.
-    """
-    n = d.n
-    cube = circle_labels(d)
-    # edges with one signature share one map object, which also lets
-    # solve_signs check each distinct face once
-    shared: dict[tuple, list] = {}
-    maps: list = [None] * (n << n)
-    for mask, i, sig in _edges(d, cube):
-        emap = shared.get(sig)
-        if emap is None:
-            emap = shared[sig] = edge_map(sig, p)
-            kI, kJ = sig[1], cube[mask | 1 << (n - 1 - i)][1]
-            # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
-            if reduced and any(row < 1 << (kJ - 1)
-                               for images in emap[1 << (kI - 1):]
-                               for row, _ in images):
-                raise NotASubcomplex(
-                    f"boundary from degree {mask.bit_count() - d.n_minus}"
-                    f" leaves the reduced generators")
-        maps[mask * n + i] = emap
-    signs = solve_signs(maps, n)
-
-    # generator idx of a block sits at q = k - 2 |idx| + |I| + shift, |idx|
-    # its number of x's, plus 1 in the reduced theory; that theory keeps
-    # idx from first[I] = 2^(k-1) on, x on circle 0
-    shift = d.n_plus - 2 * d.n_minus + reduced
-    first = [1 << (k - 1) if reduced else 0 for _, k in cube]
-    # the chain group of degree h = |I| - n_minus lays out one block of
-    # generators per vertex, in ascending masks (lexicographic order),
-    # each block in the basis order of A^{(x)k(I)}
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_size[mask.bit_count()].append(mask)
-    groups: dict[int, list[int]] = {}
-    offsets = [0] * (1 << n)           # position of idx 0 of a block
-    for size, layer in enumerate(by_size):
-        qs: list[int] = []
-        for mask in layer:
-            k = cube[mask][1]
-            q0 = k + size + shift
-            offsets[mask] = len(qs) - first[mask]
-            qs += [q0 - 2 * idx.bit_count()
-                   for idx in range(first[mask], 1 << k)]
-        groups[size - d.n_minus] = qs
-
-    # one int object per row index, shared by every column that has it
-    row_ids = list(range(max(map(len, groups.values()))))
-    boundaries: dict[int, list[dict[int, int]]] = {}
-    backwards = [(i, 1 << (n - 1 - i)) for i in reversed(range(n))]
-    for size, layer in enumerate(by_size[:n]):
-        cols: list[dict[int, int]] = []
-        for mask in layer:
-            # the later the bit that flips, the earlier its target in the
-            # layout: walking the crossings backwards writes each column's
-            # rows in increasing order, the order homology() picks pivots in
-            out = [(signs[mask * n + i], offsets[mask | bit],
-                    maps[mask * n + i])
-                   for i, bit in backwards if not mask & bit]
-            # blocks of distinct edges never overlap
-            cols += [{row_ids[r0 + r]: sign * v
-                      for sign, r0, emap in out for r, v in emap[c]}
-                     for c in range(first[mask], 1 << cube[mask][1])]
-        boundaries[size - d.n_minus] = cols
+    """The direct sum of the q-slices of `d` at `p`, unreduced or
+    reduced (``_Assembly``)."""
+    assembly = _Assembly(d, p, reduced)
+    groups = {size - d.n_minus: [0] * count
+              for size, count in enumerate(assembly.sizes)}
+    boundaries: dict[int, list[dict[int, int]]] = {
+        size - d.n_minus: [{}] * count
+        for size, count in enumerate(assembly.sizes[:d.n])}
+    for q in assembly.by_q:
+        gens, cols = assembly.slice(q)
+        for h, idx in gens.items():
+            qs = groups[h]
+            for i in idx:
+                qs[i] = q
+        for h, hcols in cols.items():
+            column = boundaries[h]
+            for i, col in zip(gens[h], hcols):
+                column[i] = col
     return BigradedComplex(groups=groups, boundaries=boundaries)

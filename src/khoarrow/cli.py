@@ -28,10 +28,10 @@ from time import perf_counter
 from . import corpus
 from .algebra import EVEN, ODD, RingParams
 from .chain import (FaceNotProportional, NotAComplex, Unsolvable,
-                    build_unreduced)
+                    build_unreduced, q_slices)
 from .cube import arrows, circle_labels
 from .diagram import DiagramError, parse_gauss, parse_pd
-from .homology import homology
+from .homology import homology, slice_homology
 from .jones import TooLarge, euler_characteristic, jones
 from .lattice import check_commuting_square, check_graph_span
 from .reduced import NotASubcomplex, build_reduced
@@ -44,14 +44,15 @@ EXIT_TOO_LARGE = 2
 EXIT_INCONSISTENT = 3
 
 # unreduced complexes walk 2^n cube vertices with 2^k(I)-dimensional
-# groups.  On one core of a shared 2-vCPU VM (fresh process, median of
-# three runs), odd T(3,5) (10 crossings) and T(2,9) (9) take 0.33 s and
-# 21 MB and 0.39 s and 26 MB with homology.  Homology holds one q-slice at a
-# time, so odd T(2,11) (11 crossings, 177,150 generators) builds in
-# 0.6 s and peaks at 112 MB after 3 s of homology, and odd B12 (12
-# crossings) peaks at 56 MB, both under the 150 MB target.  The crossing
-# number does not bound the generators, though, so the guard stays at
-# 10 until a guard on the generator count replaces it
+# groups.  `khoarrow homology` assembles, checks and reduces one q-slice
+# at a time, so it never holds the whole complex.  In a fresh process on a
+# shared 2-vCPU VM (Python 3.11, VmHWM, time after import), odd T(3,5)
+# (10 crossings) takes 0.22 s and 20 MB, and odd T(2,9) (9) 0.24 s and
+# 21 MB.  Through the library on the same slices, odd T(2,11) (11
+# crossings, 177,150 generators) peaks at 59 MB in about 3 s, and odd B12
+# (12 crossings) at 40 MB (BENCH_slices.json).  The crossing number does
+# not bound the generators, though, so the guard stays at 10 until a
+# guard on the generator count replaces it
 MAX_CLI_CROSSINGS = 10
 
 
@@ -99,9 +100,9 @@ def cmd_homology(args) -> int:
         raise TooLarge(f"{d.n} crossings exceeds the CLI guard "
                        f"({MAX_CLI_CROSSINGS})")
     p = _theory(args)
-    build = build_reduced if args.reduced else build_unreduced
-    # a virtual diagram raises DiagramError here, on building
-    rows = homology(build(d, p)).group_rows()
+    # one q-slice at a time: the whole complex is never held.  A virtual
+    # diagram raises DiagramError here, before the first slice
+    rows = slice_homology(q_slices(d, p, args.reduced)).group_rows()
     if args.grading_convention == "paper":      # the paper's q is -q
         rows = sorted((h, -q, b, t) for h, q, b, t in rows)
     if args.format == "json":

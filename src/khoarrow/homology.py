@@ -1,12 +1,16 @@
 """Exact integer homology of bigraded complexes.
 
-The boundaries of a ``BigradedComplex`` are sparse columns, one
-``{row: entry}`` dict of Python integers per generator.  One check
-(``BigradedComplex.check``) shows that their shape fits the groups,
-that they preserve q and that d^2 = 0 exactly.  The complex is then the
-direct sum of its q-slices, and each slice is reduced on its own and
-dropped before the next.  Every +-1 entry of a slice is cancelled by
-Gaussian elimination (Bar-Natan, *Fast Khovanov homology computations*,
+The boundaries of a complex are sparse columns, one ``{row: entry}``
+dict of Python integers per generator.  Every differential preserves q,
+so a complex is the direct sum of its q-slices, and homology is read one
+slice at a time (``slice_homology``): from a diagram, as
+``chain.q_slices`` writes them, so that the whole complex is never held,
+or from a ``BigradedComplex`` (``homology``, through
+``BigradedComplex.slices``).  Each slice passes the one check
+(``chain.check_slice``: its rows stay in the slice and d^2 = 0 exactly)
+on its way into a generator graph, is reduced, read and dropped before
+the next.  Every +-1 entry of a slice is cancelled by Gaussian
+elimination (Bar-Natan, *Fast Khovanov homology computations*,
 math/0606318): an invertible entry a = d(c -> r) splits off the
 contractible summand c -> r, and every other pair gets
 d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
@@ -19,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chain import NotAComplex
+from .chain import NotAComplex, check_slice
 from .snf import snf_diagonal
 
-__all__ = ["HomologyTable", "NotAComplex", "homology"]
+__all__ = ["HomologyTable", "NotAComplex", "homology", "slice_homology"]
 
 
 @dataclass(frozen=True)
@@ -64,24 +68,24 @@ class HomologyTable:
             (hq, b, tuple(t)) for hq, (b, t) in self.entries.items())))
 
 
-def _graph(c, gens):
-    """The degree h of each id of the q-slice of `c` on `gens` (h -> its
-    generator indices, in the order the ids take), and the boundary both
-    ways: out[g] maps each target of g to its coefficient, inc[g] each
-    source.  Needs ``c.check()`` to have passed: no row then leaves the
-    slice."""
+def _graph(q, gens, cols):
+    """The q-slice (gens, cols), once ``chain.check_slice`` has passed
+    it, as a generator graph: the degree of each id, and the boundary
+    both ways, out[g] mapping each target of g to its coefficient and
+    inc[g] each source.  Each column leaves `cols` once it is read, so
+    the slice's columns are freed as its graph grows."""
+    ids = check_slice(q, gens, cols)
     degree: list[int] = []
-    ids: dict[int, dict[int, int]] = {}
     for h, idx in gens.items():
-        ids[h] = dict(zip(idx, range(len(degree), len(degree) + len(idx))))
         degree += [h] * len(idx)
     out: dict[int, dict[int, int]] = {g: {} for g in range(len(degree))}
     inc: dict[int, dict[int, int]] = {g: {} for g in range(len(degree))}
-    for h, cols in c.boundaries.items():
-        for i in gens.get(h, ()):
-            src = ids[h][i]
-            for r, a in cols[i].items():
-                dst = ids[h + 1][r]
+    for h, hcols in cols.items():
+        targets = ids.get(h + 1)
+        for j, src in enumerate(ids[h].values()):
+            col, hcols[j] = hcols[j], None
+            for r, a in col.items():
+                dst = targets[r]
                 out[src][dst] = inc[dst][src] = a
     return degree, out, inc
 
@@ -133,9 +137,9 @@ def _snf_of_block(out, cols, rows):
     return len(diag), tuple(d for d in diag if d > 1)
 
 
-def _slice_homology(c, q, gens, entries):
-    """Add the homology of the q-slice of `c` on `gens` to `entries`."""
-    degree, out, inc = _graph(c, gens)
+def _add_slice(q, gens, cols, entries):
+    """Add the homology of the q-slice (gens, cols) to `entries`."""
+    degree, out, inc = _graph(q, gens, cols)
     _cancel_units(out, inc)
     residue: dict[int, list[int]] = {}
     for g in out:
@@ -154,14 +158,20 @@ def _slice_homology(c, q, gens, entries):
             entries[(h, q)] = (betti, torsion)
 
 
-def homology(c) -> HomologyTable:
-    """Integer homology of a BigradedComplex, exact over Z, per q-slice."""
-    c.check()
-    slices: dict[int, dict[int, list[int]]] = {}
-    for h in c.degrees():
-        for i, q in enumerate(c.groups[h]):
-            slices.setdefault(q, {}).setdefault(h, []).append(i)
+def slice_homology(slices) -> HomologyTable:
+    """Integer homology, exact over Z, of the direct sum of `slices`:
+    (q, gens, cols) triples as ``chain.q_slices`` and
+    ``BigradedComplex.slices`` yield them, one per q.  Each slice is
+    checked, reduced and read before the next is asked for, and dropped
+    after it."""
     entries: dict = {}
-    for q in sorted(slices):
-        _slice_homology(c, q, slices.pop(q), entries)
+    for q, gens, cols in slices:
+        _add_slice(q, gens, cols, entries)
+        del gens, cols              # before the next slice is written
     return HomologyTable(entries)
+
+
+def homology(c) -> HomologyTable:
+    """Integer homology of a BigradedComplex, exact over Z, per q-slice
+    (``slice_homology``)."""
+    return slice_homology(c.slices())

@@ -6,12 +6,15 @@ the circle through the base arc (the smallest arc label), with q shifted
 by one so that the unknot sits at (0, 0).  It is assembled straight from
 those generators, the top half of every vertex block, by the cube
 assembly in ``chain`` that also builds the unreduced complex; the full
-complex is never made.  Its Euler characteristic times (q + q^-1) is the
-Jones polynomial.  For a knot the homology does not depend on the base
-arc; for a link it belongs to the component through the smallest arc
-label.  The paper's basepoint-free construction of an even reduced
-theory is not reproduced here; the arrow-operator lattices it starts
-from are checked in ``lattice``.
+complex is never made.  ``chain.q_slices(d, p, reduced=True)`` yields it
+one q-slice at a time, as ``khoarrow homology --reduced`` reads it, and
+``build_reduced`` is the direct sum of those slices.  Its Euler
+characteristic times (q + q^-1) is the Jones polynomial.  For a knot
+the homology does not depend on the base arc; for a link it belongs to
+the component through the smallest arc label.  The paper's
+basepoint-free construction of an even reduced theory is not
+reproduced here; the arrow-operator lattices it starts from are
+checked in ``lattice``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ def build_reduced(d: Diagram, p: RingParams = EVEN) -> BigradedComplex:
     loop of a crossingless diagram).  Circles are ordered by their
     smallest arc, so the base circle is circle 0 and its ``x`` is the top
     bit of a block index: the kept generators are the top half of every
-    vertex block, and only they are written.  Multiplying by ``x`` on the
+    vertex block, and only they are written, one q-slice at a time
+    (``chain.q_slices`` with `reduced`) into their places in the direct
+    sum.  Multiplying by ``x`` on the
     base circle commutes with every edge map up to sign, so these
     generators span a subcomplex: Khovanov's marked-point reduced
     complex, and at the odd specialization the reduced odd complex of

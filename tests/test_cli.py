@@ -266,8 +266,13 @@ def test_cli_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _no_whole_complex(d, p):
+    raise AssertionError("khoarrow homology built a whole complex")
+
+
 def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
     import khoarrow.chain as chain
+    import khoarrow.cli as cli
 
     edge_map = chain.edge_map
 
@@ -283,6 +288,8 @@ def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
                 for c in range(len(emap))]
 
     monkeypatch.setattr(chain, "edge_map", corrupted)
+    # homology builds no whole complex: the q-slice assembly meets the map
+    monkeypatch.setattr(cli, "build_reduced", _no_whole_complex)
     rc = main(["homology", "--pd", TREFOIL, "--reduced"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
@@ -298,6 +305,7 @@ def test_file_that_is_not_utf8_exit_code(tmp_path):
 
 
 def test_complex_failing_its_check_exits_3(monkeypatch, capsys):
+    import khoarrow.chain as chain
     import khoarrow.cli as cli
     from khoarrow.chain import BigradedComplex
 
@@ -314,7 +322,43 @@ def test_complex_failing_its_check_exits_3(monkeypatch, capsys):
     assert failed and all(l.startswith("[FAIL] d2 unreduced ")
                           for l in failed)
     assert "check(s) failed" in captured.err
+    # homology assembles one q-slice at a time: signs that make every
+    # face commute, not anticommute, reach it and give d^2 != 0
+    monkeypatch.setattr(cli, "build_unreduced", _no_whole_complex)
+    monkeypatch.setattr(chain, "solve_signs", lambda maps, n: [1] * len(maps))
     assert main(["homology", "--pd", TREFOIL]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal consistency failure:")
+    assert "is not zero" in captured.err
+
+
+@pytest.mark.parametrize("flags", [(), ("--reduced",)])
+def test_a_late_slice_failing_its_check_prints_no_table(flags, monkeypatch,
+                                                         capsys):
+    # the first q-slices are sound and reduced; a later one has a row
+    # outside every degree.  The failure leaves stdout empty: no partial
+    # table is printed
+    import khoarrow.cli as cli
+
+    q_slices, sound, broken = cli.q_slices, [], []
+
+    def late_defect(d, p, reduced=False):
+        slices = list(q_slices(d, p, reduced))
+        late = max(i for i, (_, _, cols) in enumerate(slices) if cols)
+        q, _, cols = slices[late]
+        cols[min(cols)][0][-1] = 1
+        broken.append(q)
+        for s in slices:
+            yield s
+            sound.append(s[0])
+
+    monkeypatch.setattr(cli, "q_slices", late_defect)
+    rc = main(["homology", "--pd", "X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] "
+               "X[7,2,8,3] X[9,4,10,5]", "--theory", "odd", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    # every slice before the broken one was checked and reduced
+    assert len(sound) >= 2 and broken
+    assert captured.err.startswith("internal consistency failure:")
+    assert f"row -1 of a column of q = {broken[0]} " in captured.err
