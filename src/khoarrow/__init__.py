@@ -2,18 +2,19 @@
 
 Unified even/odd unreduced Khovanov complexes over the specialization
 ring (X, Y, Z) in {+-1}^3, and the reduced complex as the subcomplex of
-the unreduced one (even by default) marked by the base arc (the smallest
-arc label), with exact integer homology.  The paper's basepoint-free even reduced construction
-is not reproduced.
+the unreduced one marked by the base arc (the smallest arc label), with
+exact integer homology.  A complex is the stream of its q-slices:
+``homology(q_slices(d, p))`` is the unreduced table of `d` at `p`, and
+``homology(q_slices(d, p, reduced=True))`` the reduced one.  The
+paper's basepoint-free even reduced construction is not reproduced.
 """
 
 from .algebra import EVEN, ODD, RingParams
-from .chain import BigradedComplex, build_unreduced
+from .chain import q_slices
 from .diagram import Diagram, mirror, parse_gauss, parse_pd
 from .homology import HomologyTable, NotAComplex, homology
 from .jones import LaurentPoly, euler_characteristic, jones
 from .lattice import operator_lattice
-from .reduced import build_reduced
 from .snf import smith_normal_form
 
 __version__ = "0.1.0"
@@ -22,8 +23,7 @@ __all__ = [
     "EVEN",
     "ODD",
     "RingParams",
-    "BigradedComplex",
-    "build_unreduced",
+    "q_slices",
     "Diagram",
     "mirror",
     "parse_gauss",
@@ -34,7 +34,6 @@ __all__ = [
     "LaurentPoly",
     "euler_characteristic",
     "jones",
-    "build_reduced",
     "operator_lattice",
     "smith_normal_form",
     "__version__",

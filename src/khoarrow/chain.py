@@ -21,14 +21,13 @@ anticommutes; the few edges no face fixes become GF(2) unknowns, solved
 by XOR elimination against the remaining faces.  Faces built from the
 same four map objects are composed and compared once per sign solve.
 That work is done once per build (``_Assembly``).  Every differential
-preserves q, so the complex is the direct sum of its q-slices, and one
-assembly writes the columns of one slice at a time (``q_slices``), with
-rows numbered as in the whole complex: either every generator (the
-unreduced complex) or only the top half of every vertex block, x on the
-base circle (the reduced complex of ``reduced``); the signs are solved
-over the full maps either way.  ``build_unreduced`` and
-``reduced.build_reduced`` are the direct sum of those slices, and
-``check_slice`` is the one soundness check of a slice.
+preserves q, so the complex is the direct sum of its q-slices, and a
+complex is only ever held as that stream: one assembly writes the
+columns of one slice at a time (``q_slices``), with rows numbered as in
+the whole complex, either every generator (the unreduced complex) or
+only the top half of every vertex block, x on the base circle (the
+marked-point reduced complex); the signs are solved over the full maps
+either way.  ``check_slice`` is the one soundness check of a slice.
 
 Gradings: homological degree h = |I| - n_minus, and quantum degree
 (#1 - #x) + |I| + n_plus - 2 n_minus, the standard convention (the CLI
@@ -37,15 +36,11 @@ can print the paper's, which negates q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-
 from .algebra import RingParams
 from .cube import circle_labels
 from .diagram import Diagram, NonPlanarInconsistency
 
 __all__ = [
-    "BigradedComplex",
     "FaceNotProportional",
     "Unsolvable",
     "NotASubcomplex",
@@ -53,7 +48,6 @@ __all__ = [
     "check_slice",
     "edge_map",
     "solve_signs",
-    "build_unreduced",
     "q_slices",
 ]
 
@@ -74,78 +68,23 @@ class NotAComplex(ValueError):
     pass
 
 
-@dataclass
-class BigradedComplex:
-    """Chain groups per homological degree with sparse integer boundaries.
-
-    groups[h] is the list of quantum degrees of the generators in degree
-    h.  boundaries[h] maps degree h to degree h+1 as one ``{row: entry}``
-    dict per generator of degree h: the nonzero entries of that column,
-    keyed by the index of a generator of degree h+1, as Python ints.
-    ``slices`` cuts it into its q-slices, in the form ``q_slices`` yields
-    for a diagram, and ``check`` runs the one soundness check every
-    homology table rests on: the shape fits the groups, and on each
-    slice (``check_slice``) the boundary preserves q and d^2 = 0.
-    """
-
-    groups: dict[int, list[int]] = field(default_factory=dict)
-    boundaries: dict[int, list[dict[int, int]]] = field(default_factory=dict)
-
-    def degrees(self):
-        return sorted(self.groups)
-
-    def iter_bidegrees(self):
-        for h, qs in self.groups.items():
-            seen: dict[int, int] = {}
-            for q in qs:
-                seen[q] = seen.get(q, 0) + 1
-            for q, count in seen.items():
-                yield h, q, count
-
-    def slices(self):
-        """Yield (q, gens, cols) for every q-slice, ascending in q, as
-        ``q_slices`` does for a diagram: gens[h] lists the indices in
-        degree h of the generators of quantum degree q, and cols[h] their
-        columns of d_h.  Raises NotAComplex, before the first slice, when
-        some d_h has other than one column per generator of degree h.
-        """
-        for h, cols in self.boundaries.items():
-            if len(cols) != len(self.groups.get(h, [])):
-                raise NotAComplex(f"d_{h} has {len(cols)} columns for "
-                                  f"{len(self.groups.get(h, []))} generators")
-        slices: dict[int, dict[int, list[int]]] = {}
-        for h in self.degrees():
-            qs = self.groups[h].__getitem__
-            # a stable sort keeps the order of each q's generators
-            for q, idx in groupby(sorted(range(len(self.groups[h])), key=qs),
-                                  key=qs):
-                slices.setdefault(q, {})[h] = list(idx)
-        for q in sorted(slices):
-            gens = slices.pop(q)
-            yield q, gens, {h: list(map(self.boundaries[h].__getitem__, idx))
-                            for h, idx in gens.items()
-                            if h in self.boundaries}
-
-    def check(self) -> None:
-        """Raise NotAComplex, naming the first defect and its degree,
-        unless this is a bigraded complex: d_h has one column per
-        generator of degree h, and each q-slice passes ``check_slice``:
-        the boundary preserves q and d^2 = 0, exactly over Z.
-        """
-        for q, gens, cols in self.slices():
-            check_slice(q, gens, cols)
-
-
 def check_slice(q: int, gens: dict, cols: dict) -> dict:
     """The one soundness check of a q-slice (gens, cols), as
-    ``q_slices`` and ``BigradedComplex.slices`` yield it.
+    ``q_slices`` yields it: gens[h] lists the indices in degree h of the
+    generators of quantum degree q, and cols[h] their columns of d_h.
 
     Raises NotAComplex, naming the first defect and its degree, unless
-    every row of a column in degree h is one of the slice's generators
-    of degree h + 1, and every composite d_{h+1} d_h vanishes, exactly
-    over Z.  Returns the ids it numbers the slice with: ids[h] maps each
-    generator of gens[h] to its id, 0, 1, ... in the order of `gens`.
+    cols[h] holds one column per generator of gens[h] (checked before
+    any column is read), every row of a column in degree h is one of the
+    slice's generators of degree h + 1, and every composite d_{h+1} d_h
+    vanishes, exactly over Z.  Returns the ids it numbers the slice
+    with: ids[h] maps each generator of gens[h] to its id, 0, 1, ... in
+    the order of `gens`.
     """
+    for h, hcols in cols.items():
+        if len(hcols) != len(gens.get(h, ())):
+            raise NotAComplex(f"d_{h} has {len(hcols)} columns for "
+                              f"{len(gens.get(h, ()))} generators")
     ids: dict[int, dict[int, int]] = {}
     by_id: list[dict[int, int]] = []   # the column of each id
     for h, idx in gens.items():
@@ -420,8 +359,6 @@ def solve_signs(maps: list, n: int) -> list:
             else 1 for mask in masks]
 
 
-
-
 class _Assembly:
     """The work a build of `d` at `p` does once, whatever q-slices it
     then writes: unreduced, or reduced to the top half of every vertex
@@ -537,49 +474,41 @@ class _Assembly:
 
 def q_slices(d: Diagram, p: RingParams, reduced: bool = False):
     """Yield (q, gens, cols) for every q-slice of the complex of `d` at
-    `p`, ascending in q: the unreduced complex, or with `reduced` the
-    one of ``reduced.build_reduced``.
+    `p`, ascending in q: gens[h] lists the indices in the chain group of
+    degree h of the generators of quantum degree q, ascending, and
+    cols[h] the column of each, as ``{row: entry}`` with rows numbered
+    in degree h + 1 of the whole complex; the top degree has no columns.
 
     Every differential preserves q, so the complex is the direct sum of
     these slices.  The edge maps and signs are made once, before the
     first slice; each slice is then written on its own
     (``_Assembly.slice``), with the indices and rows of the whole
     complex, so a caller that drops a slice before asking for the next
-    never holds the whole complex.
+    never holds the whole complex.  Raises NonPlanarInconsistency for a
+    virtual diagram, before the first slice.
+
+    With `reduced`, the slices are those of the reduced complex: the
+    generators whose base circle carries ``x``, with q shifted up by
+    one, so that the unknot sits at (0, 0).  The base circle of a
+    resolution is the one through the base arc, the smallest arc label
+    of `d` (the first free loop of a crossingless diagram).  Circles are
+    ordered by their smallest arc, so the base circle is circle 0 and
+    its ``x`` is the top bit of a block index: the kept generators are
+    the top half of every vertex block, and only they are written.
+    Multiplying by ``x`` on the base circle commutes with every edge map
+    up to sign, so these generators span a subcomplex: Khovanov's
+    marked-point reduced complex, and at the odd specialization the
+    reduced odd complex of Ozsvath, Rasmussen and Szabo.  The edge signs
+    are solved over the full edge maps, so the boundary is the
+    restriction of the unreduced one, and (q + q^-1) times its Euler
+    characteristic is the Jones polynomial.  For a knot the homology
+    does not depend on the base arc; for a link it belongs to the
+    component through the smallest arc label.  Raises NotASubcomplex,
+    before the first slice, if an edge map sends a kept generator
+    outside the kept ones.  The paper's basepoint-free construction of
+    an even reduced theory is not reproduced here; the arrow-operator
+    lattices it starts from are checked in ``lattice``.
     """
     assembly = _Assembly(d, p, reduced)
     for q in sorted(assembly.by_q):
         yield (q, *assembly.slice(q))
-
-
-def build_unreduced(d: Diagram, p: RingParams) -> BigradedComplex:
-    """The unreduced complex of `d` at specialization `p`: the direct
-    sum of its q-slices (``q_slices``), each generator and column at its
-    place in the block layout.  The reduced complex
-    (``reduced.build_reduced``) comes from the same assembly.  The whole
-    complex is held at once; ``homology.slice_homology(q_slices(d, p))``
-    gives its table one slice at a time, as ``khoarrow homology`` does.
-    """
-    return _build(d, p, reduced=False)
-
-
-def _build(d: Diagram, p: RingParams, reduced: bool) -> BigradedComplex:
-    """The direct sum of the q-slices of `d` at `p`, unreduced or
-    reduced (``_Assembly``)."""
-    assembly = _Assembly(d, p, reduced)
-    groups = {size - d.n_minus: [0] * count
-              for size, count in enumerate(assembly.sizes)}
-    boundaries: dict[int, list[dict[int, int]]] = {
-        size - d.n_minus: [{}] * count
-        for size, count in enumerate(assembly.sizes[:d.n])}
-    for q in assembly.by_q:
-        gens, cols = assembly.slice(q)
-        for h, idx in gens.items():
-            qs = groups[h]
-            for i in idx:
-                qs[i] = q
-        for h, hcols in cols.items():
-            column = boundaries[h]
-            for i, col in zip(gens[h], hcols):
-                column[i] = col
-    return BigradedComplex(groups=groups, boundaries=boundaries)

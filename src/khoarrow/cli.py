@@ -27,14 +27,13 @@ from time import perf_counter
 
 from . import corpus
 from .algebra import EVEN, ODD, RingParams
-from .chain import (FaceNotProportional, NotAComplex, Unsolvable,
-                    build_unreduced, q_slices)
+from .chain import (FaceNotProportional, NotAComplex, NotASubcomplex,
+                    Unsolvable, check_slice, q_slices)
 from .cube import arrows, circle_labels
 from .diagram import DiagramError, parse_gauss, parse_pd
-from .homology import homology, slice_homology
+from .homology import homology
 from .jones import TooLarge, euler_characteristic, jones
 from .lattice import check_commuting_square, check_graph_span
-from .reduced import NotASubcomplex, build_reduced
 from .snf import smith_normal_form
 
 __all__ = ["main"]
@@ -102,7 +101,7 @@ def cmd_homology(args) -> int:
     p = _theory(args)
     # one q-slice at a time: the whole complex is never held.  A virtual
     # diagram raises DiagramError here, before the first slice
-    rows = slice_homology(q_slices(d, p, args.reduced)).group_rows()
+    rows = homology(q_slices(d, p, args.reduced)).group_rows()
     if args.grading_convention == "paper":      # the paper's q is -q
         rows = sorted((h, -q, b, t) for h, q, b, t in rows)
     if args.format == "json":
@@ -129,9 +128,10 @@ PRESETS = (RingParams(1, 1, 1), RingParams(1, -1, 1),
 
 
 def _suite_d2(report):
-    def sound(c):
+    def sound(slices):
         try:
-            c.check()
+            for q, gens, cols in slices:
+                check_slice(q, gens, cols)
         except NotAComplex:
             return False
         return True
@@ -140,8 +140,8 @@ def _suite_d2(report):
         d = corpus.get(name)
         for p in PRESETS:
             report(f"d2 unreduced {name} ({p.x},{p.y},{p.z})",
-                   sound(build_unreduced(d, p)))
-        report(f"d2 reduced {name}", sound(build_reduced(d)))
+                   sound(q_slices(d, p)))
+        report(f"d2 reduced {name}", sound(q_slices(d, EVEN, reduced=True)))
 
 
 def _suite_euler(report):
@@ -149,7 +149,9 @@ def _suite_euler(report):
         d = corpus.get(name)
         target = jones(d)
         for p in PRESETS:
-            chi = euler_characteristic(build_unreduced(d, p))
+            chi = euler_characteristic((h, q, len(idx))
+                                       for q, gens, _ in q_slices(d, p)
+                                       for h, idx in gens.items())
             report(f"euler {name} ({p.x},{p.y},{p.z})", chi == target)
 
 
@@ -173,12 +175,12 @@ def _suite_graph_span(report):
 
 def _suite_rm_invariance(report):
     for cls, names in corpus.EQUIVALENCE_CLASSES.items():
-        tables = [homology(build_reduced(corpus.get(n))) for n in names]
+        tables = [homology(q_slices(corpus.get(n), EVEN, reduced=True))
+                  for n in names]
         report(f"rm-invariance reduced {cls}",
                all(t == tables[0] for t in tables))
         for preset, p in (("even", EVEN), ("odd", ODD)):
-            tables = [homology(build_unreduced(corpus.get(n), p))
-                      for n in names]
+            tables = [homology(q_slices(corpus.get(n), p)) for n in names]
             report(f"rm-invariance unreduced-{preset} {cls}",
                    all(t == tables[0] for t in tables))
 

@@ -2,21 +2,19 @@
 
 The boundaries of a complex are sparse columns, one ``{row: entry}``
 dict of Python integers per generator.  Every differential preserves q,
-so a complex is the direct sum of its q-slices, and homology is read one
-slice at a time (``slice_homology``): from a diagram, as
-``chain.q_slices`` writes them, so that the whole complex is never held,
-or from a ``BigradedComplex`` (``homology``, through
-``BigradedComplex.slices``).  Each slice passes the one check
-(``chain.check_slice``: its rows stay in the slice and d^2 = 0 exactly)
-on its way into a generator graph, is reduced, read and dropped before
-the next.  Every +-1 entry of a slice is cancelled by Gaussian
-elimination (Bar-Natan, *Fast Khovanov homology computations*,
-math/0606318): an invertible entry a = d(c -> r) splits off the
-contractible summand c -> r, and every other pair gets
-d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
-equivalence, so torsion survives intact.  The few generators left split
-into small blocks per degree h, and each block's homology is read off
-from the Smith normal forms of its boundaries in and out.
+so a complex is the direct sum of its q-slices, and ``homology`` reads
+it one slice at a time, as ``chain.q_slices`` writes them, so that the
+whole complex is never held.  Each slice passes the one check
+(``chain.check_slice``: one column per generator, rows that stay in the
+slice, and d^2 = 0 exactly) on its way into a generator graph, and is
+reduced, read and dropped before the next.  Every +-1 entry of a slice
+is cancelled by Gaussian elimination (Bar-Natan, *Fast Khovanov
+homology computations*, math/0606318): an invertible entry
+a = d(c -> r) splits off the contractible summand c -> r, and every
+other pair gets d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a
+homotopy equivalence, so torsion survives intact.  The few generators
+left split into small blocks per degree h, and each block's homology is
+read off from the Smith normal forms of its boundaries in and out.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass, field
 from .chain import NotAComplex, check_slice
 from .snf import snf_diagonal
 
-__all__ = ["HomologyTable", "NotAComplex", "homology", "slice_homology"]
+__all__ = ["HomologyTable", "NotAComplex", "homology"]
 
 
 @dataclass(frozen=True)
@@ -158,20 +156,16 @@ def _add_slice(q, gens, cols, entries):
             entries[(h, q)] = (betti, torsion)
 
 
-def slice_homology(slices) -> HomologyTable:
+def homology(slices) -> HomologyTable:
     """Integer homology, exact over Z, of the direct sum of `slices`:
-    (q, gens, cols) triples as ``chain.q_slices`` and
-    ``BigradedComplex.slices`` yield them, one per q.  Each slice is
-    checked, reduced and read before the next is asked for, and dropped
-    after it."""
+    (q, gens, cols) triples as ``chain.q_slices`` yields them, one per q.
+    Each slice is checked, reduced and read before the next is asked
+    for, and dropped after it.  The columns it reads are consumed: each
+    is replaced by None in its list in `cols` as the slice's generator
+    graph takes it in, so a caller that keeps a slice keeps only its
+    generators."""
     entries: dict = {}
     for q, gens, cols in slices:
         _add_slice(q, gens, cols, entries)
         del gens, cols              # before the next slice is written
     return HomologyTable(entries)
-
-
-def homology(c) -> HomologyTable:
-    """Integer homology of a BigradedComplex, exact over Z, per q-slice
-    (``slice_homology``)."""
-    return slice_homology(c.slices())

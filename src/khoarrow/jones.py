@@ -133,13 +133,14 @@ def jones(d: Diagram) -> LaurentPoly:
     return out
 
 
-def euler_characteristic(obj) -> LaurentPoly:
-    """Graded Euler characteristic sum (-1)^h q^q over generators.
-
-    Accepts anything with an ``iter_bidegrees`` method yielding
-    (h, q, count) triples (both chain complexes and homology tables).
+def euler_characteristic(triples) -> LaurentPoly:
+    """Graded Euler characteristic sum (-1)^h count q^q over (h, q,
+    count) triples: a homology table's ``iter_bidegrees()``, or the
+    generator counts of the q-slices of a complex,
+    ``(h, q, len(idx)) for q, gens, _ in q_slices(d, p)
+    for h, idx in gens.items()``.
     """
     out: dict[int, int] = {}
-    for h, q, count in obj.iter_bidegrees():
+    for h, q, count in triples:
         out[q] = out.get(q, 0) + (-count if h % 2 else count)
     return LaurentPoly(out)

@@ -1,13 +1,17 @@
 """Slow, plain reference versions of build steps, and test-only helpers.
 
 ``resolve`` finds circles with a union-find class, ``resolution_build``
-assembles a complex from one ``Resolution`` per vertex with bit-tuple
-keys, ``restricted_reduced`` builds the whole unreduced complex and
-keeps the top half of every vertex block, and ``orient`` orients a PD
-code by constraint propagation and then traces its components.  The
-package does all four faster; the tests compare its results with
-these.  Then comes the graph model of the operator lattices that only
-the tests read: ``enumerate_admissible``, ``psi``, ``find_cycles`` and
+assembles a whole complex from one ``Resolution`` per vertex with
+bit-tuple keys, ``restricted_reduced`` restricts that whole unreduced
+complex to the top half of every vertex block, and ``orient`` orients a
+PD code by constraint propagation and then traces its components.  The
+package does all four faster, and holds a complex only as the stream of
+its q-slices (``chain.q_slices``); ``slices_of`` cuts a whole complex
+(``Complex``) into that form, so the tests compare the package's results
+with these.  ``check_all`` and ``generator_counts`` read a stream of
+slices for the checks and for the Euler characteristic.  Then comes the
+graph model of the operator lattices that only the tests read:
+``enumerate_admissible``, ``psi``, ``find_cycles`` and
 ``check_cycle_relations``, evaluated with the package's
 ``lattice.value`` and ``lattice._with_loops``.  The last part holds the
 lattice checks with no work shared between subgraphs or vertices:
@@ -19,12 +23,12 @@ map per cube edge.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
+from typing import NamedTuple
 
 from khoarrow.algebra import EVEN
-from khoarrow.chain import (BigradedComplex, Unsolvable, _compose, _edges,
-                            _proportion, _signature, build_unreduced,
-                            edge_map)
+from khoarrow.chain import (Unsolvable, _compose, _edges, _proportion,
+                            _signature, check_slice, edge_map)
 from khoarrow.cube import arrows as arrows_of, circle_labels
 from khoarrow.diagram import NonPlanarInconsistency
 from khoarrow.lattice import (_admissible, _guard, _with_loops, _words,
@@ -173,10 +177,62 @@ def _solve_signs(maps, n):
             for key, mask in masks.items()}
 
 
+class Complex(NamedTuple):
+    """A whole bigraded complex: groups[h] lists the quantum degree of
+    each generator of degree h, and boundaries[h] holds one
+    ``{row: entry}`` column of d_h per generator of degree h, rows
+    numbered in degree h + 1."""
+
+    groups: dict
+    boundaries: dict
+
+
+def slices_of(groups, boundaries):
+    """The q-slices of the whole complex (groups, boundaries), in the
+    form and order ``chain.q_slices`` yields them: (q, gens, cols),
+    ascending in q, gens[h] the indices in degree h of the generators of
+    quantum degree q, in their order, and cols[h] their columns of d_h,
+    for each degree h that has a boundary."""
+    for h, cols in boundaries.items():
+        assert len(cols) == len(groups.get(h, [])), h
+    slices = {}
+    for h in sorted(groups):
+        qs = groups[h].__getitem__
+        # a stable sort keeps the order of each q's generators
+        for q, idx in groupby(sorted(range(len(groups[h])), key=qs), key=qs):
+            slices.setdefault(q, {})[h] = list(idx)
+    for q in sorted(slices):
+        gens = slices[q]
+        yield q, gens, {h: [boundaries[h][i] for i in idx]
+                        for h, idx in gens.items() if h in boundaries}
+
+
+def listed(slices):
+    """`slices` as a list, every column as its (row, entry) items, so
+    that the order rows were written in counts too."""
+    return [(q, gens, {h: [list(col.items()) for col in hcols]
+                       for h, hcols in cols.items()})
+            for q, gens, cols in slices]
+
+
+def check_all(slices):
+    """``chain.check_slice`` on every slice of `slices`."""
+    for q, gens, cols in slices:
+        check_slice(q, gens, cols)
+
+
+def generator_counts(slices):
+    """(h, q, count) for the generators of each degree h of each q-slice,
+    the triples ``jones.euler_characteristic`` sums."""
+    for q, gens, _ in slices:
+        for h, idx in gens.items():
+            yield h, q, len(idx)
+
+
 def resolution_build(d, p=EVEN, reduced=False):
-    """``chain.build_unreduced`` (or, with `reduced`, ``build_reduced``)
-    assembled from one ``resolve`` per vertex and one ``edge_signature``
-    per edge, with maps, signs and block offsets keyed by bit tuples."""
+    """The whole complex of ``chain.q_slices(d, p, reduced)``, assembled
+    from one ``resolve`` per vertex and one ``edge_signature`` per edge,
+    with maps, signs and block offsets keyed by bit tuples."""
     n = d.n
     res = {bits: resolve(d, bits) for bits in vertices(n)}
     shared, maps = {}, {}
@@ -218,14 +274,15 @@ def resolution_build(d, p=EVEN, reduced=False):
                                            "kept half")
                         col[offsets[to] + r] = signs[(bits, i)] * v
                 boundaries[h].append(col)
-    return BigradedComplex(groups=groups, boundaries=boundaries)
+    return Complex(groups, boundaries)
 
 
 def restricted_reduced(d, p=EVEN):
-    """The reduced complex as the restriction of ``build_unreduced(d, p)``
-    to the generators with x on the base circle, the top half of every
-    vertex block, with q + 1.  A boundary that leaves them raises KeyError."""
-    full = build_unreduced(d, p)
+    """The reduced complex as the restriction of the whole unreduced
+    ``resolution_build(d, p)`` to the generators with x on the base
+    circle, the top half of every vertex block, with q + 1.  A boundary
+    that leaves them raises KeyError."""
+    full = resolution_build(d, p)
     shift = d.n_plus - 2 * d.n_minus
     keep = {}
     for h, layer in cube_layout(d).items():
@@ -246,7 +303,7 @@ def restricted_reduced(d, p=EVEN):
         boundaries[h] = []
         for g in keep[h]:
             boundaries[h].append({row_of[r]: v for r, v in cols[g].items()})
-    return BigradedComplex(groups=groups, boundaries=boundaries)
+    return Complex(groups, boundaries)
 
 
 # --- diagram orientation by constraint propagation ----------------------

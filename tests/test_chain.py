@@ -11,15 +11,14 @@ import dense
 import reference
 from khoarrow import chain, cli, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import (BigradedComplex, FaceNotProportional,
-                            NotAComplex, build_unreduced, edge_map,
-                            solve_signs)
+from khoarrow.chain import (FaceNotProportional, NotAComplex, check_slice,
+                            edge_map, q_slices, solve_signs)
 from khoarrow.diagram import NonPlanarInconsistency, mirror, parse_gauss
 from khoarrow.homology import homology
 from khoarrow.jones import euler_characteristic, jones
-from khoarrow.reduced import build_reduced
 from knots import positive_braid_closure, random_signed_knots, torus
-from reference import edge_signature, khovanov_sign, resolve, vertices
+from reference import (check_all, edge_signature, generator_counts,
+                       khovanov_sign, listed, resolve, slices_of, vertices)
 
 PRESETS = [EVEN, ODD, RingParams(-1, 1, 1), RingParams(-1, -1, -1)]
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
@@ -128,8 +127,8 @@ def _signs(d, p):
 
 
 def _built_maps(d, p):
-    """The edge maps build_unreduced hands to solve_signs, shared ones
-    still shared."""
+    """The edge maps a build hands to solve_signs, shared ones still
+    shared."""
     seen = []
 
     def spy(maps, n):
@@ -138,7 +137,7 @@ def _built_maps(d, p):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "solve_signs", spy)
-        build_unreduced(d, p)
+        next(q_slices(d, p))
     return seen[0]
 
 
@@ -164,33 +163,39 @@ def _double_one_coefficient(maps, bits, j, i):
 @pytest.mark.parametrize("p", PRESETS)
 @pytest.mark.parametrize("name", NAMES)
 def test_d_squared_and_q_preserved(name, p):
-    build_unreduced(corpus.get(name), p).check()
+    check_all(q_slices(corpus.get(name), p))
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_euler_characteristic_is_jones(name):
     d = corpus.get(name)
     for p in PRESETS:
-        assert euler_characteristic(build_unreduced(d, p)) == jones(d)
+        chi = euler_characteristic(generator_counts(q_slices(d, p)))
+        assert chi == jones(d)
 
 
 def test_unknot_complex():
-    c = build_unreduced(corpus.get("unknot"), EVEN)
-    assert c.groups == {0: [1, -1]}
-    assert c.boundaries == {}
+    # generator 0 is 1 at q = 1, generator 1 is x at q = -1; no boundary
+    assert list(q_slices(corpus.get("unknot"), EVEN)) == [
+        (-1, {0: [1]}, {}), (1, {0: [0]}, {})]
 
 
 def test_homological_range_and_group_sizes():
     d = corpus.get("trefoil")        # n- = 3, so h runs -3..0
-    c = build_unreduced(d, EVEN)
-    assert c.degrees() == [-3, -2, -1, 0]
-    assert len(c.groups[-3]) == 2 ** 3
-    assert len(c.groups[-2]) == 3 * 2 ** 2
-    assert len(c.groups[0]) == 2 ** 2
-    for h in (-3, -2, -1):
-        assert len(c.boundaries[h]) == len(c.groups[h])
-        assert all(0 <= r < len(c.groups[h + 1])
-                   for col in c.boundaries[h] for r in col)
+    slices = list(q_slices(d, EVEN))
+    sizes = {}
+    for _, gens, _ in slices:
+        for h, idx in gens.items():
+            sizes[h] = sizes.get(h, 0) + len(idx)
+    assert sorted(sizes) == [-3, -2, -1, 0]
+    assert sizes[-3] == 2 ** 3
+    assert sizes[-2] == 3 * 2 ** 2
+    assert sizes[0] == 2 ** 2
+    for _, gens, cols in slices:
+        assert sorted(cols) == [h for h in sorted(gens) if h < 0]
+        for h, hcols in cols.items():
+            assert len(hcols) == len(gens[h])
+            assert all(0 <= r < sizes[h + 1] for col in hcols for r in col)
 
 
 def test_edge_map_shapes_and_grading():
@@ -306,18 +311,10 @@ def test_build_makes_each_distinct_map_and_face_once(
     assert calls == {"edge_map": distinct_maps, "_compose": 2 * distinct_faces}
 
 
-def _columns(c):
-    """Every column of `c` as its (row, entry) items, in their order."""
-    return {h: [list(col.items()) for col in cols]
-            for h, cols in c.boundaries.items()}
-
-
 def _assert_builds_equal(d, p, reduced):
-    build = build_reduced if reduced else build_unreduced
-    c = build(d, p)
+    # every slice's gens and every column, rows in their order
     ref = reference.resolution_build(d, p, reduced)
-    assert c.groups == ref.groups
-    assert _columns(c) == _columns(ref)
+    assert listed(q_slices(d, p, reduced)) == listed(slices_of(*ref))
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -345,9 +342,9 @@ def test_mask_build_equals_resolution_build_on_signed_braids():
 def test_builds_reject_a_virtual_code():
     # a crossing of this code leaves one circle where it should split one
     d = parse_gauss("O1-O2-U1-U2-")
-    for build in (build_unreduced, build_reduced):
+    for reduced in (False, True):
         with pytest.raises(NonPlanarInconsistency, match="not planar"):
-            build(d, EVEN)
+            next(q_slices(d, EVEN, reduced))
 
 
 def test_corrupted_coefficient_is_not_proportional():
@@ -396,43 +393,41 @@ def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
 
 
 def test_bigraded_complex_checks_catch_errors():
-    bad = BigradedComplex(
+    bad = slices_of(
         groups={0: [0, 0], 1: [0, 0]},
         boundaries={0: [{0: 1}, {1: 1}], 1: [{0: 1}, {1: 1}]})
     # identity followed by identity is not a differential
     with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
-        bad.check()
-    bad_q = BigradedComplex(
+        check_all(bad)
+    bad_q = slices_of(
         groups={0: [0], 1: [5]},
         boundaries={0: [{0: 1}]})
     with pytest.raises(NotAComplex, match=r"d_0: row 0 .* q = 0"):
-        bad_q.check()
+        check_all(bad_q)
     # a row past degree h + 1 is no generator: rejected, not an IndexError
-    bad_row = BigradedComplex(
+    bad_row = list(slices_of(
         groups={0: [1], 1: [1]},
-        boundaries={0: [{5: 1}]})
+        boundaries={0: [{5: 1}]}))
     with pytest.raises(NotAComplex, match=r"d_0: row 5 "):
-        bad_row.check()
+        check_all(bad_row)
     with pytest.raises(NotAComplex):
         homology(bad_row)
     # a negative row, which a list index would read from the end
-    bad_neg = BigradedComplex(
+    bad_neg = slices_of(
         groups={0: [1], 1: [1]},
         boundaries={0: [{-1: 1}]})
     with pytest.raises(NotAComplex, match=r"d_0: row -1 "):
-        bad_neg.check()
+        check_all(bad_neg)
     # a column past the generators of degree h, likewise
-    bad_col = BigradedComplex(
-        groups={0: [1], 1: [1]},
-        boundaries={0: [{0: 1}, {0: 1}]})
+    bad_col = [(1, {0: [0], 1: [0]}, {0: [{0: 1}, {0: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0 has 2 columns for 1"):
-        bad_col.check()
+        check_all(bad_col)
     # d_1 d_0 = 0, but d_2 d_1 is not: the defect sits past degree 0
-    bad_late = BigradedComplex(
+    bad_late = slices_of(
         groups={0: [0], 1: [0, 0], 2: [0, 0], 3: [0]},
         boundaries={0: [{0: 1}], 1: [{}, {0: 1}], 2: [{0: 1}, {}]})
     with pytest.raises(NotAComplex, match=r"d_2 d_1 is not zero"):
-        bad_late.check()
+        check_all(bad_late)
 
 
 @pytest.mark.parametrize("boundaries", [
@@ -440,16 +435,15 @@ def test_bigraded_complex_checks_catch_errors():
     {0: [{0: 1}, {2: 1}], 1: [{0: 1}, {0: 1}]},  # d_0: row 2 of two
 ])
 def test_d_squared_rejects_boundaries_that_do_not_compose(boundaries):
-    c = BigradedComplex(groups={0: [0, 0], 1: [0, 0], 2: [0]},
-                        boundaries=boundaries)
+    # one q-slice, q = 0, of two, two and one generators
     with pytest.raises(NotAComplex):
-        c.check()
+        check_slice(0, {0: [0, 1], 1: [0, 1], 2: [0]}, boundaries)
 
 
 def test_d_squared_is_exact_beyond_int64():
     # d^2 = 2^64 would wrap to 0 in int64 arithmetic
-    c = BigradedComplex(
+    c = slices_of(
         groups={0: [0], 1: [0], 2: [0]},
         boundaries={0: [{0: 2 ** 32}], 1: [{0: 2 ** 32}]})
     with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
-        c.check()
+        check_all(c)

@@ -10,12 +10,11 @@ from collections import Counter
 import pytest
 
 from khoarrow.algebra import ODD
-from khoarrow.chain import build_unreduced
+from khoarrow.chain import q_slices
 from khoarrow.cli import SUITES, build_parser, main
 from khoarrow.diagram import parse_gauss, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, jones
-from khoarrow.reduced import build_reduced
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -76,7 +75,8 @@ def test_reduced_honours_theory():
         assert code == 0
         docs[theory] = json.loads(out)
     assert docs["odd"]["theory"] == {"x": 1, "y": -1, "z": 1}
-    rows = homology(build_reduced(parse_gauss(t34), ODD)).group_rows()
+    rows = homology(q_slices(parse_gauss(t34), ODD,
+                             reduced=True)).group_rows()
     assert docs["odd"]["groups"] == [
         {"h": h, "q": q, "betti": b, "torsion": list(t)}
         for h, q, b, t in rows]
@@ -266,10 +266,6 @@ def test_cli_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def _no_whole_complex(d, p):
-    raise AssertionError("khoarrow homology built a whole complex")
-
-
 def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
     import khoarrow.chain as chain
     import khoarrow.cli as cli
@@ -288,8 +284,6 @@ def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
                 for c in range(len(emap))]
 
     monkeypatch.setattr(chain, "edge_map", corrupted)
-    # homology builds no whole complex: the q-slice assembly meets the map
-    monkeypatch.setattr(cli, "build_reduced", _no_whole_complex)
     rc = main(["homology", "--pd", TREFOIL, "--reduced"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
@@ -307,25 +301,32 @@ def test_file_that_is_not_utf8_exit_code(tmp_path):
 def test_complex_failing_its_check_exits_3(monkeypatch, capsys):
     import khoarrow.chain as chain
     import khoarrow.cli as cli
-    from khoarrow.chain import BigradedComplex
 
-    def not_a_complex(d, p):
+    sound_slices = cli.q_slices
+
+    def not_a_complex(d, p, reduced=False):
+        if reduced:
+            yield from sound_slices(d, p, reduced)
+            return
         # identity followed by identity: d^2 != 0
-        return BigradedComplex(
-            groups={0: [0], 1: [0], 2: [0]},
-            boundaries={0: [{0: 1}], 1: [{0: 1}]})
+        yield 0, {0: [0], 1: [0], 2: [0]}, {0: [{0: 1}], 1: [{0: 1}]}
 
-    monkeypatch.setattr(cli, "build_unreduced", not_a_complex)
+    monkeypatch.setattr(cli, "q_slices", not_a_complex)
     assert main(["verify", "--suite", "d2"]) == 3
     captured = capsys.readouterr()
     failed = [l for l in captured.out.splitlines() if l.startswith("[FAIL]")]
     assert failed and all(l.startswith("[FAIL] d2 unreduced ")
                           for l in failed)
     assert "check(s) failed" in captured.err
-    # homology assembles one q-slice at a time: signs that make every
-    # face commute, not anticommute, reach it and give d^2 != 0
-    monkeypatch.setattr(cli, "build_unreduced", _no_whole_complex)
+    # verify's d2 suite and homology read the same q-slices: signs that
+    # make every face commute, not anticommute, reach both and give
+    # d^2 != 0
+    monkeypatch.setattr(cli, "q_slices", sound_slices)
     monkeypatch.setattr(chain, "solve_signs", lambda maps, n: [1] * len(maps))
+    assert main(["verify", "--suite", "d2"]) == 3
+    captured = capsys.readouterr()
+    failed = [l for l in captured.out.splitlines() if l.startswith("[FAIL]")]
+    assert any(l.startswith("[FAIL] d2 unreduced trefoil ") for l in failed)
     assert main(["homology", "--pd", TREFOIL]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,7 +7,7 @@ import pytest
 
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
-from khoarrow.chain import build_unreduced
+from khoarrow.chain import q_slices
 from khoarrow.cube import check_planarity
 from khoarrow.diagram import (ArcCountMismatch, Diagram, DiagramError,
                               MalformedSyntax, mirror, parse_gauss, parse_pd,
@@ -76,7 +76,7 @@ def test_orientation_seeded_for_a_component_passing_only_over():
     assert d.over_in == (1, 3)
     assert d.signs == (-1, 1)
     assert d.components == ((1, 2), (3, 4))
-    assert homology(build_unreduced(d, EVEN)).group_rows() == [
+    assert homology(q_slices(d, EVEN)).group_rows() == [
         (0, -2, 1, ()), (0, 0, 2, ()), (0, 2, 1, ())]
 
 
@@ -151,7 +151,7 @@ def _corpus_and_mirrors():
 
 
 def _tables(d):
-    return [homology(build_unreduced(d, p)).group_rows() for p in (EVEN, ODD)]
+    return [homology(q_slices(d, p)).group_rows() for p in (EVEN, ODD)]
 
 
 def test_r1_add_then_remove_is_exact_everywhere():

@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 
 from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
-from khoarrow.chain import BigradedComplex, build_unreduced, q_slices
+from khoarrow.chain import q_slices
 from khoarrow.cli import PRESETS
 from khoarrow.cube import circle_labels
 from khoarrow.diagram import mirror
-from khoarrow.homology import NotAComplex, homology, slice_homology
+from khoarrow.homology import NotAComplex, homology
 from khoarrow.jones import euler_characteristic, jones
-from khoarrow.reduced import build_reduced
 from knots import positive_braid_closure, torus
+from reference import (check_all, generator_counts, resolution_build,
+                       slices_of)
 
 
 def table(name, p):
-    return homology(build_unreduced(corpus.get(name), p)).group_rows()
+    return homology(q_slices(corpus.get(name), p)).group_rows()
 
 
 def test_unknot():
@@ -71,27 +72,28 @@ def test_figure8_odd():
 @pytest.mark.parametrize("name", ["hopf", "trefoil", "figure8"])
 @pytest.mark.parametrize("p", [EVEN, ODD])
 def test_euler_characteristic_survives_homology(name, p):
-    c = build_unreduced(corpus.get(name), p)
-    t = homology(c)
-    assert euler_characteristic(t) == euler_characteristic(c)
-    assert euler_characteristic(t) == jones(corpus.get(name))
+    d = corpus.get(name)
+    chi = euler_characteristic(generator_counts(q_slices(d, p)))
+    t = homology(q_slices(d, p))
+    assert euler_characteristic(t.iter_bidegrees()) == chi
+    assert euler_characteristic(t.iter_bidegrees()) == jones(d)
 
 
 def test_table_accessors():
-    t = homology(build_unreduced(corpus.get("trefoil"), EVEN))
+    t = homology(q_slices(corpus.get("trefoil"), EVEN))
     assert t.betti(-3, -9) == 1
     assert t.betti(5, 5) == 0
     assert t.torsion(-2, -7) == (2,)
     assert t.torsion(0, 0) == ()
     assert (-3, -9) in t.bidegrees()
     assert sum(c for _, _, c in t.iter_bidegrees()) == 4
-    assert t == homology(build_unreduced(corpus.get("trefoil"), EVEN))
-    assert t != homology(build_unreduced(corpus.get("figure8"), EVEN))
+    assert t == homology(q_slices(corpus.get("trefoil"), EVEN))
+    assert t != homology(q_slices(corpus.get("figure8"), EVEN))
     assert isinstance(hash(t), int)
 
 
 def test_rejects_non_complex():
-    bad = BigradedComplex(
+    bad = slices_of(
         groups={0: [0, 0], 1: [0, 0]},
         boundaries={0: [{0: 1}, {1: 1}], 1: [{0: 1}, {1: 1}]})
     with pytest.raises(NotAComplex):
@@ -103,22 +105,27 @@ def test_rejects_entries_leaving_a_bidegree():
     # generators, boundaries with more columns than their degree has
     # generators (the second on d_1 of a d^2 pair), a row past the
     # generators of degree 1 on d_0 of such a pair, and negative rows,
-    # alone and in a pair, are not part of any complex
-    for bad in (BigradedComplex(groups={0: [0], 1: [5]},
-                                boundaries={0: [{0: 1}]}),
-                BigradedComplex(groups={0: [0]}, boundaries={0: [{0: 1}]}),
-                BigradedComplex(groups={0: [1], 1: [1]},
-                                boundaries={0: [{0: 1}, {0: 1}]}),
-                BigradedComplex(groups={0: [1], 1: [1], 2: [1]},
-                                boundaries={0: [{0: 1}], 1: [{}, {}]}),
-                BigradedComplex(groups={0: [1], 1: [1], 2: [1]},
-                                boundaries={0: [{1: 1}], 1: [{0: 1}]}),
-                BigradedComplex(groups={0: [0], 1: [0]},
-                                boundaries={0: [{-1: 2}]}),
-                BigradedComplex(groups={0: [1], 1: [1], 2: [1]},
-                                boundaries={0: [{-1: 1}], 1: [{0: 1}]})):
+    # alone and in a pair, are not part of any complex.  So are slices
+    # whose d_h has other than one column per generator of degree h:
+    # none, two for one, and one for two, which must be rejected before
+    # any column is read (the caller's column is left in place)
+    short = {0: [{0: 1}]}
+    for bad in (slices_of(groups={0: [0], 1: [5]}, boundaries={0: [{0: 1}]}),
+                slices_of(groups={0: [0]}, boundaries={0: [{0: 1}]}),
+                [(1, {0: [0], 1: [0]}, {0: [{0: 1}, {0: 1}]})],
+                [(1, {0: [0], 1: [0], 2: [0]}, {0: [{0: 1}], 1: [{}, {}]})],
+                slices_of(groups={0: [1], 1: [1], 2: [1]},
+                          boundaries={0: [{1: 1}], 1: [{0: 1}]}),
+                slices_of(groups={0: [0], 1: [0]},
+                          boundaries={0: [{-1: 2}]}),
+                slices_of(groups={0: [1], 1: [1], 2: [1]},
+                          boundaries={0: [{-1: 1}], 1: [{0: 1}]}),
+                [(0, {0: [0], 1: [0]}, {0: []})],
+                [(0, {0: [0], 1: [0]}, {0: [{0: 1}, {0: 1}]})],
+                [(0, {0: [0, 1], 1: [0]}, short)]):
         with pytest.raises(NotAComplex):
             homology(bad)
+    assert short == {0: [{0: 1}]}
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure8", "trefoil_r2"])
@@ -128,6 +135,7 @@ def test_each_graph_holds_one_quantum_degree(name, p, monkeypatch):
     # generators of one q, and together they hold every generator once
     module = importlib.import_module("khoarrow.homology")
     graph, seen = module._graph, []
+    c = resolution_build(corpus.get(name), p)
 
     def spy(q, gens, cols):
         seen.append({(h, i) for h, idx in gens.items() for i in idx})
@@ -135,8 +143,7 @@ def test_each_graph_holds_one_quantum_degree(name, p, monkeypatch):
         return graph(q, gens, cols)
 
     monkeypatch.setattr(module, "_graph", spy)
-    c = build_unreduced(corpus.get(name), p)
-    homology(c)
+    homology(q_slices(corpus.get(name), p))
     assert len(seen) == len({q for qs in c.groups.values() for q in qs})
     assert sorted(g for gens in seen for g in gens) == sorted(
         (h, i) for h, qs in c.groups.items() for i in range(len(qs)))
@@ -144,15 +151,14 @@ def test_each_graph_holds_one_quantum_degree(name, p, monkeypatch):
 
 def test_synthetic_torsion():
     # 0 -> Z --2--> Z -> 0 gives Z/2 in degree 1
-    c = BigradedComplex(groups={0: [0], 1: [0]},
-                        boundaries={0: [{0: 2}]})
+    c = slices_of(groups={0: [0], 1: [0]}, boundaries={0: [{0: 2}]})
     t = homology(c)
     assert t.group_rows() == [(1, 0, 0, (2,))]
 
 
 def test_rejects_non_complex_beyond_int64():
     # d^2 = 2^64 would wrap to 0 in int64 arithmetic
-    bad = BigradedComplex(
+    bad = slices_of(
         groups={0: [0], 1: [0], 2: [0]},
         boundaries={0: [{0: 2 ** 32}], 1: [{0: 2 ** 32}]})
     with pytest.raises(NotAComplex):
@@ -232,11 +238,11 @@ def test_cancellation_keeps_known_homology(pieces, rnd):
         boundaries[h][row, col] = k
     # in the new bases the boundary d_h becomes U_{h+1} d_h U_h^-1
     changes = {h: _basis_change(groups[h], rnd) for h in DEGREES}
-    c = BigradedComplex(
+    c = list(slices_of(
         groups={h: changes[h][2] for h in DEGREES},
         boundaries={h: _columns(changes[h + 1][0] @ d @ changes[h][1])
-                    for h, d in boundaries.items()})
-    c.check()
+                    for h, d in boundaries.items()}))
+    check_all(c)
 
     expected = {hq: (b, ()) for hq, b in expected_betti.items()}
     for hq, orders in expected_orders.items():
@@ -265,12 +271,12 @@ def _torus_even_rows(n, chirality):
 @pytest.mark.parametrize("chirality", ["left", "right"])
 def test_torus_knots_unreduced(n, chirality):
     d = torus(n) if chirality == "left" else mirror(torus(n))
-    assert homology(build_unreduced(d, EVEN)).group_rows() == \
+    assert homology(q_slices(d, EVEN)).group_rows() == \
         _torus_even_rows(n, chirality)
-    odd = homology(build_unreduced(d, ODD))
+    odd = homology(q_slices(d, ODD))
     assert all(t == () for _, _, _, t in odd.group_rows())
     assert sum(b for _, _, b in odd.iter_bidegrees()) == 2 * n
-    assert euler_characteristic(odd) == jones(d)
+    assert euler_characteristic(odd.iter_bidegrees()) == jones(d)
 
 
 # ------------------------------------------- positive 3-braid closures
@@ -286,12 +292,11 @@ def test_positive_torus_knots(q, p):
     assert (d.n, d.n_minus) == (2 * q, 0)
     _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
-    c = build_unreduced(d, p)
-    table = homology(c)
+    table = homology(q_slices(d, p))
     assert all(h >= 0 for h, _ in table.bidegrees())
     assert [row for row in table.group_rows() if row[0] == 0] == [
         (0, s - 1, 1, ()), (0, s + 1, 1, ())]
-    assert euler_characteristic(c) == jones(d)
+    assert euler_characteristic(generator_counts(q_slices(d, p))) == jones(d)
 
 
 def test_odd_b12_finishes_through_the_library():
@@ -302,11 +307,11 @@ def test_odd_b12_finishes_through_the_library():
     d = positive_braid_closure((0, 1) * 5 + (0, 0))
     _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
-    table = homology(build_unreduced(d, ODD))
+    table = homology(q_slices(d, ODD))
     assert all(h >= 0 for h, _ in table.bidegrees())
     assert [row for row in table.group_rows() if row[0] == 0] == [
         (0, s - 1, 1, ()), (0, s + 1, 1, ())]
-    assert euler_characteristic(table) == jones(d)
+    assert euler_characteristic(table.iter_bidegrees()) == jones(d)
 
 
 def test_odd_t_2_11_stays_under_150_mb():
@@ -318,11 +323,11 @@ def test_odd_t_2_11_stays_under_150_mb():
     script = (
         "import json, resource, sys\n"
         f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
-        "from khoarrow import ODD, build_unreduced, homology\n"
+        "from khoarrow import ODD, homology, q_slices\n"
         "from khoarrow.jones import euler_characteristic, jones\n"
         "from knots import torus\n"
         "d = torus(11)\n"
-        "table = homology(build_unreduced(d, ODD))\n"
+        "table = homology(q_slices(d, ODD))\n"
         "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "try:\n"
         "    with open('/proc/self/status') as fh:\n"
@@ -330,7 +335,7 @@ def test_odd_t_2_11_stays_under_150_mb():
         "                  if line.startswith('VmHWM:'))\n"
         "except (OSError, StopIteration):\n"
         "    pass\n"
-        "chi = euler_characteristic(table) == jones(d)\n"
+        "chi = euler_characteristic(table.iter_bidegrees()) == jones(d)\n"
         "print(json.dumps({'mb': kb / 1024, 'rows': table.group_rows(),\n"
         "                  'chi': chi}))\n")
     proc = subprocess.run([sys.executable, "-c", script],
@@ -355,11 +360,12 @@ SLICED = ([(f"{name} ({p.x},{p.y},{p.z})", corpus.get(name), p)
 
 @pytest.mark.parametrize("name,d,p", SLICED, ids=[s[0] for s in SLICED])
 def test_slices_give_the_tables_of_the_whole_complex(name, d, p):
-    # the CLI path (q_slices into slice_homology) and homology() of the
-    # direct sum give one table, unreduced and reduced
-    assert (slice_homology(q_slices(d, p)) == homology(build_unreduced(d, p)))
-    assert (slice_homology(q_slices(d, p, reduced=True))
-            == homology(build_reduced(d, p)))
+    # the slices the CLI reads give the table of the whole complex the
+    # reference assembles from one resolution per vertex, unreduced and
+    # reduced
+    for reduced in (False, True):
+        whole = resolution_build(d, p, reduced)
+        assert homology(q_slices(d, p, reduced)) == homology(slices_of(*whole))
 
 
 def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
@@ -372,11 +378,11 @@ def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
         f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
         "from khoarrow import ODD\n"
         "from khoarrow.chain import q_slices\n"
-        "from khoarrow.homology import slice_homology\n"
+        "from khoarrow.homology import homology\n"
         "from khoarrow.jones import euler_characteristic, jones\n"
         "from knots import torus\n"
         "d = torus(11)\n"
-        "table = slice_homology(q_slices(d, ODD))\n"
+        "table = homology(q_slices(d, ODD))\n"
         "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "try:\n"
         "    with open('/proc/self/status') as fh:\n"
@@ -384,7 +390,7 @@ def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
         "                  if line.startswith('VmHWM:'))\n"
         "except (OSError, StopIteration):\n"
         "    pass\n"
-        "chi = euler_characteristic(table) == jones(d)\n"
+        "chi = euler_characteristic(table.iter_bidegrees()) == jones(d)\n"
         "print(json.dumps({'mb': kb / 1024, 'rows': table.group_rows(),\n"
         "                  'chi': chi}))\n")
     proc = subprocess.run([sys.executable, "-c", script],

@@ -7,7 +7,7 @@ import pytest
 
 from khoarrow import corpus, lattice
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import build_unreduced
+from khoarrow.chain import q_slices
 from khoarrow.cli import PRESETS
 from khoarrow.cube import arrows, check_planarity, circle_labels
 from khoarrow.diagram import Diagram, mirror, parse_pd
@@ -15,14 +15,14 @@ from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
 from khoarrow.lattice import (check_commuting_square, check_graph_span,
                               operator_lattice, value)
-from khoarrow.reduced import build_reduced
 from khoarrow.snf import snf_diagonal
 from dense import t_merge, t_split
 from knots import positive_braid_closure, random_signed_knots, torus
 import reference
-from reference import (AdmissibleSubgraph, UnionFind, check_cycle_relations,
-                       enumerate_admissible, find_cycles, psi,
-                       restricted_reduced)
+from reference import (AdmissibleSubgraph, UnionFind, check_all,
+                       check_cycle_relations, enumerate_admissible,
+                       find_cycles, generator_counts, listed, psi,
+                       restricted_reduced, slices_of)
 
 KINK = parse_pd("X[1,2,2,1]")
 HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
@@ -102,15 +102,20 @@ def test_lattice_guard():
 NAMES = ["unknot", "kink", "hopf", "trefoil", "figure8"]
 
 
+def _reduced(d, p=EVEN):
+    """The q-slices of the reduced complex of `d` at `p`."""
+    return q_slices(d, p, reduced=True)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_reduced_complex_is_a_complex(name):
-    build_reduced(corpus.get(name)).check()
+    check_all(_reduced(corpus.get(name)))
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("name", corpus.names())
 def test_base_circle_is_circle_0(name, mirrored):
-    # build_reduced keeps the top half of every block, x on circle 0
+    # the reduced build keeps the top half of every block, x on circle 0
     d = mirror(corpus.get(name)) if mirrored else corpus.get(name)
     for labels, _ in circle_labels(d):
         assert (labels[d.arcs[0]] if d.arcs else 0) == 0, labels
@@ -118,7 +123,7 @@ def test_base_circle_is_circle_0(name, mirrored):
 
 def test_unknot_reduced_homology_is_pinned_at_origin():
     for name in ("unknot", "kink", "unknot_2"):
-        assert homology(build_reduced(corpus.get(name))).group_rows() == [
+        assert homology(_reduced(corpus.get(name))).group_rows() == [
             (0, 0, 1, ())]
 
 
@@ -132,8 +137,8 @@ CIRCLE = LaurentPoly({1: 1, -1: 1})
 
 
 def _reduced_rows(d):
-    table = homology(build_reduced(d))
-    assert CIRCLE * euler_characteristic(table) == jones(d)
+    table = homology(_reduced(d))
+    assert CIRCLE * euler_characteristic(table.iter_bidegrees()) == jones(d)
     return table.group_rows()
 
 
@@ -155,7 +160,7 @@ def test_figure8_reduced():
 
 def test_reduced_invariance_within_equivalence_classes():
     for cls in corpus.EQUIVALENCE_CLASSES.values():
-        tables = {homology(build_reduced(corpus.get(n))) for n in cls}
+        tables = {homology(_reduced(corpus.get(n))) for n in cls}
         assert len(tables) == 1
 
 
@@ -186,9 +191,9 @@ def test_reduced_table_does_not_depend_on_the_base_arc(name):
     d = BASE_ARC_KNOTS[name]
     assert d.arcs == tuple(range(1, 2 * d.n + 1))
     for p in (EVEN, ODD):
-        table = homology(build_reduced(d, p))
+        table = homology(_reduced(d, p))
         for s in range(1, 2 * d.n):
-            assert homology(build_reduced(_relabel(d, s), p)) == table, (p, s)
+            assert homology(_reduced(_relabel(d, s), p)) == table, (p, s)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -205,34 +210,28 @@ def test_torus_knots_reduced(n, chirality):
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
 
 
-def _columns(c):
-    """groups and boundaries of `c`, every column as its (row, entry)
-    list, so that the order rows were written in counts too."""
-    return c.groups, {h: [list(col.items()) for col in cols]
-                      for h, cols in c.boundaries.items()}
-
-
 @pytest.mark.parametrize("name", corpus.names())
 def test_direct_reduced_build_equals_the_restriction(name):
     # the reduced build writes only the kept generators; restricting the
     # full unreduced complex to them must give the same complex
     d = corpus.get(name)
     for p in PRESETS:
-        assert (_columns(build_reduced(d, p))
-                == _columns(restricted_reduced(d, p))), p
+        assert (listed(_reduced(d, p))
+                == listed(slices_of(*restricted_reduced(d, p)))), p
 
 
 @pytest.mark.parametrize("p", [EVEN, ODD], ids=["even", "odd"])
 @pytest.mark.parametrize("name", ["T(2,9)", "T(3,4)"])
 def test_direct_reduced_build_equals_the_restriction_on_larger_knots(name, p):
     d = torus(9) if name == "T(2,9)" else positive_braid_closure([0, 1] * 4)
-    assert _columns(build_reduced(d, p)) == _columns(restricted_reduced(d, p))
+    assert (listed(_reduced(d, p))
+            == listed(slices_of(*restricted_reduced(d, p))))
 
 
 @pytest.mark.parametrize("p", ALL_PRESETS)
 def test_reduced_subcomplex_at_every_preset(p):
     for name in corpus.names():
-        build_reduced(corpus.get(name), p).check()
+        check_all(_reduced(corpus.get(name), p))
 
 
 def _doubled(table):
@@ -255,8 +254,8 @@ def test_odd_unreduced_is_two_copies_of_reduced(p):
     diagrams = [corpus.get(n) for n in corpus.names()]
     diagrams += [torus(n) for n in (5, 7)] + [mirror(torus(n)) for n in (5, 7)]
     for d in diagrams:
-        assert (_doubled(homology(build_reduced(d, p)))
-                == homology(build_unreduced(d, p)).entries), d.crossings
+        assert (_doubled(homology(_reduced(d, p)))
+                == homology(q_slices(d, p)).entries), d.crossings
 
 
 def _mod2(table):
@@ -284,8 +283,8 @@ def test_even_and_odd_agree_mod_2(name):
     # Ozsvath-Rasmussen-Szabo (arXiv:0710.4300): even and odd unreduced
     # homology agree over Z/2
     d = MOD2_DIAGRAMS[name]
-    assert (_mod2(homology(build_unreduced(d, EVEN)))
-            == _mod2(homology(build_unreduced(d, ODD))))
+    assert (_mod2(homology(q_slices(d, EVEN)))
+            == _mod2(homology(q_slices(d, ODD))))
 
 
 @pytest.mark.parametrize("name", MOD2_DIAGRAMS)
@@ -294,10 +293,10 @@ def test_even_unreduced_is_two_copies_of_reduced_mod_2(name):
     # reduced homology at q - 1 plus a copy at q + 1
     d = MOD2_DIAGRAMS[name]
     doubled: dict = {}
-    for (h, q), n in _mod2(homology(build_reduced(d, EVEN))).items():
+    for (h, q), n in _mod2(homology(_reduced(d))).items():
         for hq in ((h, q - 1), (h, q + 1)):
             doubled[hq] = doubled.get(hq, 0) + n
-    assert _mod2(homology(build_unreduced(d, EVEN))) == doubled
+    assert _mod2(homology(q_slices(d, EVEN))) == doubled
 
 
 def test_torus_3_4_odd_tables():
@@ -305,10 +304,10 @@ def test_torus_3_4_odd_tables():
     # odd torsion; pinned from this program once both mod-2 identities
     # above held on it
     d = MOD2_DIAGRAMS["T(3,4)"]
-    odd = homology(build_unreduced(d, ODD))
+    odd = homology(q_slices(d, ODD))
     assert {hq: t for hq, (_, t) in odd.entries.items() if t} == {
         (4, 11): (2,), (4, 13): (2,), (5, 13): (3,), (5, 15): (3,)}
-    assert [sum(b for b, _ in homology(build_reduced(d, p)).entries.values())
+    assert [sum(b for b, _ in homology(_reduced(d, p)).entries.values())
             for p in (ODD, EVEN)] == [3, 5]
 
 
@@ -316,8 +315,8 @@ def test_even_unreduced_is_not_two_copies_of_reduced():
     # the splitting needs x*y = -1: the even trefoil has a Z/2 that no
     # shifted pair of reduced (free) groups gives
     d = corpus.get("trefoil")
-    assert (_doubled(homology(build_reduced(d, EVEN)))
-            != homology(build_unreduced(d, EVEN)).entries)
+    assert (_doubled(homology(_reduced(d)))
+            != homology(q_slices(d, EVEN)).entries)
 
 
 @pytest.mark.parametrize("name", ["kink", "hopf", "trefoil"])
@@ -507,6 +506,8 @@ def test_signed_braid_closures_are_planar_and_match_jones():
         assert check_planarity(d), word
         target = jones(d)
         for p in (EVEN, ODD):
-            assert euler_characteristic(build_unreduced(d, p)) == target, word
-        assert CIRCLE * euler_characteristic(build_reduced(d)) == target, word
+            chi = euler_characteristic(generator_counts(q_slices(d, p)))
+            assert chi == target, word
+        chi = euler_characteristic(generator_counts(_reduced(d)))
+        assert CIRCLE * chi == target, word
     assert signs == {1, -1}
