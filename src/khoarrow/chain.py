@@ -23,11 +23,12 @@ same four map objects are composed and compared once per sign solve.
 That work is done once per build (``_Assembly``).  Every differential
 preserves q, so the complex is the direct sum of its q-slices, and a
 complex is only ever held as that stream: one assembly writes the
-columns of one slice at a time (``q_slices``), with rows numbered as in
-the whole complex, either every generator (the unreduced complex) or
-only the top half of every vertex block, x on the base circle (the
-marked-point reduced complex); the signs are solved over the full maps
-either way.  ``check_slice`` is the one soundness check of a slice.
+columns of one slice at a time (``q_slices``), with generators indexed
+as in the whole complex and rows as slice ids, either every generator
+(the unreduced complex) or only the top half of every vertex block, x
+on the base circle (the marked-point reduced complex); the signs are
+solved over the full maps either way.  ``check_slice`` is the one
+soundness check of a slice.
 
 Gradings: homological degree h = |I| - n_minus, and quantum degree
 (#1 - #x) + |I| + n_plus - 2 n_minus, the standard convention (the CLI
@@ -68,43 +69,45 @@ class NotAComplex(ValueError):
     pass
 
 
-def check_slice(q: int, gens: dict, cols: dict) -> dict:
+def check_slice(q: int, gens: dict, cols: dict) -> list:
     """The one soundness check of a q-slice (gens, cols), as
     ``q_slices`` yields it: gens[h] lists the indices in degree h of the
-    generators of quantum degree q, and cols[h] their columns of d_h.
+    generators of quantum degree q, and cols[h] their columns of d_h,
+    with rows as slice ids (a generator's position among all of the
+    slice's generators, in the order of `gens`, degree by degree).
 
     Raises NotAComplex, naming the first defect and its degree, unless
     cols[h] holds one column per generator of gens[h] (checked before
-    any column is read), every row of a column in degree h is one of the
-    slice's generators of degree h + 1, and every composite d_{h+1} d_h
-    vanishes, exactly over Z.  Returns the ids it numbers the slice
-    with: ids[h] maps each generator of gens[h] to its id, 0, 1, ... in
-    the order of `gens`.
+    any column is read), every row of a column in degree h is the id of
+    one of the slice's generators of degree h + 1 (a compare against
+    that degree's id range), and every composite d_{h+1} d_h vanishes,
+    exactly over Z.  Returns the column of every id, a list in id order:
+    the dicts of `cols` themselves, and a new empty dict for each
+    generator of a degree with no columns.
     """
     for h, hcols in cols.items():
         if len(hcols) != len(gens.get(h, ())):
             raise NotAComplex(f"d_{h} has {len(hcols)} columns for "
                               f"{len(gens.get(h, ()))} generators")
-    ids: dict[int, dict[int, int]] = {}
+    ranges: dict[int, tuple[int, int]] = {}
     by_id: list[dict[int, int]] = []   # the column of each id
     for h, idx in gens.items():
-        ids[h] = dict(zip(idx, range(len(by_id), len(by_id) + len(idx))))
-        by_id += cols.get(h) or [{}] * len(idx)
+        ranges[h] = len(by_id), len(by_id) + len(idx)
+        by_id += cols[h] if h in cols else [{} for _ in idx]
     for h, hcols in cols.items():
-        targets = ids.get(h + 1, {})
+        lo, hi = ranges.get(h + 1, (0, 0))
         for col in hcols:
             acc: dict[int, int] = {}
             for mid, a in col.items():
-                dst = targets.get(mid)
-                if dst is None:
+                if not lo <= mid < hi:
                     raise NotAComplex(
                         f"d_{h}: row {mid} of a column of q = {q} is no "
                         f"generator of degree {h + 1} and that q")
-                for r, b in by_id[dst].items():
+                for r, b in by_id[mid].items():
                     acc[r] = acc.get(r, 0) + a * b
             if any(acc.values()):
                 raise NotAComplex(f"d_{h + 1} d_{h} is not zero")
-    return ids
+    return by_id
 
 
 def _graded(one: int, ex: int, n: int, xs: int) -> int:
@@ -425,7 +428,8 @@ class _Assembly:
                 self.sizes[size] += (1 << ks[mask]) - first[ks[mask]]
         # the later the bit that flips, the earlier its target in the
         # layout: listing the crossings backwards writes each column's
-        # rows in increasing order, the order homology() picks pivots in
+        # rows in increasing order, the order homology() breaks pivot
+        # ties in
         backwards = [(i, 1 << (n - 1 - i)) for i in reversed(range(n))]
         # by_q[q][size]: (kept indices, offset, outgoing edges) of each
         # vertex with generators of quantum degree q in that degree, in
@@ -446,29 +450,43 @@ class _Assembly:
             for q0, vertices in here.items():
                 q = q0 + size + self.shift
                 self.by_q.setdefault(q, {})[size] = vertices
-        # one int object per row index, shared by every column that has it
-        self.row_ids = list(range(max(self.sizes)))
 
     def slice(self, q: int) -> tuple[dict, dict]:
         """The generators of quantum degree `q` and their columns.
 
         gens[h] lists their indices in the chain group of degree h,
         ascending, and cols[h] the column of each, as ``{row: entry}``
-        with rows numbered in degree h + 1 of the whole complex; the top
-        degree has no columns.
+        with rows as slice ids: a generator's position among all of the
+        slice's generators, in the order of `gens`, degree by degree.
+        The top degree has no columns.  The map from whole-complex index
+        to id is made once per degree, and an edge whose target is not
+        one of the slice's generators of degree h + 1 raises
+        NotAComplex, naming the target's whole-complex index.
         """
-        row_ids = self.row_ids
         gens: dict[int, list[int]] = {}
-        cols: dict[int, list[dict[int, int]]] = {}
         for size, vertices in self.by_q[q].items():      # ascending sizes
+            gens[size - self.n_minus] = [base + c
+                                         for block, base, _ in vertices
+                                         for c in block]
+        cols: dict[int, list[dict[int, int]]] = {}
+        start = 0                        # the first id of degree h + 1
+        for size, vertices in self.by_q[q].items():
             h = size - self.n_minus
-            gens[h] = [base + c for block, base, _ in vertices
-                       for c in block]
-            if size < self.n:
+            start += len(gens[h])
+            if size == self.n:
+                continue
+            upper = gens.get(h + 1, ())
+            ids = dict(zip(upper, range(start, start + len(upper))))
+            try:
                 # blocks of distinct edges never overlap
-                cols[h] = [{row_ids[r0 + r]: sign * v
+                cols[h] = [{ids[r0 + r]: sign * v
                             for sign, r0, emap in out for r, v in emap[c]}
                            for block, _, out in vertices for c in block]
+            except KeyError as missing:
+                raise NotAComplex(
+                    f"d_{h}: row {missing.args[0]} of a column of q = {q} "
+                    f"is no generator of degree {h + 1} and that q"
+                ) from None
         return gens, cols
 
 
@@ -476,16 +494,19 @@ def q_slices(d: Diagram, p: RingParams, reduced: bool = False):
     """Yield (q, gens, cols) for every q-slice of the complex of `d` at
     `p`, ascending in q: gens[h] lists the indices in the chain group of
     degree h of the generators of quantum degree q, ascending, and
-    cols[h] the column of each, as ``{row: entry}`` with rows numbered
-    in degree h + 1 of the whole complex; the top degree has no columns.
+    cols[h] the column of each, as ``{row: entry}`` with rows as slice
+    ids: a generator's position among all of the slice's generators, in
+    the order of `gens`, degree by degree (so the rows of cols[h] run
+    over the ids of gens[h + 1]); the top degree has no columns.
 
     Every differential preserves q, so the complex is the direct sum of
     these slices.  The edge maps and signs are made once, before the
     first slice; each slice is then written on its own
-    (``_Assembly.slice``), with the indices and rows of the whole
-    complex, so a caller that drops a slice before asking for the next
+    (``_Assembly.slice``), translating each entry's row to its slice id
+    once, so a caller that drops a slice before asking for the next
     never holds the whole complex.  Raises NonPlanarInconsistency for a
-    virtual diagram, before the first slice.
+    virtual diagram, before the first slice, and NotAComplex if an edge
+    leaves the slice it starts in.
 
     With `reduced`, the slices are those of the reduced complex: the
     generators whose base circle carries ``x``, with q shifted up by

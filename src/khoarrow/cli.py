@@ -46,12 +46,14 @@ EXIT_INCONSISTENT = 3
 # groups.  `khoarrow homology` assembles, checks and reduces one q-slice
 # at a time, so it never holds the whole complex.  In a fresh process on a
 # shared 2-vCPU VM (Python 3.11, VmHWM, time after import), odd T(3,5)
-# (10 crossings) takes 0.22 s and 20 MB, and odd T(2,9) (9) 0.24 s and
-# 21 MB.  Through the library on the same slices, odd T(2,11) (11
-# crossings, 177,150 generators) peaks at 59 MB in about 3 s, and odd B12
-# (12 crossings) at 40 MB (BENCH_slices.json).  The crossing number does
-# not bound the generators, though, so the guard stays at 10 until a
-# guard on the generator count replaces it
+# (10 crossings) takes 0.12-0.20 s and 19 MB, and odd T(2,9) (9)
+# 0.16-0.21 s and 20 MB.  Through the library on the same slices, odd
+# T(2,11) (11 crossings, 177,150 generators) peaks at 52 MB in 1.7-2.4 s,
+# odd B12 (12 crossings) at 35 MB in 0.9-1.4 s, and odd T(3,7) (14
+# crossings, 235,890 generators) at 100 MB in about 6 s
+# (BENCH_cancel.json).  The crossing number does not bound the
+# generators, though, so the guard stays at 10 until a guard on the
+# generator count replaces it
 MAX_CLI_CROSSINGS = 10
 
 

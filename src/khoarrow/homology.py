@@ -4,17 +4,22 @@ The boundaries of a complex are sparse columns, one ``{row: entry}``
 dict of Python integers per generator.  Every differential preserves q,
 so a complex is the direct sum of its q-slices, and ``homology`` reads
 it one slice at a time, as ``chain.q_slices`` writes them, so that the
-whole complex is never held.  Each slice passes the one check
-(``chain.check_slice``: one column per generator, rows that stay in the
-slice, and d^2 = 0 exactly) on its way into a generator graph, and is
-reduced, read and dropped before the next.  Every +-1 entry of a slice
-is cancelled by Gaussian elimination (Bar-Natan, *Fast Khovanov
-homology computations*, math/0606318): an invertible entry
-a = d(c -> r) splits off the contractible summand c -> r, and every
-other pair gets d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a
-homotopy equivalence, so torsion survives intact.  The few generators
-left split into small blocks per degree h, and each block's homology is
-read off from the Smith normal forms of its boundaries in and out.
+whole complex is never held.  A slice numbers its generators by slice
+id, their position in the slice degree by degree, and its rows are
+those ids.  Each slice passes the one check (``chain.check_slice``: one
+column per generator, rows in the id range of the next degree, and
+d^2 = 0 exactly), and its checked columns become the outgoing half of a
+generator graph on the ids, which is reduced, read and dropped before
+the next slice.  Every +-1 entry of a slice is cancelled by Gaussian
+elimination (Bar-Natan, *Fast Khovanov homology computations*,
+math/0606318): an invertible entry a = d(c -> r) splits off the
+contractible summand c -> r, and every other pair gets
+d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
+equivalence, so torsion survives intact.  Each source cancels its unit
+of least fill, the one whose target has the fewest sources (Markowitz's
+rule, ``_cancel_units``).  The few generators left split into small
+blocks per degree h, and each block's homology is read off from the
+Smith normal forms of its boundaries in and out.
 """
 
 from __future__ import annotations
@@ -68,40 +73,41 @@ class HomologyTable:
 
 def _graph(q, gens, cols):
     """The q-slice (gens, cols), once ``chain.check_slice`` has passed
-    it, as a generator graph: the degree of each id, and the boundary
-    both ways, out[g] mapping each target of g to its coefficient and
-    inc[g] each source.  Each column leaves `cols` once it is read, so
-    the slice's columns are freed as its graph grows."""
-    ids = check_slice(q, gens, cols)
+    it, as a generator graph on its slice ids: the degree of each id,
+    and the boundary both ways, out[g] mapping each target of g to its
+    coefficient and inc[g] each source.  The checked column dicts become
+    `out` as they are, and `inc` is built in one walk of them; each
+    column leaves `cols` (None in its place), since cancellation
+    rewrites it."""
+    out = check_slice(q, gens, cols)
     degree: list[int] = []
     for h, idx in gens.items():
         degree += [h] * len(idx)
-    out: dict[int, dict[int, int]] = {g: {} for g in range(len(degree))}
-    inc: dict[int, dict[int, int]] = {g: {} for g in range(len(degree))}
-    for h, hcols in cols.items():
-        targets = ids.get(h + 1)
-        for j, src in enumerate(ids[h].values()):
-            col, hcols[j] = hcols[j], None
-            for r, a in col.items():
-                dst = targets[r]
-                out[src][dst] = inc[dst][src] = a
+    for hcols in cols.values():
+        hcols[:] = [None] * len(hcols)
+    inc: list[dict[int, int]] = [{} for _ in out]
+    for src, col in enumerate(out):
+        for dst, a in col.items():
+            inc[dst][src] = a
     return degree, out, inc
 
 
 def _cancel(src, dst, out, inc):
-    """Split off the summand src -> dst, whose coefficient is a unit."""
-    targets = out.pop(src)
-    sources = inc.pop(dst)
+    """Split off the summand src -> dst, whose coefficient is a unit;
+    both leave the graph, their places in `out` and `inc` set to None."""
+    targets, out[src] = out[src], None
+    sources, inc[dst] = inc[dst], None
     a = targets.pop(dst)
     del sources[src]
     for g in targets:
         del inc[g][src]
     for g in sources:
         del out[g][dst]
-    for g in inc.pop(src):
+    for g in inc[src]:
         del out[g][src]
-    for g in out.pop(dst):
+    for g in out[dst]:
         del inc[g][dst]
+    inc[src] = out[dst] = None
     for s, b in sources.items():
         row = out[s]
         for t, e in targets.items():
@@ -114,13 +120,29 @@ def _cancel(src, dst, out, inc):
 
 
 def _cancel_units(out, inc):
-    """Cancel +-1 entries, in generator order, until none is left."""
+    """Cancel +-1 entries until none is left.
+
+    Sources are walked in generator order, and each cancels, of its +-1
+    entries, the one whose target has the fewest sources (the first
+    such in its column; a target with one source ends the search).
+    Cancelling src -> dst creates up to (|out(src)| - 1)(|inc(dst)| - 1)
+    entries, so with the source fixed this is the pivot of least fill:
+    Markowitz's rule (*The elimination form of the inverse and its
+    application to linear programming*, Management Science 1957) along
+    one column.  Only units are pivots, so torsion survives."""
     progress = True
     while progress:
         progress = False
-        for src in list(out):
-            dst = next((t for t, a in out.get(src, {}).items()
-                        if a in (1, -1)), None)
+        for src, targets in enumerate(out):
+            if not targets:
+                continue
+            dst, fewest = None, 0
+            for t, a in targets.items():
+                if (a == 1 or a == -1) and (dst is None
+                                            or len(inc[t]) < fewest):
+                    dst, fewest = t, len(inc[t])
+                    if fewest == 1:
+                        break
             if dst is not None:
                 _cancel(src, dst, out, inc)
                 progress = True
@@ -140,8 +162,9 @@ def _add_slice(q, gens, cols, entries):
     degree, out, inc = _graph(q, gens, cols)
     _cancel_units(out, inc)
     residue: dict[int, list[int]] = {}
-    for g in out:
-        residue.setdefault(degree[g], []).append(g)
+    for g, targets in enumerate(out):
+        if targets is not None:
+            residue.setdefault(degree[g], []).append(g)
     # rank and torsion of the boundary leaving each degree
     leaving = {h: _snf_of_block(out, ids, residue[h + 1])
                for h, ids in residue.items() if h + 1 in residue}
@@ -158,12 +181,12 @@ def _add_slice(q, gens, cols, entries):
 
 def homology(slices) -> HomologyTable:
     """Integer homology, exact over Z, of the direct sum of `slices`:
-    (q, gens, cols) triples as ``chain.q_slices`` yields them, one per q.
-    Each slice is checked, reduced and read before the next is asked
-    for, and dropped after it.  The columns it reads are consumed: each
-    is replaced by None in its list in `cols` as the slice's generator
-    graph takes it in, so a caller that keeps a slice keeps only its
-    generators."""
+    (q, gens, cols) triples as ``chain.q_slices`` yields them, one per q,
+    with rows as slice ids.  Each slice is checked, reduced and read
+    before the next is asked for, and dropped after it.  The columns it
+    reads are consumed: the slice's generator graph takes them over, and
+    each is replaced by None in its list in `cols`, so a caller that
+    keeps a slice keeps only its generators."""
     entries: dict = {}
     for q, gens, cols in slices:
         _add_slice(q, gens, cols, entries)

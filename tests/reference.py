@@ -27,8 +27,8 @@ from itertools import groupby, product
 from typing import NamedTuple
 
 from khoarrow.algebra import EVEN
-from khoarrow.chain import (Unsolvable, _compose, _edges, _proportion,
-                            _signature, check_slice, edge_map)
+from khoarrow.chain import (NotAComplex, Unsolvable, _compose, _edges,
+                            _proportion, _signature, check_slice, edge_map)
 from khoarrow.cube import arrows as arrows_of, circle_labels
 from khoarrow.diagram import NonPlanarInconsistency
 from khoarrow.lattice import (_admissible, _guard, _with_loops, _words,
@@ -192,7 +192,11 @@ def slices_of(groups, boundaries):
     form and order ``chain.q_slices`` yields them: (q, gens, cols),
     ascending in q, gens[h] the indices in degree h of the generators of
     quantum degree q, in their order, and cols[h] their columns of d_h,
-    for each degree h that has a boundary."""
+    for each degree h that has a boundary, with every row translated to
+    its slice id (the position of its generator among all of the slice's
+    generators, in the order of `gens`, degree by degree).  A row that
+    is no generator of degree h + 1 and that q raises NotAComplex, as
+    the package's writer does."""
     for h, cols in boundaries.items():
         assert len(cols) == len(groups.get(h, [])), h
     slices = {}
@@ -203,8 +207,25 @@ def slices_of(groups, boundaries):
             slices.setdefault(q, {})[h] = list(idx)
     for q in sorted(slices):
         gens = slices[q]
-        yield q, gens, {h: [boundaries[h][i] for i in idx]
-                        for h, idx in gens.items() if h in boundaries}
+        ids, first = {}, 0
+        for h, idx in gens.items():
+            ids[h] = {i: first + pos for pos, i in enumerate(idx)}
+            first += len(idx)
+        cols = {}
+        for h, idx in gens.items():
+            if h not in boundaries:
+                continue
+            cols[h] = []
+            for i in idx:
+                col = {}
+                for r, a in boundaries[h][i].items():
+                    if r not in ids.get(h + 1, {}):
+                        raise NotAComplex(
+                            f"d_{h}: row {r} of a column of q = {q} is no "
+                            f"generator of degree {h + 1} and that q")
+                    col[ids[h + 1][r]] = a
+                cols[h].append(col)
+        yield q, gens, cols
 
 
 def listed(slices):

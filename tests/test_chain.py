@@ -193,9 +193,17 @@ def test_homological_range_and_group_sizes():
     assert sizes[0] == 2 ** 2
     for _, gens, cols in slices:
         assert sorted(cols) == [h for h in sorted(gens) if h < 0]
+        assert list(gens) == sorted(gens)
+        # rows are slice ids: those of degree h + 1 follow every id of
+        # the slice's lower degrees
+        first, start = {}, 0
+        for h, idx in gens.items():
+            first[h], start = start, start + len(idx)
         for h, hcols in cols.items():
             assert len(hcols) == len(gens[h])
-            assert all(0 <= r < sizes[h + 1] for col in hcols for r in col)
+            lo = first.get(h + 1, 0)
+            hi = lo + len(gens.get(h + 1, ()))
+            assert all(lo <= r < hi for col in hcols for r in col)
 
 
 def test_edge_map_shapes_and_grading():
@@ -393,49 +401,68 @@ def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
 
 
 def test_bigraded_complex_checks_catch_errors():
-    bad = slices_of(
-        groups={0: [0, 0], 1: [0, 0]},
-        boundaries={0: [{0: 1}, {1: 1}], 1: [{0: 1}, {1: 1}]})
-    # identity followed by identity is not a differential
+    # slices written by hand, rows as slice ids: the ids of degree h + 1
+    # follow those of every lower degree.  Identity followed by identity
+    # is not a differential
+    bad = [(0, {0: [0, 1], 1: [0, 1], 2: [0, 1]},
+            {0: [{2: 1}, {3: 1}], 1: [{4: 1}, {5: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
         check_all(bad)
+    # an edge into another q is caught where the rows are translated:
+    # the reference cut, like the package's writer, raises
     bad_q = slices_of(
         groups={0: [0], 1: [5]},
         boundaries={0: [{0: 1}]})
     with pytest.raises(NotAComplex, match=r"d_0: row 0 .* q = 0"):
         check_all(bad_q)
     # a row past degree h + 1 is no generator: rejected, not an IndexError
-    bad_row = list(slices_of(
-        groups={0: [1], 1: [1]},
-        boundaries={0: [{5: 1}]}))
+    bad_row = [(1, {0: [0], 1: [0]}, {0: [{5: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0: row 5 "):
         check_all(bad_row)
     with pytest.raises(NotAComplex):
         homology(bad_row)
+    # a row inside the slice but of degree h itself, not h + 1
+    bad_low = [(1, {0: [0], 1: [0]}, {0: [{0: 1}]})]
+    with pytest.raises(NotAComplex, match=r"d_0: row 0 .* degree 1 "):
+        check_all(bad_low)
     # a negative row, which a list index would read from the end
-    bad_neg = slices_of(
-        groups={0: [1], 1: [1]},
-        boundaries={0: [{-1: 1}]})
+    bad_neg = [(1, {0: [0], 1: [0]}, {0: [{-1: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0: row -1 "):
         check_all(bad_neg)
     # a column past the generators of degree h, likewise
-    bad_col = [(1, {0: [0], 1: [0]}, {0: [{0: 1}, {0: 1}]})]
+    bad_col = [(1, {0: [0], 1: [0]}, {0: [{1: 1}, {1: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0 has 2 columns for 1"):
         check_all(bad_col)
     # d_1 d_0 = 0, but d_2 d_1 is not: the defect sits past degree 0
-    bad_late = slices_of(
-        groups={0: [0], 1: [0, 0], 2: [0, 0], 3: [0]},
-        boundaries={0: [{0: 1}], 1: [{}, {0: 1}], 2: [{0: 1}, {}]})
+    bad_late = [(0, {0: [0], 1: [0, 1], 2: [0, 1], 3: [0]},
+                 {0: [{1: 1}], 1: [{}, {3: 1}], 2: [{5: 1}, {}]})]
     with pytest.raises(NotAComplex, match=r"d_2 d_1 is not zero"):
         check_all(bad_late)
 
 
+def test_writer_rejects_an_edge_into_another_q():
+    # the trefoil's slice q = -7 has generator 3 at each vertex of size
+    # 1 (degree -2); moving the first of them, at offset 0, to the slice
+    # q = -5 leaves the edges into it from degree -3 of q = -7 with no
+    # target in that slice, and writing the slice raises where it
+    # translates the rows
+    assembly = chain._Assembly(corpus.get("trefoil"), EVEN, False)
+    assert assembly.slice(-7)[0][-2] == [3, 7, 11]
+    moved = assembly.by_q[-7][1].pop(0)
+    assert moved[:2] == ([3], 0)
+    assembly.by_q[-5][1].append(moved)
+    with pytest.raises(NotAComplex, match=r"^d_-3: row 3 of a column of "
+                                          r"q = -7 is no generator of "
+                                          r"degree -2 and that q$"):
+        assembly.slice(-7)
+
+
 @pytest.mark.parametrize("boundaries", [
-    {0: [{0: 1}, {1: 1}], 1: [{0: 1}]},          # d_1: one column for two
-    {0: [{0: 1}, {2: 1}], 1: [{0: 1}, {0: 1}]},  # d_0: row 2 of two
+    {0: [{2: 1}, {3: 1}], 1: [{4: 1}]},          # d_1: one column for two
+    {0: [{2: 1}, {4: 1}], 1: [{4: 1}, {4: 1}]},  # d_0: row 4, of degree 2
 ])
 def test_d_squared_rejects_boundaries_that_do_not_compose(boundaries):
-    # one q-slice, q = 0, of two, two and one generators
+    # one q-slice, q = 0, of two, two and one generators: ids 0-1, 2-3, 4
     with pytest.raises(NotAComplex):
         check_slice(0, {0: [0, 1], 1: [0, 1], 2: [0]}, boundaries)
 

@@ -308,8 +308,8 @@ def test_complex_failing_its_check_exits_3(monkeypatch, capsys):
         if reduced:
             yield from sound_slices(d, p, reduced)
             return
-        # identity followed by identity: d^2 != 0
-        yield 0, {0: [0], 1: [0], 2: [0]}, {0: [{0: 1}], 1: [{0: 1}]}
+        # identity followed by identity, rows as slice ids: d^2 != 0
+        yield 0, {0: [0], 1: [0], 2: [0]}, {0: [{1: 1}], 1: [{2: 1}]}
 
     monkeypatch.setattr(cli, "q_slices", not_a_complex)
     assert main(["verify", "--suite", "d2"]) == 3

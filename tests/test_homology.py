@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from khoarrow.chain import q_slices
 from khoarrow.cli import PRESETS
 from khoarrow.cube import circle_labels
 from khoarrow.diagram import mirror
-from khoarrow.homology import NotAComplex, homology
+from khoarrow.homology import (NotAComplex, _cancel, _cancel_units, _graph,
+                               homology)
 from khoarrow.jones import euler_characteristic, jones
 from knots import positive_braid_closure, torus
 from reference import (check_all, generator_counts, resolution_build,
@@ -93,39 +95,40 @@ def test_table_accessors():
 
 
 def test_rejects_non_complex():
-    bad = slices_of(
-        groups={0: [0, 0], 1: [0, 0]},
-        boundaries={0: [{0: 1}, {1: 1}], 1: [{0: 1}, {1: 1}]})
-    with pytest.raises(NotAComplex):
+    # identity followed by identity; rows are slice ids
+    bad = [(0, {0: [0, 1], 1: [0, 1], 2: [0, 1]},
+            {0: [{2: 1}, {3: 1}], 1: [{4: 1}, {5: 1}]})]
+    with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
         homology(bad)
 
 
 def test_rejects_entries_leaving_a_bidegree():
-    # an entry between quantum degrees 0 and 5, one into a degree with no
-    # generators, boundaries with more columns than their degree has
-    # generators (the second on d_1 of a d^2 pair), a row past the
+    # rows are slice ids, those of degree h + 1 following every id of the
+    # lower degrees.  An entry between quantum degrees 0 and 5 of a whole
+    # complex has no slice id: cutting it into slices raises, as the
+    # package's writer does.  Within one slice, an entry into a degree
+    # with no generators, boundaries with more columns than their degree
+    # has generators (the second on d_1 of a d^2 pair), a row past the
     # generators of degree 1 on d_0 of such a pair, and negative rows,
     # alone and in a pair, are not part of any complex.  So are slices
     # whose d_h has other than one column per generator of degree h:
     # none, two for one, and one for two, which must be rejected before
     # any column is read (the caller's column is left in place)
-    short = {0: [{0: 1}]}
+    short = {0: [{2: 1}]}
     for bad in (slices_of(groups={0: [0], 1: [5]}, boundaries={0: [{0: 1}]}),
-                slices_of(groups={0: [0]}, boundaries={0: [{0: 1}]}),
-                [(1, {0: [0], 1: [0]}, {0: [{0: 1}, {0: 1}]})],
-                [(1, {0: [0], 1: [0], 2: [0]}, {0: [{0: 1}], 1: [{}, {}]})],
-                slices_of(groups={0: [1], 1: [1], 2: [1]},
-                          boundaries={0: [{1: 1}], 1: [{0: 1}]}),
-                slices_of(groups={0: [0], 1: [0]},
-                          boundaries={0: [{-1: 2}]}),
-                slices_of(groups={0: [1], 1: [1], 2: [1]},
-                          boundaries={0: [{-1: 1}], 1: [{0: 1}]}),
+                [(0, {0: [0]}, {0: [{1: 1}]})],
+                [(1, {0: [0], 1: [0]}, {0: [{1: 1}, {1: 1}]})],
+                [(1, {0: [0], 1: [0], 2: [0]}, {0: [{1: 1}], 1: [{}, {}]})],
+                [(1, {0: [0], 1: [0], 2: [0]}, {0: [{2: 1}], 1: [{2: 1}]})],
+                [(0, {0: [0], 1: [0]}, {0: [{-1: 2}]})],
+                [(1, {0: [0], 1: [0], 2: [0]},
+                  {0: [{-1: 1}], 1: [{2: 1}]})],
                 [(0, {0: [0], 1: [0]}, {0: []})],
-                [(0, {0: [0], 1: [0]}, {0: [{0: 1}, {0: 1}]})],
+                [(0, {0: [0], 1: [0]}, {0: [{1: 1}, {1: 1}]})],
                 [(0, {0: [0, 1], 1: [0]}, short)]):
         with pytest.raises(NotAComplex):
             homology(bad)
-    assert short == {0: [{0: 1}]}
+    assert short == {0: [{2: 1}]}
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure8", "trefoil_r2"])
@@ -250,6 +253,84 @@ def test_cancellation_keeps_known_homology(pieces, rnd):
     assert homology(c).entries == expected
 
 
+# ------------------------------------------- the pivots cancellation takes
+
+def _named_slice(degrees, boundary):
+    """The q-slice, q = 0, of generators named degree by degree in
+    `degrees`, in their order, with `boundary` mapping a name to its
+    {name: coefficient} column: rows are slice ids."""
+    ids = {g: i for i, g in enumerate(
+        g for names in degrees.values() for g in names)}
+    gens = {h: list(range(len(names))) for h, names in degrees.items()}
+    cols = {h: [{ids[t]: a for t, a in boundary.get(g, {}).items()}
+                for g in names]
+            for h, names in degrees.items() if h + 1 in degrees}
+    return 0, gens, cols
+
+
+LEAST_FILL = ({0: ["a", "s1", "s2"], 1: ["hi", "lo"]},
+              {"a": {"hi": 1, "lo": 1}, "s1": {"hi": 2}, "s2": {"hi": 2}},
+              {(0, 0): (1, ()), (1, 0): (0, (2,))})
+
+
+def test_cancellation_takes_the_unit_of_least_fill():
+    # a's first unit, into hi, shares hi with s1 and s2: cancelling it
+    # writes -2 from each of them into lo.  Its unit into lo has no
+    # other source, so it is taken and nothing is written
+    degrees, boundary, table = LEAST_FILL
+    assert list(_named_slice(degrees, boundary)[2][0][0]) == [3, 4]
+    _, out, inc = _graph(*_named_slice(degrees, boundary))
+    _cancel_units(out, inc)
+    assert out == [None, {3: 2}, {3: 2}, {}, None]
+    assert inc == [None, {}, {}, {1: 2, 2: 2}, None]
+    # the first unit leaves two entries of 2 as well: the same table
+    _, out, inc = _graph(*_named_slice(degrees, boundary))
+    _cancel(0, 3, out, inc)
+    _cancel_units(out, inc)
+    assert out == [None, {4: -2}, {4: -2}, None, {}]
+    assert homology([_named_slice(degrees, boundary)]).entries == table
+
+
+ORDERED = {
+    "a unit beside a 2": (
+        {0: ["a", "b"], 1: ["x", "y"]},
+        {"a": {"x": 2, "y": 1}, "b": {"y": 1}},
+        {(1, 0): (0, (2,))}),
+    "units whose fill is a 2": (
+        {0: ["a", "b"], 1: ["x", "y"]},
+        {"a": {"x": 1, "y": 1}, "b": {"x": 1, "y": -1}},
+        {(1, 0): (0, (2,))}),
+    "the unit of least fill": LEAST_FILL,
+    "torsion 2 and 4": (
+        {0: ["a", "b", "c"], 1: ["x", "y", "z"]},
+        {"a": {"x": 1, "y": 1}, "b": {"x": 1, "y": 3, "z": 2},
+         "c": {"y": 2, "z": 6}},
+        {(1, 0): (0, (2, 4))}),
+    "torsion 2 and 6": (
+        {0: ["a", "b", "c"], 1: ["x", "y", "z"]},
+        {"a": {"x": 1, "y": 1}, "b": {"x": 1, "y": -1, "z": 2},
+         "c": {"y": 2, "z": 4}},
+        {(1, 0): (0, (2, 6))}),
+    "one unit among 2s, 3s and 4s over three degrees": (
+        {0: ["a"], 1: ["x", "y", "c"], 2: ["u"]},
+        {"a": {"x": 2, "y": 4}, "x": {"u": 2}, "y": {"u": -1},
+         "c": {"u": 3}},
+        {(1, 0): (1, (2,))}),
+}
+
+
+@pytest.mark.parametrize("name", ORDERED)
+def test_cancellation_order_keeps_torsion(name):
+    # every order of the generators within each degree: the units a
+    # source may take, and the fill they write, change with the order;
+    # only units are pivots, so the torsion beside them survives
+    degrees, boundary, table = ORDERED[name]
+    for order in product(*map(permutations, degrees.values())):
+        shuffled = dict(zip(degrees, map(list, order)))
+        assert homology([_named_slice(shuffled, boundary)]).entries == \
+            table, order
+
+
 # ------------------------------------------------- T(2, n) torus knots
 
 def _torus_even_rows(n, chirality):
@@ -300,10 +381,11 @@ def test_positive_torus_knots(q, p):
 
 
 def test_odd_b12_finishes_through_the_library():
-    # 12 crossings: unit cancellation leaves a 12 x 13 block with entries
-    # up to 440 at (7, 21), on which a pivot-and-remainder Smith form
-    # does not finish; homology() reads its invariant factors through
-    # snf_diagonal (test_snf.B12_BLOCK)
+    # 12 crossings: cancelling each source's unit of least fill leaves 22
+    # generators, in blocks of at most 2 x 1 with entries up to 3.
+    # Cancelling its first unit instead left 56, with a 12 x 13 block of
+    # entries up to 440 at (7, 21), on which a pivot-and-remainder Smith
+    # form does not finish (test_snf.B12_BLOCK)
     d = positive_braid_closure((0, 1) * 5 + (0, 0))
     _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
@@ -312,39 +394,6 @@ def test_odd_b12_finishes_through_the_library():
     assert [row for row in table.group_rows() if row[0] == 0] == [
         (0, s - 1, 1, ()), (0, s + 1, 1, ())]
     assert euler_characteristic(table.iter_bidegrees()) == jones(d)
-
-
-def test_odd_t_2_11_stays_under_150_mb():
-    # 177,150 generators; a graph of the whole complex took a fresh
-    # interpreter to 259 MB; one q-slice at a time peaks near 112 MB.
-    # Linux carries ru_maxrss over fork and exec, so a child started from
-    # this test process would report the process's own peak: the child
-    # reads the high-water mark of its own memory, VmHWM, where it can
-    script = (
-        "import json, resource, sys\n"
-        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
-        "from khoarrow import ODD, homology, q_slices\n"
-        "from khoarrow.jones import euler_characteristic, jones\n"
-        "from knots import torus\n"
-        "d = torus(11)\n"
-        "table = homology(q_slices(d, ODD))\n"
-        "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "try:\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        kb = next(int(line.split()[1]) for line in fh\n"
-        "                  if line.startswith('VmHWM:'))\n"
-        "except (OSError, StopIteration):\n"
-        "    pass\n"
-        "chi = euler_characteristic(table.iter_bidegrees()) == jones(d)\n"
-        "print(json.dumps({'mb': kb / 1024, 'rows': table.group_rows(),\n"
-        "                  'chi': chi}))\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    doc = json.loads(proc.stdout)
-    assert doc["mb"] < 150, doc["mb"]
-    assert all(torsion == [] for _, _, _, torsion in doc["rows"])
-    assert sum(betti for _, _, betti, _ in doc["rows"]) == 22
-    assert doc["chi"]
 
 
 # ---------------------------------- one q-slice at a time from a diagram
@@ -370,9 +419,12 @@ def test_slices_give_the_tables_of_the_whole_complex(name, d, p):
 
 def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
     # the whole complex is never held: each q-slice is assembled, checked
-    # and reduced before the next.  VmHWM measured 59.3 MB on Python
-    # 3.11 (homology() of the whole complex: 107 MB); the bound leaves
-    # 10.7 MB, 18 %, and is read as in the 150 MB test above
+    # and reduced before the next.  VmHWM measured 52.0 MB on Python
+    # 3.11 (59.3 MB when each source cancelled its first unit, 107 MB for
+    # homology() of the whole complex).  Linux carries ru_maxrss over
+    # fork and exec, so a child started from this test process would
+    # report the process's own peak: the child reads the high-water mark
+    # of its own memory, VmHWM, where it can
     script = (
         "import json, resource, sys\n"
         f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
