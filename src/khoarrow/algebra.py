@@ -11,23 +11,42 @@ in ``lattice``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["RingParams", "EVEN", "ODD"]
 
 
-@dataclass(frozen=True)
 class RingParams:
-    """A +-1 specialization of the three coefficient parameters."""
+    """A +-1 specialization of the three coefficient parameters.
 
-    x: int = 1
-    y: int = 1
-    z: int = 1
+    Immutable; equal, and hashed alike, when x, y and z are equal.
+    """
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if getattr(self, name) not in (1, -1):
-                raise ValueError(f"parameter {name} must be +1 or -1, got {getattr(self, name)}")
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: int = 1, y: int = 1, z: int = 1):
+        for name, v in (("x", x), ("y", y), ("z", z)):
+            if v not in (1, -1):
+                raise ValueError(f"parameter {name} must be +1 or -1, got {v}")
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RingParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RingParams is immutable")
+
+    def __reduce__(self):               # copy and pickle through __init__
+        return RingParams, (self.x, self.y, self.z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self):
+        return f"RingParams(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
 
 EVEN = RingParams(1, 1, 1)

@@ -372,10 +372,11 @@ class _Assembly:
     object, so a build makes one ``edge_map`` call per distinct local
     picture (27 of 448 edges on T(2, 7)) and ``solve_signs`` checks each
     distinct face once.  Signs are solved over the full maps either way.
-    The arc labels die with the build's first stage; ``slice`` writes
-    the columns of one q-slice from what each vertex keeps: its kept
-    block indices by q, its offset in the layout, and its outgoing
-    edges, each made once per build.  Nothing is cached across builds.
+    The arc labels die with the build's first stage; ``gens`` lists the
+    generators of one q-slice, and ``slice`` writes their columns, from
+    what each vertex keeps: its kept block indices by q, its offset in
+    the layout, and its outgoing edges, each made once per build.
+    Nothing is cached across builds.
     Raises NonPlanarInconsistency for a virtual diagram, and
     NotASubcomplex when `reduced` and an edge map sends a kept
     generator into the discarded half of its target block.
@@ -451,23 +452,32 @@ class _Assembly:
                 q = q0 + size + self.shift
                 self.by_q.setdefault(q, {})[size] = vertices
 
-    def slice(self, q: int) -> tuple[dict, dict]:
-        """The generators of quantum degree `q` and their columns.
-
-        gens[h] lists their indices in the chain group of degree h,
-        ascending, and cols[h] the column of each, as ``{row: entry}``
-        with rows as slice ids: a generator's position among all of the
-        slice's generators, in the order of `gens`, degree by degree.
-        The top degree has no columns.  The map from whole-complex index
-        to id is made once per degree, and an edge whose target is not
-        one of the slice's generators of degree h + 1 raises
-        NotAComplex, naming the target's whole-complex index.
+    def gens(self, q: int) -> dict[int, list[int]]:
+        """The generators of quantum degree `q`: gens[h] lists their
+        indices in the chain group of degree h, ascending, for each
+        degree h that has some, in ascending h.  The one place that
+        lists generators: ``slice`` reads them here, and so can a count
+        of generators that writes no column.
         """
-        gens: dict[int, list[int]] = {}
-        for size, vertices in self.by_q[q].items():      # ascending sizes
-            gens[size - self.n_minus] = [base + c
-                                         for block, base, _ in vertices
-                                         for c in block]
+        return {size - self.n_minus: [base + c
+                                      for block, base, _ in vertices
+                                      for c in block]
+                for size, vertices in self.by_q[q].items()}   # ascending
+
+    def slice(self, q: int) -> tuple[dict, dict]:
+        """The generators of quantum degree `q` (``gens``) and their
+        columns.
+
+        cols[h] holds the column of each generator of gens[h], as
+        ``{row: entry}`` with rows as slice ids: a generator's position
+        among all of the slice's generators, in the order of `gens`,
+        degree by degree.  The top degree has no columns.  The map from
+        whole-complex index to id is made once per degree, and an edge
+        whose target is not one of the slice's generators of degree
+        h + 1 raises NotAComplex, naming the target's whole-complex
+        index.
+        """
+        gens = self.gens(q)
         cols: dict[int, list[dict[int, int]]] = {}
         start = 0                        # the first id of degree h + 1
         for size, vertices in self.by_q[q].items():

@@ -68,6 +68,10 @@ def circle_labels(d: Diagram) -> list[tuple[dict[int, int], int]]:
             walk(i + 1, joined)
 
     walk(0, {a: a for a in arcs})
+    # the closure refers to itself through its cell; unbinding it breaks
+    # that cycle, so the walk and what it holds are freed here and not
+    # left to the cyclic collector
+    del walk
     return out
 
 

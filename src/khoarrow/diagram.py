@@ -3,8 +3,9 @@
 A planar-diagram (PD) code lists one 4-tuple of arc labels per crossing,
 read counterclockwise starting from the incoming under-strand, e.g.
 ``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]`` for a left trefoil.  Arc labels are
-non-negative integers (``parse_pd`` reads decimal digits, so ``0`` and
-leading zeros are accepted); each label must occur exactly twice in total.
+non-negative integers (``parse_pd`` reads the ASCII digits 0-9 only, so
+``0`` and leading zeros are accepted and other Unicode digits are not);
+each label must occur exactly twice in total.
 
 Slot rule: a strand that arrives at slot s of a crossing leaves at slot
 (s + 2) % 4.  One walk along every strand (``Diagram._walk``) orients the
@@ -157,7 +158,10 @@ class Diagram:
         return tuple(over_in), tuple(sorted(loops))
 
 
-_PD_TOKEN = re.compile(r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+# [0-9], not \d, which also matches every other Unicode digit (int()
+# reads them)
+_PD_TOKEN = re.compile(
+    r"X\s*\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -184,7 +188,7 @@ def to_pd(d: Diagram) -> str:
     return " ".join("X[%d,%d,%d,%d]" % c for c in d.crossings)
 
 
-_GAUSS_TOKEN = re.compile(r"([OU])\s*(\d+)\s*([+-])")
+_GAUSS_TOKEN = re.compile(r"([OU])\s*([0-9]+)\s*([+-])")
 
 
 def parse_gauss(text: str) -> Diagram:

@@ -24,24 +24,36 @@ Smith normal forms of its boundaries in and out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chain import NotAComplex, check_slice
 from .snf import snf_diagonal
 
 __all__ = ["HomologyTable", "NotAComplex", "homology"]
 
 
-@dataclass(frozen=True)
 class HomologyTable:
     """Betti numbers and torsion invariant factors per bidegree (h, q).
 
     entries maps (h, q) -> (betti, torsion) with torsion a tuple of
     successive invariant factors >= 2.  Bidegrees with trivial homology
-    are omitted.
+    are omitted.  Immutable: `entries` cannot be rebound.
     """
 
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict | None = None):
+        object.__setattr__(self, "entries", {} if entries is None else entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomologyTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("HomologyTable is immutable")
+
+    def __reduce__(self):               # copy and pickle through __init__
+        return HomologyTable, (self.entries,)
+
+    def __repr__(self):
+        return f"HomologyTable(entries={self.entries!r})"
 
     def betti(self, h: int, q: int) -> int:
         return self.entries.get((h, q), (0, ()))[0]

@@ -136,9 +136,11 @@ def jones(d: Diagram) -> LaurentPoly:
 def euler_characteristic(triples) -> LaurentPoly:
     """Graded Euler characteristic sum (-1)^h count q^q over (h, q,
     count) triples: a homology table's ``iter_bidegrees()``, or the
-    generator counts of the q-slices of a complex,
-    ``(h, q, len(idx)) for q, gens, _ in q_slices(d, p)
-    for h, idx in gens.items()``.
+    generator counts of a complex, ``(h, q, len(idx))`` for every degree
+    h of the generators ``gens`` of each q-slice.  Those come from
+    ``chain.q_slices``, which writes every column too, or, as the
+    ``euler`` verify suite counts them, from ``chain._Assembly.gens``
+    alone, which writes none.
     """
     out: dict[int, int] = {}
     for h, q, count in triples:

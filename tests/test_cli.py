@@ -12,7 +12,7 @@ import pytest
 from khoarrow.algebra import ODD
 from khoarrow.chain import q_slices
 from khoarrow.cli import SUITES, build_parser, main
-from khoarrow.diagram import parse_gauss, parse_pd
+from khoarrow.diagram import DiagramError, parse_gauss, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, jones
 
@@ -186,6 +186,46 @@ def test_verify_prints_every_check(capsys):
     assert tuple(m[1] for m in timings) == SUITES
 
 
+def test_arrows_suite_fails_when_a_map_reads_arrow_direction(monkeypatch,
+                                                             capsys):
+    # the suite compares each distinct signature pair once: a split
+    # signature that names the daughter of arc c, the arrow's source,
+    # instead of the later one must still fail every diagram with a split
+    import khoarrow.chain as chain
+
+    signature = chain._signature
+
+    def directed(i, n, mask, kI, kJ, cI, aI, cJ, aJ):
+        sig = signature(i, n, mask, kI, kJ, cI, aI, cJ, aJ)
+        return sig[:3] + (cJ,) if sig[0] == "split" else sig
+
+    monkeypatch.setattr(chain, "_signature", directed)
+    assert main(["verify", "--suite", "arrows"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert "[pass] arrows unknot" in lines      # no crossing, no edge
+    assert "[FAIL] arrows trefoil" in lines
+
+
+def test_euler_suite_fails_when_a_generator_is_dropped(monkeypatch, capsys):
+    # the suite counts generators through _Assembly.gens without writing
+    # a column: one generator fewer in every slice must fail every check
+    import khoarrow.chain as chain
+
+    gens = chain._Assembly.gens
+
+    def dropping(self, q):
+        out = gens(self, q)
+        out[min(out)] = out[min(out)][1:]
+        return out
+
+    monkeypatch.setattr(chain._Assembly, "gens", dropping)
+    assert main(["verify", "--suite", "euler"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 40
+    assert all(line.startswith("[FAIL] euler ") for line in lines)
+
+
 def test_main_callable_in_process(capsys):
     rc = main(["homology", "--pd", "", "--format", "json"])
     assert rc == 0
@@ -206,6 +246,21 @@ def test_label_zero_reads_like_any_other_label(capsys):
                              "--format", "json", *flags]) == 0
                 groups.append(json.loads(capsys.readouterr().out)["groups"])
             assert groups[0] == groups[1] and groups[0], (flags, theory)
+
+
+def test_non_ascii_digits_are_no_labels(capsys):
+    # int() reads every Unicode digit: a parser matching any digit would
+    # take the Arabic-Indic 3 of X[\u0663,\u0663,1,1] for a 3 and print
+    # the unknot's table
+    pd, gauss = "X[\u0663,\u0663,1,1]", "O\u0661-U\u0661-"
+    with pytest.raises(DiagramError):
+        parse_pd(pd)
+    with pytest.raises(DiagramError):
+        parse_gauss(gauss)
+    for flag, code in (("--pd", pd), ("--gauss", gauss)):
+        assert main(["homology", flag, code]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_main_reuses_one_parser(capsys):

@@ -1,8 +1,10 @@
 """Circle labels, arrows, and the hypercube bookkeeping."""
 
+import gc
+
 import pytest
 
-from khoarrow import corpus
+from khoarrow import EVEN, ODD, corpus, homology, q_slices
 from khoarrow.cube import arrows, check_planarity, circle_labels
 from khoarrow.diagram import mirror, parse_pd
 from knots import positive_braid_closure, torus
@@ -104,3 +106,21 @@ def test_edge_kind_matches_circle_count_change():
 def test_check_planarity():
     assert check_planarity(TREFOIL)
     assert check_planarity(HOPF)
+
+
+def test_a_build_leaves_no_cyclic_garbage():
+    # circle_labels' recursive walk refers to itself through its closure
+    # cell: unless that cycle is broken, every build leaves its whole cube
+    # of labels (151 objects on T(2,7)) to the cyclic collector
+    d = torus(7)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        circle_labels(d)
+        homology(q_slices(d, ODD))
+        homology(q_slices(d, EVEN, reduced=True))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -417,14 +417,14 @@ def test_slices_give_the_tables_of_the_whole_complex(name, d, p):
         assert homology(q_slices(d, p, reduced)) == homology(slices_of(*whole))
 
 
-def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
-    # the whole complex is never held: each q-slice is assembled, checked
-    # and reduced before the next.  VmHWM measured 52.0 MB on Python
-    # 3.11 (59.3 MB when each source cancelled its first unit, 107 MB for
-    # homology() of the whole complex).  Linux carries ru_maxrss over
-    # fork and exec, so a child started from this test process would
-    # report the process's own peak: the child reads the high-water mark
-    # of its own memory, VmHWM, where it can
+def _odd_homology_in_a_fresh_process(knot):
+    """The odd unreduced table of the knot that the expression `knot`
+    (over tests/knots.py) builds, through the slices in a fresh
+    interpreter, with that process's peak memory and whether chi equals
+    the Jones polynomial.  Linux carries ru_maxrss over fork and exec, so
+    a child started from this test process would report the process's
+    own peak: the child reads the high-water mark of its own memory,
+    VmHWM, where it can."""
     script = (
         "import json, resource, sys\n"
         f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
@@ -432,8 +432,8 @@ def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
         "from khoarrow.chain import q_slices\n"
         "from khoarrow.homology import homology\n"
         "from khoarrow.jones import euler_characteristic, jones\n"
-        "from knots import torus\n"
-        "d = torus(11)\n"
+        "from knots import positive_braid_closure, torus\n"
+        f"d = {knot}\n"
         "table = homology(q_slices(d, ODD))\n"
         "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "try:\n"
@@ -447,8 +447,25 @@ def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
         "                  'chi': chi}))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
-    doc = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_odd_t_2_11_one_slice_at_a_time_stays_under_70_mb():
+    # the whole complex is never held: each q-slice is assembled, checked
+    # and reduced before the next.  VmHWM measured 52.0 MB on Python
+    # 3.11 (59.3 MB when each source cancelled its first unit, 107 MB for
+    # homology() of the whole complex)
+    doc = _odd_homology_in_a_fresh_process("torus(11)")
     assert doc["mb"] < 70, doc["mb"]
     assert all(torsion == [] for _, _, _, torsion in doc["rows"])
     assert sum(betti for _, _, betti, _ in doc["rows"]) == 22
+    assert doc["chi"]
+
+
+def test_odd_t_3_7_stays_under_150_mb():
+    # 14 crossings, 235,890 generators: VmHWM measured 98-100 MB on
+    # Python 3.11 (BENCH_cancel.json), and 176 MB when each source
+    # cancelled its first unit.  6-9 s on a shared 2-vCPU VM
+    doc = _odd_homology_in_a_fresh_process("positive_braid_closure((0, 1) * 7)")
+    assert doc["mb"] < 150, doc["mb"]
     assert doc["chi"]
