@@ -4,8 +4,8 @@ resolution cube.
 A build reads the circles of every vertex from one walk of the cube
 (``cube.circle_labels``), and the local picture of every edge from
 those labels (``_edges``): vertex I is the bit mask with crossing i at
-bit n - 1 - i, and maps, signs and block offsets sit in flat lists
-indexed by mask, or by mask * n + i for the edge at crossing i.
+bit n - 1 - i, and maps and signs sit in flat lists indexed by
+mask * n + i for the edge at crossing i.
 
 Edge maps are built from the parameterized (co)multiplication acting at
 the stable position of the merged/split circle, with tensor factors
@@ -23,12 +23,12 @@ same four map objects are composed and compared once per sign solve.
 That work is done once per build (``_Assembly``).  Every differential
 preserves q, so the complex is the direct sum of its q-slices, and a
 complex is only ever held as that stream: one assembly writes the
-columns of one slice at a time (``q_slices``), with generators indexed
-as in the whole complex and rows as slice ids, either every generator
-(the unreduced complex) or only the top half of every vertex block, x
-on the base circle (the marked-point reduced complex); the signs are
-solved over the full maps either way.  ``check_slice`` is the one
-soundness check of a slice.
+columns of one slice at a time (``q_slices``), numbering its generators
+by slice id alone, their position in the slice degree by degree, with
+rows as those ids, either every generator (the unreduced complex) or
+only the top half of every vertex block, x on the base circle (the
+marked-point reduced complex); the signs are solved over the full maps
+either way.  ``check_slice`` is the one soundness check of a slice.
 
 Gradings: homological degree h = |I| - n_minus, and quantum degree
 (#1 - #x) + |I| + n_plus - 2 n_minus, the standard convention (the CLI
@@ -69,31 +69,31 @@ class NotAComplex(ValueError):
     pass
 
 
-def check_slice(q: int, gens: dict, cols: dict) -> list:
-    """The one soundness check of a q-slice (gens, cols), as
-    ``q_slices`` yields it: gens[h] lists the indices in degree h of the
-    generators of quantum degree q, and cols[h] their columns of d_h,
-    with rows as slice ids (a generator's position among all of the
-    slice's generators, in the order of `gens`, degree by degree).
+def check_slice(q: int, counts: dict, cols: dict) -> list:
+    """The one soundness check of a q-slice (counts, cols), as
+    ``q_slices`` yields it: counts[h] is the number of generators of
+    quantum degree q in degree h, and cols[h] their columns of d_h, with
+    rows as slice ids (a generator's position among all of the slice's
+    generators, degree by degree in the order of `counts`).
 
     Raises NotAComplex, naming the first defect and its degree, unless
-    cols[h] holds one column per generator of gens[h] (checked before
-    any column is read), every row of a column in degree h is the id of
-    one of the slice's generators of degree h + 1 (a compare against
-    that degree's id range), and every composite d_{h+1} d_h vanishes,
-    exactly over Z.  Returns the column of every id, a list in id order:
-    the dicts of `cols` themselves, and a new empty dict for each
-    generator of a degree with no columns.
+    cols[h] holds counts[h] columns (checked before any column is read),
+    every row of a column in degree h is the id of one of the slice's
+    generators of degree h + 1 (a compare against that degree's id
+    range), and every composite d_{h+1} d_h vanishes, exactly over Z.
+    Returns the column of every id, a list in id order: the dicts of
+    `cols` themselves, and a new empty dict for each generator of a
+    degree with no columns.
     """
     for h, hcols in cols.items():
-        if len(hcols) != len(gens.get(h, ())):
+        if len(hcols) != counts.get(h, 0):
             raise NotAComplex(f"d_{h} has {len(hcols)} columns for "
-                              f"{len(gens.get(h, ()))} generators")
+                              f"{counts.get(h, 0)} generators")
     ranges: dict[int, tuple[int, int]] = {}
     by_id: list[dict[int, int]] = []   # the column of each id
-    for h, idx in gens.items():
-        ranges[h] = len(by_id), len(by_id) + len(idx)
-        by_id += cols[h] if h in cols else [{} for _ in idx]
+    for h, count in counts.items():
+        ranges[h] = len(by_id), len(by_id) + count
+        by_id += cols[h] if h in cols else [{} for _ in range(count)]
     for h, hcols in cols.items():
         lo, hi = ranges.get(h + 1, (0, 0))
         for col in hcols:
@@ -372,11 +372,11 @@ class _Assembly:
     object, so a build makes one ``edge_map`` call per distinct local
     picture (27 of 448 edges on T(2, 7)) and ``solve_signs`` checks each
     distinct face once.  Signs are solved over the full maps either way.
-    The arc labels die with the build's first stage; ``gens`` lists the
-    generators of one q-slice, and ``slice`` writes their columns, from
-    what each vertex keeps: its kept block indices by q, its offset in
-    the layout, and its outgoing edges, each made once per build.
-    Nothing is cached across builds.
+    The arc labels die with the build's first stage; ``counts`` counts
+    the generators of one q-slice, and ``slice`` numbers them and writes
+    their columns, from what each vertex keeps: its kept block indices
+    by q, each with its position in the block, and its outgoing edges,
+    each made once per build.  Nothing is cached across builds.
     Raises NonPlanarInconsistency for a virtual diagram, and
     NotASubcomplex when `reduced` and an edge map sends a kept
     generator into the discarded half of its target block.
@@ -405,115 +405,105 @@ class _Assembly:
 
         # generator idx of a block sits at q = k - 2 |idx| + |I| + shift,
         # |idx| its number of x's, plus 1 in the reduced theory; that
-        # theory keeps idx from first[k] = 2^(k-1) on, x on circle 0
+        # theory keeps idx from 2^(k-1) on, x on circle 0
         self.shift = d.n_plus - 2 * d.n_minus + reduced
         ks = [k for _, k in cube]
-        first = {k: 1 << (k - 1) if reduced else 0 for k in set(ks)}
-        # blocks[k][k - 2x]: the kept indices of a k-circle block with x
-        # x's, in the basis order of A^{(x)k}
-        blocks: dict[int, dict[int, list[int]]] = {k: {} for k in first}
-        for k, lo in first.items():
-            for idx in range(lo, 1 << k):
-                blocks[k].setdefault(k - 2 * idx.bit_count(), []).append(idx)
-        # the chain group of degree h = |I| - n_minus lays out one block
-        # of generators per vertex, in ascending masks (lexicographic
-        # order), each block in the basis order of A^{(x)k(I)}
-        by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for mask in range(1 << n):
-            by_size[mask.bit_count()].append(mask)
-        self.sizes = [0] * (n + 1)       # generators per degree
-        offsets = [0] * (1 << n)         # position of idx 0 of a block
-        for size, layer in enumerate(by_size):
-            for mask in layer:
-                offsets[mask] = self.sizes[size] - first[ks[mask]]
-                self.sizes[size] += (1 << ks[mask]) - first[ks[mask]]
-        # the later the bit that flips, the earlier its target in the
-        # layout: listing the crossings backwards writes each column's
-        # rows in increasing order, the order homology() breaks pivot
-        # ties in
+        # blocks[k][k - 2x]: {idx: position} over the kept indices of a
+        # k-circle block with x x's, in the basis order of A^{(x)k}
+        blocks: dict[int, dict[int, dict[int, int]]] = {k: {} for k in ks}
+        for k, kept in blocks.items():
+            for idx in range(1 << (k - 1) if reduced else 0, 1 << k):
+                pos = kept.setdefault(k - 2 * idx.bit_count(), {})
+                pos[idx] = len(pos)
+        # the later the bit that flips, the earlier its target among the
+        # slice's ids: listing the crossings backwards writes each
+        # column's rows in increasing order, the order homology() breaks
+        # pivot ties in
         backwards = [(i, 1 << (n - 1 - i)) for i in reversed(range(n))]
-        # by_q[q][size]: (kept indices, offset, outgoing edges) of each
+        # by_q[q][size]: (mask, kept positions, outgoing edges) of each
         # vertex with generators of quantum degree q in that degree, in
-        # ascending masks; an edge is (sign, offset of its target, map)
+        # ascending sizes, then masks; an edge is (sign, target mask,
+        # map), each mask the one int object of `masks`, not a new int
+        # per edge
         self.by_q: dict[int, dict[int, list]] = {}
-        for size, layer in enumerate(by_size):
-            here: dict[int, list] = {}
-            for mask in layer:
-                out = [(signs[mask * n + i], offsets[mask | bit],
-                        maps[mask * n + i])
-                       for i, bit in backwards if not mask & bit]
-                for q0, block in blocks[ks[mask]].items():
-                    vertex = (block, offsets[mask], out)
-                    if q0 in here:
-                        here[q0].append(vertex)
-                    else:
-                        here[q0] = [vertex]
-            for q0, vertices in here.items():
-                q = q0 + size + self.shift
-                self.by_q.setdefault(q, {})[size] = vertices
+        masks = list(range(1 << n))
+        for mask in sorted(masks, key=int.bit_count):
+            size = mask.bit_count()
+            out = [(signs[mask * n + i], masks[mask | bit],
+                    maps[mask * n + i])
+                   for i, bit in backwards if not mask & bit]
+            for q0, pos in blocks[ks[mask]].items():
+                self.by_q.setdefault(q0 + size + self.shift, {}).setdefault(
+                    size, []).append((mask, pos, out))
 
-    def gens(self, q: int) -> dict[int, list[int]]:
-        """The generators of quantum degree `q`: gens[h] lists their
-        indices in the chain group of degree h, ascending, for each
-        degree h that has some, in ascending h.  The one place that
-        lists generators: ``slice`` reads them here, and so can a count
-        of generators that writes no column.
-        """
-        return {size - self.n_minus: [base + c
-                                      for block, base, _ in vertices
-                                      for c in block]
+    def counts(self, q: int) -> dict[int, int]:
+        """The generators of quantum degree `q`: counts[h] is their
+        number in degree h, for each degree h that has some, in
+        ascending h.  A count of generators that writes no column reads
+        them here."""
+        return {size - self.n_minus: sum(len(pos) for _, pos, _ in vertices)
                 for size, vertices in self.by_q[q].items()}   # ascending
 
     def slice(self, q: int) -> tuple[dict, dict]:
-        """The generators of quantum degree `q` (``gens``) and their
-        columns.
+        """The generator counts of quantum degree `q` (``counts``) and
+        their columns.
 
-        cols[h] holds the column of each generator of gens[h], as
-        ``{row: entry}`` with rows as slice ids: a generator's position
-        among all of the slice's generators, in the order of `gens`,
-        degree by degree.  The top degree has no columns.  The map from
-        whole-complex index to id is made once per degree, and an edge
-        whose target is not one of the slice's generators of degree
-        h + 1 raises NotAComplex, naming the target's whole-complex
-        index.
+        Each generator's slice id is its position among all of the
+        slice's generators: degree by degree, masks ascending, basis
+        order within a block.  cols[h] holds the column of each
+        generator of degree h in id order, as ``{row: entry}`` with rows
+        as slice ids; the top degree has no columns.  Each vertex first
+        gets its ids, one list per vertex, so that every entry of a row
+        shares one id object; an entry's row is then the id list of its
+        target indexed by the target index's position.  An entry whose
+        target is not one of the slice's generators of degree h + 1 (a
+        target vertex with nothing at this q, or an index of another
+        x-count or of the discarded reduced half) raises NotAComplex,
+        naming its index in the target block.
         """
-        gens = self.gens(q)
+        layers = self.by_q[q]
+        # mask -> (ids, kept positions), empty for a vertex off the slice
+        at = [((), {})] * (1 << self.n)
+        start = 0
+        for vertices in layers.values():
+            for mask, pos, _ in vertices:
+                at[mask] = list(range(start, start + len(pos))), pos
+                start += len(pos)
         cols: dict[int, list[dict[int, int]]] = {}
-        start = 0                        # the first id of degree h + 1
-        for size, vertices in self.by_q[q].items():
-            h = size - self.n_minus
-            start += len(gens[h])
+        for size, vertices in layers.items():
             if size == self.n:
                 continue
-            upper = gens.get(h + 1, ())
-            ids = dict(zip(upper, range(start, start + len(upper))))
+            h = size - self.n_minus
             try:
                 # blocks of distinct edges never overlap
-                cols[h] = [{ids[r0 + r]: sign * v
-                            for sign, r0, emap in out for r, v in emap[c]}
-                           for block, _, out in vertices for c in block]
+                cols[h] = [{ids[tpos[r]]: sign * v
+                            for sign, t, emap in out
+                            for ids, tpos in [at[t]]
+                            for r, v in emap[c]}
+                           for _, pos, out in vertices for c in pos]
             except KeyError as missing:
                 raise NotAComplex(
-                    f"d_{h}: row {missing.args[0]} of a column of q = {q} "
-                    f"is no generator of degree {h + 1} and that q"
-                ) from None
-        return gens, cols
+                    f"d_{h}: index {missing.args[0]} of a target block of "
+                    f"a column of q = {q} is no generator of degree {h + 1} "
+                    f"and that q") from None
+        return self.counts(q), cols
 
 
 def q_slices(d: Diagram, p: RingParams, reduced: bool = False):
-    """Yield (q, gens, cols) for every q-slice of the complex of `d` at
-    `p`, ascending in q: gens[h] lists the indices in the chain group of
-    degree h of the generators of quantum degree q, ascending, and
-    cols[h] the column of each, as ``{row: entry}`` with rows as slice
-    ids: a generator's position among all of the slice's generators, in
-    the order of `gens`, degree by degree (so the rows of cols[h] run
-    over the ids of gens[h + 1]); the top degree has no columns.
+    """Yield (q, counts, cols) for every q-slice of the complex of `d`
+    at `p`, ascending in q: counts[h] is the number of generators of
+    quantum degree q in degree h, and cols[h] the column of each, as
+    ``{row: entry}`` with rows as slice ids: a generator's position
+    among all of the slice's generators, degree by degree in the order
+    of `counts` (so the rows of cols[h] run over the counts[h + 1] ids
+    of degree h + 1); the top degree has no columns.  A generator has
+    no other index.
 
     Every differential preserves q, so the complex is the direct sum of
     these slices.  The edge maps and signs are made once, before the
     first slice; each slice is then written on its own
-    (``_Assembly.slice``), translating each entry's row to its slice id
-    once, so a caller that drops a slice before asking for the next
+    (``_Assembly.slice``), writing each entry's row as its slice id
+    directly, so a caller that drops a slice before asking for the next
     never holds the whole complex.  Raises NonPlanarInconsistency for a
     virtual diagram, before the first slice, and NotAComplex if an edge
     leaves the slice it starts in.

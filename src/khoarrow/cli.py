@@ -132,8 +132,8 @@ PRESETS = (RingParams(1, 1, 1), RingParams(1, -1, 1),
 def _suite_d2(report):
     def sound(slices):
         try:
-            for q, gens, cols in slices:
-                check_slice(q, gens, cols)
+            for q, counts, cols in slices:
+                check_slice(q, counts, cols)
         except NotAComplex:
             return False
         return True
@@ -153,12 +153,12 @@ def _generator_counts(d, p):
     when the counts are spent, before the caller builds the next."""
     assembly = _Assembly(d, p, False)
     for q in assembly.by_q:
-        for h, idx in assembly.gens(q).items():
-            yield h, q, len(idx)
+        for h, count in assembly.counts(q).items():
+            yield h, q, count
 
 
 def _suite_euler(report):
-    # χ needs only the generator counts, which _Assembly.gens lists as
+    # χ needs only the generator counts, which _Assembly.counts gives as
     # the slices would: no column is written here.  The writer's own
     # check runs on these same 40 complexes in the d2 suite
     for name in corpus.names():

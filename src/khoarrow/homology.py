@@ -4,22 +4,22 @@ The boundaries of a complex are sparse columns, one ``{row: entry}``
 dict of Python integers per generator.  Every differential preserves q,
 so a complex is the direct sum of its q-slices, and ``homology`` reads
 it one slice at a time, as ``chain.q_slices`` writes them, so that the
-whole complex is never held.  A slice numbers its generators by slice
-id, their position in the slice degree by degree, and its rows are
-those ids.  Each slice passes the one check (``chain.check_slice``: one
-column per generator, rows in the id range of the next degree, and
-d^2 = 0 exactly), and its checked columns become the outgoing half of a
-generator graph on the ids, which is reduced, read and dropped before
-the next slice.  Every +-1 entry of a slice is cancelled by Gaussian
-elimination (Bar-Natan, *Fast Khovanov homology computations*,
-math/0606318): an invertible entry a = d(c -> r) splits off the
-contractible summand c -> r, and every other pair gets
-d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This is a homotopy
-equivalence, so torsion survives intact.  Each source cancels its unit
-of least fill, the one whose target has the fewest sources (Markowitz's
-rule, ``_cancel_units``).  The few generators left split into small
-blocks per degree h, and each block's homology is read off from the
-Smith normal forms of its boundaries in and out.
+whole complex is never held.  A slice (q, counts, cols) numbers its
+counts[h] generators of each degree h by slice id alone, their position
+in the slice degree by degree, and its rows are those ids.  Each slice
+passes the one check (``chain.check_slice``: one column per generator,
+rows in the id range of the next degree, and d^2 = 0 exactly), and its
+checked columns become the outgoing half of a generator graph on the
+ids, which is reduced, read and dropped before the next slice.  Every
++-1 entry of a slice is cancelled by Gaussian elimination (Bar-Natan,
+*Fast Khovanov homology computations*, math/0606318): an invertible
+entry a = d(c -> r) splits off the contractible summand c -> r, and
+every other pair gets d(c' -> r') -= d(c -> r') a^-1 d(c' -> r).  This
+is a homotopy equivalence, so torsion survives intact.  Each source
+cancels its unit of least fill, the one whose target has the fewest
+sources (Markowitz's rule, ``_cancel_units``).  The few generators left
+split into small blocks per degree h, and each block's homology is read
+off from the Smith normal forms of its boundaries in and out.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class HomologyTable:
     def torsion(self, h: int, q: int) -> tuple:
         return self.entries.get((h, q), (0, ()))[1]
 
-    def bidegrees(self):
-        return sorted(self.entries)
-
     def iter_bidegrees(self):
         for (h, q), (betti, _) in sorted(self.entries.items()):
             if betti:
@@ -83,18 +80,18 @@ class HomologyTable:
             (hq, b, tuple(t)) for hq, (b, t) in self.entries.items())))
 
 
-def _graph(q, gens, cols):
-    """The q-slice (gens, cols), once ``chain.check_slice`` has passed
+def _graph(q, counts, cols):
+    """The q-slice (counts, cols), once ``chain.check_slice`` has passed
     it, as a generator graph on its slice ids: the degree of each id,
     and the boundary both ways, out[g] mapping each target of g to its
     coefficient and inc[g] each source.  The checked column dicts become
     `out` as they are, and `inc` is built in one walk of them; each
     column leaves `cols` (None in its place), since cancellation
     rewrites it."""
-    out = check_slice(q, gens, cols)
+    out = check_slice(q, counts, cols)
     degree: list[int] = []
-    for h, idx in gens.items():
-        degree += [h] * len(idx)
+    for h, count in counts.items():
+        degree += [h] * count
     for hcols in cols.values():
         hcols[:] = [None] * len(hcols)
     inc: list[dict[int, int]] = [{} for _ in out]
@@ -169,9 +166,9 @@ def _snf_of_block(out, cols, rows):
     return len(diag), tuple(d for d in diag if d > 1)
 
 
-def _add_slice(q, gens, cols, entries):
-    """Add the homology of the q-slice (gens, cols) to `entries`."""
-    degree, out, inc = _graph(q, gens, cols)
+def _add_slice(q, counts, cols, entries):
+    """Add the homology of the q-slice (counts, cols) to `entries`."""
+    degree, out, inc = _graph(q, counts, cols)
     _cancel_units(out, inc)
     residue: dict[int, list[int]] = {}
     for g, targets in enumerate(out):
@@ -193,14 +190,15 @@ def _add_slice(q, gens, cols, entries):
 
 def homology(slices) -> HomologyTable:
     """Integer homology, exact over Z, of the direct sum of `slices`:
-    (q, gens, cols) triples as ``chain.q_slices`` yields them, one per q,
-    with rows as slice ids.  Each slice is checked, reduced and read
-    before the next is asked for, and dropped after it.  The columns it
-    reads are consumed: the slice's generator graph takes them over, and
-    each is replaced by None in its list in `cols`, so a caller that
-    keeps a slice keeps only its generators."""
+    (q, counts, cols) triples as ``chain.q_slices`` yields them, one per
+    q: counts[h] generators in degree h, numbered by slice id, and rows
+    as those ids.  Each slice is checked, reduced and read before the
+    next is asked for, and dropped after it.  The columns it reads are
+    consumed: the slice's generator graph takes them over, and each is
+    replaced by None in its list in `cols`, so a caller that keeps a
+    slice keeps only its counts."""
     entries: dict = {}
-    for q, gens, cols in slices:
-        _add_slice(q, gens, cols, entries)
-        del gens, cols              # before the next slice is written
+    for q, counts, cols in slices:
+        _add_slice(q, counts, cols, entries)
+        del counts, cols            # before the next slice is written
     return HomologyTable(entries)

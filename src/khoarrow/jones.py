@@ -37,10 +37,6 @@ class LaurentPoly:
                     cleaned[int(e)] = int(c)
         self.coeffs = cleaned
 
-    @classmethod
-    def monomial(cls, exp: int, coef: int = 1):
-        return cls({exp: coef})
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -72,10 +68,6 @@ class LaurentPoly:
 
     def shift(self, e: int):
         return LaurentPoly({exp + e: c for exp, c in self.coeffs.items()})
-
-    def substitute_inverse(self):
-        """q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -136,10 +128,10 @@ def jones(d: Diagram) -> LaurentPoly:
 def euler_characteristic(triples) -> LaurentPoly:
     """Graded Euler characteristic sum (-1)^h count q^q over (h, q,
     count) triples: a homology table's ``iter_bidegrees()``, or the
-    generator counts of a complex, ``(h, q, len(idx))`` for every degree
-    h of the generators ``gens`` of each q-slice.  Those come from
+    generator counts of a complex, ``(h, q, counts[h])`` for every
+    degree h of the ``counts`` of each q-slice.  Those come from
     ``chain.q_slices``, which writes every column too, or, as the
-    ``euler`` verify suite counts them, from ``chain._Assembly.gens``
+    ``euler`` verify suite counts them, from ``chain._Assembly.counts``
     alone, which writes none.
     """
     out: dict[int, int] = {}

@@ -189,14 +189,14 @@ class Complex(NamedTuple):
 
 def slices_of(groups, boundaries):
     """The q-slices of the whole complex (groups, boundaries), in the
-    form and order ``chain.q_slices`` yields them: (q, gens, cols),
-    ascending in q, gens[h] the indices in degree h of the generators of
-    quantum degree q, in their order, and cols[h] their columns of d_h,
-    for each degree h that has a boundary, with every row translated to
-    its slice id (the position of its generator among all of the slice's
-    generators, in the order of `gens`, degree by degree).  A row that
-    is no generator of degree h + 1 and that q raises NotAComplex, as
-    the package's writer does."""
+    form and order ``chain.q_slices`` yields them: (q, counts, cols),
+    ascending in q, counts[h] the number of generators of quantum degree
+    q in degree h, and cols[h] their columns of d_h, in their order in
+    degree h, for each degree h that has a boundary, with every row
+    translated to its slice id (the position of its generator among all
+    of the slice's generators, in their order in the whole complex,
+    degree by degree).  A row that is no generator of degree h + 1 and
+    that q raises NotAComplex, as the package's writer does."""
     for h, cols in boundaries.items():
         assert len(cols) == len(groups.get(h, [])), h
     slices = {}
@@ -206,13 +206,13 @@ def slices_of(groups, boundaries):
         for q, idx in groupby(sorted(range(len(groups[h])), key=qs), key=qs):
             slices.setdefault(q, {})[h] = list(idx)
     for q in sorted(slices):
-        gens = slices[q]
+        members = slices[q]
         ids, first = {}, 0
-        for h, idx in gens.items():
+        for h, idx in members.items():
             ids[h] = {i: first + pos for pos, i in enumerate(idx)}
             first += len(idx)
         cols = {}
-        for h, idx in gens.items():
+        for h, idx in members.items():
             if h not in boundaries:
                 continue
             cols[h] = []
@@ -225,29 +225,29 @@ def slices_of(groups, boundaries):
                             f"generator of degree {h + 1} and that q")
                     col[ids[h + 1][r]] = a
                 cols[h].append(col)
-        yield q, gens, cols
+        yield q, {h: len(idx) for h, idx in members.items()}, cols
 
 
 def listed(slices):
     """`slices` as a list, every column as its (row, entry) items, so
     that the order rows were written in counts too."""
-    return [(q, gens, {h: [list(col.items()) for col in hcols]
-                       for h, hcols in cols.items()})
-            for q, gens, cols in slices]
+    return [(q, counts, {h: [list(col.items()) for col in hcols]
+                         for h, hcols in cols.items()})
+            for q, counts, cols in slices]
 
 
 def check_all(slices):
     """``chain.check_slice`` on every slice of `slices`."""
-    for q, gens, cols in slices:
-        check_slice(q, gens, cols)
+    for q, counts, cols in slices:
+        check_slice(q, counts, cols)
 
 
 def generator_counts(slices):
     """(h, q, count) for the generators of each degree h of each q-slice,
     the triples ``jones.euler_characteristic`` sums."""
-    for q, gens, _ in slices:
-        for h, idx in gens.items():
-            yield h, q, len(idx)
+    for q, counts, _ in slices:
+        for h, count in counts.items():
+            yield h, q, count
 
 
 def resolution_build(d, p=EVEN, reduced=False):

@@ -175,34 +175,40 @@ def test_euler_characteristic_is_jones(name):
 
 
 def test_unknot_complex():
-    # generator 0 is 1 at q = 1, generator 1 is x at q = -1; no boundary
+    # one generator at each of q = -1 and q = 1; no boundary
     assert list(q_slices(corpus.get("unknot"), EVEN)) == [
-        (-1, {0: [1]}, {}), (1, {0: [0]}, {})]
+        (-1, {0: 1}, {}), (1, {0: 1}, {})]
+    # basis index 1, x, is at q = -1 and index 0, 1, at q = 1: each the
+    # first position of the one vertex, mask 0, which has no edge
+    assembly = chain._Assembly(corpus.get("unknot"), EVEN, False)
+    assert assembly.by_q == {-1: {0: [(0, {1: 0}, [])]},
+                             1: {0: [(0, {0: 0}, [])]}}
 
 
 def test_homological_range_and_group_sizes():
     d = corpus.get("trefoil")        # n- = 3, so h runs -3..0
     slices = list(q_slices(d, EVEN))
     sizes = {}
-    for _, gens, _ in slices:
-        for h, idx in gens.items():
-            sizes[h] = sizes.get(h, 0) + len(idx)
+    for _, counts, _ in slices:
+        for h, count in counts.items():
+            assert count > 0
+            sizes[h] = sizes.get(h, 0) + count
     assert sorted(sizes) == [-3, -2, -1, 0]
     assert sizes[-3] == 2 ** 3
     assert sizes[-2] == 3 * 2 ** 2
     assert sizes[0] == 2 ** 2
-    for _, gens, cols in slices:
-        assert sorted(cols) == [h for h in sorted(gens) if h < 0]
-        assert list(gens) == sorted(gens)
+    for _, counts, cols in slices:
+        assert sorted(cols) == [h for h in sorted(counts) if h < 0]
+        assert list(counts) == sorted(counts)
         # rows are slice ids: those of degree h + 1 follow every id of
         # the slice's lower degrees
         first, start = {}, 0
-        for h, idx in gens.items():
-            first[h], start = start, start + len(idx)
+        for h, count in counts.items():
+            first[h], start = start, start + count
         for h, hcols in cols.items():
-            assert len(hcols) == len(gens[h])
+            assert len(hcols) == counts[h]
             lo = first.get(h + 1, 0)
-            hi = lo + len(gens.get(h + 1, ()))
+            hi = lo + counts.get(h + 1, 0)
             assert all(lo <= r < hi for col in hcols for r in col)
 
 
@@ -320,7 +326,7 @@ def test_build_makes_each_distinct_map_and_face_once(
 
 
 def _assert_builds_equal(d, p, reduced):
-    # every slice's gens and every column, rows in their order
+    # every slice's counts and every column, rows in their order
     ref = reference.resolution_build(d, p, reduced)
     assert listed(q_slices(d, p, reduced)) == listed(slices_of(*ref))
 
@@ -404,7 +410,7 @@ def test_bigraded_complex_checks_catch_errors():
     # slices written by hand, rows as slice ids: the ids of degree h + 1
     # follow those of every lower degree.  Identity followed by identity
     # is not a differential
-    bad = [(0, {0: [0, 1], 1: [0, 1], 2: [0, 1]},
+    bad = [(0, {0: 2, 1: 2, 2: 2},
             {0: [{2: 1}, {3: 1}], 1: [{4: 1}, {5: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
         check_all(bad)
@@ -416,45 +422,76 @@ def test_bigraded_complex_checks_catch_errors():
     with pytest.raises(NotAComplex, match=r"d_0: row 0 .* q = 0"):
         check_all(bad_q)
     # a row past degree h + 1 is no generator: rejected, not an IndexError
-    bad_row = [(1, {0: [0], 1: [0]}, {0: [{5: 1}]})]
+    bad_row = [(1, {0: 1, 1: 1}, {0: [{5: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0: row 5 "):
         check_all(bad_row)
     with pytest.raises(NotAComplex):
         homology(bad_row)
     # a row inside the slice but of degree h itself, not h + 1
-    bad_low = [(1, {0: [0], 1: [0]}, {0: [{0: 1}]})]
+    bad_low = [(1, {0: 1, 1: 1}, {0: [{0: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0: row 0 .* degree 1 "):
         check_all(bad_low)
     # a negative row, which a list index would read from the end
-    bad_neg = [(1, {0: [0], 1: [0]}, {0: [{-1: 1}]})]
+    bad_neg = [(1, {0: 1, 1: 1}, {0: [{-1: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0: row -1 "):
         check_all(bad_neg)
     # a column past the generators of degree h, likewise
-    bad_col = [(1, {0: [0], 1: [0]}, {0: [{1: 1}, {1: 1}]})]
+    bad_col = [(1, {0: 1, 1: 1}, {0: [{1: 1}, {1: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_0 has 2 columns for 1"):
         check_all(bad_col)
     # d_1 d_0 = 0, but d_2 d_1 is not: the defect sits past degree 0
-    bad_late = [(0, {0: [0], 1: [0, 1], 2: [0, 1], 3: [0]},
+    bad_late = [(0, {0: 1, 1: 2, 2: 2, 3: 1},
                  {0: [{1: 1}], 1: [{}, {3: 1}], 2: [{5: 1}, {}]})]
     with pytest.raises(NotAComplex, match=r"d_2 d_1 is not zero"):
         check_all(bad_late)
 
 
 def test_writer_rejects_an_edge_into_another_q():
-    # the trefoil's slice q = -7 has generator 3 at each vertex of size
-    # 1 (degree -2); moving the first of them, at offset 0, to the slice
-    # q = -5 leaves the edges into it from degree -3 of q = -7 with no
-    # target in that slice, and writing the slice raises where it
-    # translates the rows
+    # the trefoil's slice q = -7 has basis index 3 of each vertex of
+    # size 1 (degree -2), at position 0 of its block; moving the first
+    # of them, mask 001, to the slice q = -5 leaves the edge into it
+    # from mask 000, degree -3, with no target in this slice, and
+    # writing the slice raises where it looks the target up
     assembly = chain._Assembly(corpus.get("trefoil"), EVEN, False)
-    assert assembly.slice(-7)[0][-2] == [3, 7, 11]
+    assert assembly.slice(-7)[0] == {-3: 3, -2: 3}
+    assert [v[:2] for v in assembly.by_q[-7][1]] == [
+        (0b001, {3: 0}), (0b010, {3: 0}), (0b100, {3: 0})]
     moved = assembly.by_q[-7][1].pop(0)
-    assert moved[:2] == ([3], 0)
     assembly.by_q[-5][1].append(moved)
-    with pytest.raises(NotAComplex, match=r"^d_-3: row 3 of a column of "
-                                          r"q = -7 is no generator of "
-                                          r"degree -2 and that q$"):
+    with pytest.raises(NotAComplex, match=r"^d_-3: index 3 of a target "
+                                          r"block of a column of q = -7 "
+                                          r"is no generator of degree -2 "
+                                          r"and that q$"):
         assembly.slice(-7)
+
+
+def _one_image_moved(sig, p):
+    """``edge_map`` with the first image of its first nonzero column sent
+    to the index with its lowest bit flipped: one x more or fewer, in
+    the same target block."""
+    emap = edge_map(sig, p)
+    c = next(c for c, images in enumerate(emap) if images)
+    (r, v), *rest = emap[c]
+    return emap[:c] + [((r ^ 1, v), *rest)] + emap[c + 1:]
+
+
+def test_writer_rejects_an_index_of_another_x_count(monkeypatch, capsys):
+    # the kink's one edge has no face, so the sign solve takes the moved
+    # image as it is; its target vertex has generators at the column's
+    # q, but not that index, and the writer raises where it looks it up
+    monkeypatch.setattr(chain, "edge_map", _one_image_moved)
+    # its column of 1 goes to 1 x and x 1; the first image, index 1,
+    # moves to index 0
+    with pytest.raises(NotAComplex, match=r"^d_-1: index 0 of a target "
+                                          r"block of a column of q = -1 "
+                                          r"is no generator of degree 0 "
+                                          r"and that q$"):
+        list(q_slices(corpus.get("kink"), EVEN))
+    assert cli.main(["homology", "--pd", corpus.CORPUS["kink"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure:")
+    assert "of a target block" in captured.err
 
 
 @pytest.mark.parametrize("boundaries", [
@@ -464,7 +501,7 @@ def test_writer_rejects_an_edge_into_another_q():
 def test_d_squared_rejects_boundaries_that_do_not_compose(boundaries):
     # one q-slice, q = 0, of two, two and one generators: ids 0-1, 2-3, 4
     with pytest.raises(NotAComplex):
-        check_slice(0, {0: [0, 1], 1: [0, 1], 2: [0]}, boundaries)
+        check_slice(0, {0: 2, 1: 2, 2: 1}, boundaries)
 
 
 def test_d_squared_is_exact_beyond_int64():

@@ -87,7 +87,7 @@ def test_table_accessors():
     assert t.betti(5, 5) == 0
     assert t.torsion(-2, -7) == (2,)
     assert t.torsion(0, 0) == ()
-    assert (-3, -9) in t.bidegrees()
+    assert (-3, -9) in t.entries
     assert sum(c for _, _, c in t.iter_bidegrees()) == 4
     assert t == homology(q_slices(corpus.get("trefoil"), EVEN))
     assert t != homology(q_slices(corpus.get("figure8"), EVEN))
@@ -96,7 +96,7 @@ def test_table_accessors():
 
 def test_rejects_non_complex():
     # identity followed by identity; rows are slice ids
-    bad = [(0, {0: [0, 1], 1: [0, 1], 2: [0, 1]},
+    bad = [(0, {0: 2, 1: 2, 2: 2},
             {0: [{2: 1}, {3: 1}], 1: [{4: 1}, {5: 1}]})]
     with pytest.raises(NotAComplex, match=r"d_1 d_0 is not zero"):
         homology(bad)
@@ -116,16 +116,16 @@ def test_rejects_entries_leaving_a_bidegree():
     # any column is read (the caller's column is left in place)
     short = {0: [{2: 1}]}
     for bad in (slices_of(groups={0: [0], 1: [5]}, boundaries={0: [{0: 1}]}),
-                [(0, {0: [0]}, {0: [{1: 1}]})],
-                [(1, {0: [0], 1: [0]}, {0: [{1: 1}, {1: 1}]})],
-                [(1, {0: [0], 1: [0], 2: [0]}, {0: [{1: 1}], 1: [{}, {}]})],
-                [(1, {0: [0], 1: [0], 2: [0]}, {0: [{2: 1}], 1: [{2: 1}]})],
-                [(0, {0: [0], 1: [0]}, {0: [{-1: 2}]})],
-                [(1, {0: [0], 1: [0], 2: [0]},
+                [(0, {0: 1}, {0: [{1: 1}]})],
+                [(1, {0: 1, 1: 1}, {0: [{1: 1}, {1: 1}]})],
+                [(1, {0: 1, 1: 1, 2: 1}, {0: [{1: 1}], 1: [{}, {}]})],
+                [(1, {0: 1, 1: 1, 2: 1}, {0: [{2: 1}], 1: [{2: 1}]})],
+                [(0, {0: 1, 1: 1}, {0: [{-1: 2}]})],
+                [(1, {0: 1, 1: 1, 2: 1},
                   {0: [{-1: 1}], 1: [{2: 1}]})],
-                [(0, {0: [0], 1: [0]}, {0: []})],
-                [(0, {0: [0], 1: [0]}, {0: [{1: 1}, {1: 1}]})],
-                [(0, {0: [0, 1], 1: [0]}, short)]):
+                [(0, {0: 1, 1: 1}, {0: []})],
+                [(0, {0: 1, 1: 1}, {0: [{1: 1}, {1: 1}]})],
+                [(0, {0: 2, 1: 1}, short)]):
         with pytest.raises(NotAComplex):
             homology(bad)
     assert short == {0: [{2: 1}]}
@@ -134,22 +134,27 @@ def test_rejects_entries_leaving_a_bidegree():
 @pytest.mark.parametrize("name", ["trefoil", "figure8", "trefoil_r2"])
 @pytest.mark.parametrize("p", [EVEN, ODD])
 def test_each_graph_holds_one_quantum_degree(name, p, monkeypatch):
-    # homology() builds one generator graph per q-slice: each holds the
-    # generators of one q, and together they hold every generator once
+    # homology() builds one generator graph per q-slice, one for each q
+    # of the reference's whole complex: each holds, in each degree h,
+    # as many generators as the reference has at (h, q), and so
+    # together they hold every generator once
     module = importlib.import_module("khoarrow.homology")
-    graph, seen = module._graph, []
+    graph, seen = module._graph, {}
     c = resolution_build(corpus.get(name), p)
 
-    def spy(q, gens, cols):
-        seen.append({(h, i) for h, idx in gens.items() for i in idx})
-        assert {c.groups[h][i] for h, i in seen[-1]} == {q}
-        return graph(q, gens, cols)
+    def spy(q, counts, cols):
+        assert q not in seen
+        seen[q] = dict(counts)
+        return graph(q, counts, cols)
 
     monkeypatch.setattr(module, "_graph", spy)
     homology(q_slices(corpus.get(name), p))
-    assert len(seen) == len({q for qs in c.groups.values() for q in qs})
-    assert sorted(g for gens in seen for g in gens) == sorted(
-        (h, i) for h, qs in c.groups.items() for i in range(len(qs)))
+    expected = {}
+    for h in sorted(c.groups):
+        for q in c.groups[h]:
+            at_q = expected.setdefault(q, {})
+            at_q[h] = at_q.get(h, 0) + 1
+    assert seen == expected
 
 
 def test_synthetic_torsion():
@@ -261,11 +266,11 @@ def _named_slice(degrees, boundary):
     {name: coefficient} column: rows are slice ids."""
     ids = {g: i for i, g in enumerate(
         g for names in degrees.values() for g in names)}
-    gens = {h: list(range(len(names))) for h, names in degrees.items()}
+    counts = {h: len(names) for h, names in degrees.items()}
     cols = {h: [{ids[t]: a for t, a in boundary.get(g, {}).items()}
                 for g in names]
             for h, names in degrees.items() if h + 1 in degrees}
-    return 0, gens, cols
+    return 0, counts, cols
 
 
 LEAST_FILL = ({0: ["a", "s1", "s2"], 1: ["hi", "lo"]},
@@ -374,7 +379,7 @@ def test_positive_torus_knots(q, p):
     _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
     table = homology(q_slices(d, p))
-    assert all(h >= 0 for h, _ in table.bidegrees())
+    assert all(h >= 0 for h, _ in table.entries)
     assert [row for row in table.group_rows() if row[0] == 0] == [
         (0, s - 1, 1, ()), (0, s + 1, 1, ())]
     assert euler_characteristic(generator_counts(q_slices(d, p))) == jones(d)
@@ -390,7 +395,7 @@ def test_odd_b12_finishes_through_the_library():
     _, k0 = circle_labels(d)[0]
     s = d.n - k0 + 1
     table = homology(q_slices(d, ODD))
-    assert all(h >= 0 for h, _ in table.bidegrees())
+    assert all(h >= 0 for h, _ in table.entries)
     assert [row for row in table.group_rows() if row[0] == 0] == [
         (0, s - 1, 1, ()), (0, s + 1, 1, ())]
     assert euler_characteristic(table.iter_bidegrees()) == jones(d)

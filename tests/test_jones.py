@@ -20,7 +20,6 @@ def test_laurent_arithmetic():
     assert 3 * p == L({1: 3, -1: 3})
     assert p ** 0 == L({0: 1})
     assert p.shift(2) == L({3: 1, 1: 1})
-    assert L({2: 1, -3: 4}).substitute_inverse() == L({-2: 1, 3: 4})
     assert str(L({})) == "0"
     assert str(L({0: -2, 1: 1})) == "-2 + q"
 
@@ -52,7 +51,7 @@ def test_figure8_jones():
 
 def test_figure8_amphichiral():
     j = jones(corpus.get("figure8"))
-    assert j == j.substitute_inverse()
+    assert j == L({-e: c for e, c in j.coeffs.items()})
     assert jones(mirror(corpus.get("figure8"))) == j
 
 
