@@ -1,11 +1,11 @@
 """Assembly of the unreduced and reduced chain complexes from the
 resolution cube.
 
-A build reads the circles of every vertex from one walk of the cube
-(``cube.circle_labels``), and the local picture of every edge from
-those labels (``_edges``): vertex I is the bit mask with crossing i at
-bit n - 1 - i, and maps and signs sit in flat lists indexed by
-mask * n + i for the edge at crossing i.
+A build reads every vertex, its circle count and arrows, from one walk
+of the cube (``cube.resolutions``), and the local picture of every edge
+from the arrows of its crossing at its two ends (``_edges``): vertex I
+is the bit mask with crossing i at bit n - 1 - i, and maps and signs sit
+in flat lists indexed by mask * n + i for the edge at crossing i.
 
 Edge maps are built from the parameterized (co)multiplication acting at
 the stable position of the merged/split circle, with tensor factors
@@ -38,7 +38,7 @@ can print the paper's, which negates q).
 from __future__ import annotations
 
 from .algebra import RingParams
-from .cube import circle_labels
+from .cube import resolutions
 from .diagram import Diagram, NonPlanarInconsistency
 
 __all__ = [
@@ -117,10 +117,11 @@ def _graded(one: int, ex: int, n: int, xs: int) -> int:
 
 
 def _signature(i: int, n: int, mask: int, kI: int, kJ: int,
-               cI: int, aI: int, cJ: int, aJ: int) -> tuple:
+               arrow_I: tuple, arrow_J: tuple) -> tuple:
     """The local picture the edge map along cube edge (I, i) depends on,
-    read from the circles of crossing i's arcs c and a: cI, aI in D(I),
-    of k(I) = kI circles, and cJ, aJ in D(J), J = I + e_i, of kJ.
+    read from arrow i at both ends: arrow_I = (cI, aI), the circles of
+    crossing i's arcs c and a in D(I), of k(I) = kI circles, and
+    arrow_J = (cJ, aJ) in D(J), J = I + e_i, of kJ.
 
     ("merge", k(I), s, t) when the crossing joins the circles s < t of c
     and a, and ("split", k(I), u, d_other) when c and a share circle u,
@@ -131,6 +132,7 @@ def _signature(i: int, n: int, mask: int, kI: int, kJ: int,
     (a virtual diagram); `n` and `mask`, vertex I with crossing j at bit
     n - 1 - j, name the vertex in its message.
     """
+    cI, aI = arrow_I
     if cI != aI:
         return ("merge", kI, cI, aI) if cI < aI else ("merge", kI, aI, cI)
     if kJ != kI + 1:
@@ -140,28 +142,28 @@ def _signature(i: int, n: int, mask: int, kI: int, kJ: int,
         raise NonPlanarInconsistency(
             f"crossing {i} does not split circle {cI} of {bits}: "
             "the diagram is not planar")
+    cJ, aJ = arrow_J
     return ("split", kI, cI, cJ if cJ > aJ else aJ)
 
 
 def _edges(d: Diagram, cube: list):
-    """(mask, i, ``_signature``) for every cube edge (I, i) of `d`, in
-    ascending masks, then ascending crossings; `cube` is
-    ``circle_labels(d)``, and vertex I sits at mask(I), crossing j at bit
+    """(I, i, J, ``_signature``) for every cube edge I -> J = I + e_i of
+    `d`, as masks, in ascending I, then ascending crossings; `cube` is
+    ``resolutions(d)``, and vertex I sits at mask(I), crossing j at bit
     n - 1 - j.
 
     Crossing i's arrow joins the circles of its arcs c and a, so each
-    signature reads those two arcs' labels in I and in J = I + e_i.
-    Raises NonPlanarInconsistency for a virtual diagram.
+    signature reads arrow i of I and of J.  Raises
+    NonPlanarInconsistency for a virtual diagram.
     """
     n = d.n
-    ends = [(1 << (n - 1 - i), c, a)
-            for i, (a, _, c, _) in enumerate(d.crossings)]
-    for mask, (at_I, kI) in enumerate(cube):
-        for i, (bit, c, a) in enumerate(ends):
-            if not mask & bit:
-                at_J, kJ = cube[mask | bit]
-                yield mask, i, _signature(i, n, mask, kI, kJ, at_I[c],
-                                          at_I[a], at_J[c], at_J[a])
+    bits = [(i, 1 << (n - 1 - i)) for i in range(n)]
+    for I, (kI, at_I) in enumerate(cube):
+        for i, bit in bits:
+            if not I & bit:
+                J = I | bit
+                kJ, at_J = cube[J]
+                yield I, i, J, _signature(i, n, I, kI, kJ, at_I[i], at_J[i])
 
 
 def edge_map(sig: tuple, p: RingParams) -> list:
@@ -367,12 +369,12 @@ class _Assembly:
     then writes: unreduced, or reduced to the top half of every vertex
     block (x on circle 0, the base circle) with q + 1.
 
-    Each edge's signature is read from the circle labels of its two
-    vertices (``_edges``), and edges with one signature share one map
+    Each edge's signature is read from the arrows of its two vertices
+    (``_edges``), and edges with one signature share one map
     object, so a build makes one ``edge_map`` call per distinct local
     picture (27 of 448 edges on T(2, 7)) and ``solve_signs`` checks each
     distinct face once.  Signs are solved over the full maps either way.
-    The arc labels die with the build's first stage; ``counts`` counts
+    The arrows die with the build's first stage; ``counts`` counts
     the generators of one q-slice, and ``slice`` numbers them and writes
     their columns, from what each vertex keeps: its kept block indices
     by q, each with its position in the block, and its outgoing edges,
@@ -385,14 +387,14 @@ class _Assembly:
     def __init__(self, d: Diagram, p: RingParams, reduced: bool):
         n = self.n = d.n
         self.n_minus = d.n_minus
-        cube = circle_labels(d)
+        cube = resolutions(d)
         shared: dict[tuple, list] = {}
         maps: list = [None] * (n << n)
-        for mask, i, sig in _edges(d, cube):
+        for mask, i, J, sig in _edges(d, cube):
             emap = shared.get(sig)
             if emap is None:
                 emap = shared[sig] = edge_map(sig, p)
-                kI, kJ = sig[1], cube[mask | 1 << (n - 1 - i)][1]
+                kI, kJ = sig[1], cube[J][0]
                 # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
                 if reduced and any(row < 1 << (kJ - 1)
                                    for images in emap[1 << (kI - 1):]
@@ -407,7 +409,7 @@ class _Assembly:
         # |idx| its number of x's, plus 1 in the reduced theory; that
         # theory keeps idx from 2^(k-1) on, x on circle 0
         self.shift = d.n_plus - 2 * d.n_minus + reduced
-        ks = [k for _, k in cube]
+        ks = [k for k, _ in cube]
         # blocks[k][k - 2x]: {idx: position} over the kept indices of a
         # k-circle block with x x's, in the basis order of A^{(x)k}
         blocks: dict[int, dict[int, dict[int, int]]] = {k: {} for k in ks}

@@ -5,43 +5,51 @@ of two crossingless local pictures selected by the bits of I.  For a
 crossing (a, b, c, d) the 0-smoothing joins (a,b) and (c,d), the
 1-smoothing joins (a,d) and (b,c).  Circles are connected components of
 arcs under these joins; every crossing contributes one arrow between the
-circles carrying its two smoothing arcs.  A vertex is its circle labels,
-one dict from arc to circle, and its circle count k.  ``circle_labels``
-is the one routine that finds circles, in one walk of the whole cube,
-which every consumer of the cube reads; ``arrows`` reads a vertex's
-arrows off its labels.
+circles carrying its two smoothing arcs.  A vertex is its circle count k
+and its arrows, the one model of a resolution.  ``resolutions`` is the
+one routine that finds circles and forms arrows, in one walk of the
+whole cube, which every consumer of the cube reads.
 """
 
 from __future__ import annotations
 
 from .diagram import Diagram
 
-__all__ = ["circle_labels", "arrows", "check_planarity"]
+__all__ = ["resolutions", "check_planarity"]
 
 
-def circle_labels(d: Diagram) -> list[tuple[dict[int, int], int]]:
-    """Each arc's circle and the circle count k of D(I), for every
-    vertex I of the cube.
+def resolutions(d: Diagram) -> list[tuple[int, tuple]]:
+    """(k, arrows) of D(I) for every vertex I of the cube: its circle
+    count, and one (source, target) pair of circles per crossing.
 
-    The labels map every arc to its circle.  Circles are numbered by
-    their smallest arc, and the free loops, which hold no arc, come after
-    them.  The cube comes in lexicographic order: the labels of vertex I
-    sit at index mask(I), crossing i being bit n - 1 - i of the mask.
-    The vertices are walked depth first, crossing 0 outermost and its
-    0-smoothing first, with one union-find over the arcs: each step
-    joins the two pairs of arcs a crossing's smoothing brings together,
-    (a,b) and (c,d) at 0, (a,d) and (b,c) at 1, in a copy of the parents
-    above it, so a prefix of smoothings is joined once for all the
-    vertices below it.  A root is the smallest arc of its circle, and
-    every parent is smaller than its child.
+    The arrow of crossing (a, b, c, d) leaves the circle of arc c, in the
+    second smoothing pair for either bit, for the circle of arc a, in the
+    first; both on one circle make a loop arrow.  So every circle through
+    a crossing is an arrow end.  Circles are numbered by their smallest
+    arc, and the free loops, which hold no arc, come after them.  Equal
+    pairs are one object across the cube.
+
+    The cube comes in lexicographic order: vertex I sits at index
+    mask(I), crossing i being bit n - 1 - i of the mask.  The vertices
+    are walked depth first, crossing 0 outermost and its 0-smoothing
+    first, with one union-find over the arcs: each step joins the two
+    pairs of arcs a crossing's smoothing brings together, (a,b) and (c,d)
+    at 0, (a,d) and (b,c) at 1, in a copy of the parents above it, so a
+    prefix of smoothings is joined once for all the vertices below it.
+    A root is the smallest arc of its circle, and every parent is
+    smaller than its child.  Each leaf's dict from arc to circle dies
+    there.
     """
     n = d.n
-    arcs, crossings = d.arcs, d.crossings
-    out: list[tuple[dict[int, int], int]] = []
+    arcs, crossings, free = d.arcs, d.crossings, d.free_loops
+    ends = [(c, a) for a, _, c, _ in crossings]
+    # the one (s, t) object; a circle holding arcs numbers below len(arcs)
+    pair = [[(s, t) for t in range(len(arcs))] for s in range(len(arcs))]
+    out: list[tuple[int, tuple]] = []
 
     def walk(i, parent):
         if i == n:
-            # a parent is smaller than its child, so it is labelled first
+            # a parent is smaller than its child, so it is numbered first
             labels: dict[int, int] = {}
             k = 0
             for a in arcs:
@@ -51,7 +59,8 @@ def circle_labels(d: Diagram) -> list[tuple[dict[int, int], int]]:
                     k += 1
                 else:
                     labels[a] = labels[up]
-            out.append((labels, k + d.free_loops))
+            out.append((k + free,
+                        tuple([pair[labels[c]][labels[a]] for c, a in ends])))
             return
         a, b, c, e = crossings[i]
         for bit in (0, 1):
@@ -75,18 +84,6 @@ def circle_labels(d: Diagram) -> list[tuple[dict[int, int], int]]:
     return out
 
 
-def arrows(d: Diagram, labels: dict[int, int]) -> list[tuple[int, int]]:
-    """The arrow of every crossing of `d` in the vertex whose circle
-    labels (``circle_labels``) are `labels`, as (source, target) circles.
-
-    The arrow leaves the smoothing arc carrying the outgoing under strand
-    (arc c sits in the second pair for either bit) and points at the
-    circle through the other smoothing arc, which holds arc a; both on
-    one circle make a loop arrow.
-    """
-    return [(labels[c], labels[a]) for a, _, c, _ in d.crossings]
-
-
 def check_planarity(d: Diagram) -> bool:
     """Whether every crossing change alters the circle count by exactly 1.
 
@@ -95,7 +92,7 @@ def check_planarity(d: Diagram) -> bool:
     incoherent site.  Exponential in the crossing number; intended for
     validating small curated diagrams.
     """
-    ks = [k for _, k in circle_labels(d)]
+    ks = [k for k, _ in resolutions(d)]
     return all(abs(ks[mask | 1 << s] - k) == 1
                for mask, k in enumerate(ks) for s in range(d.n)
                if not mask >> s & 1)

@@ -11,7 +11,9 @@ by (-1)^(n_minus) q^(n_plus - 2 n_minus).
 
 from __future__ import annotations
 
-from .cube import circle_labels
+from collections import Counter
+
+from .cube import resolutions
 from .diagram import Diagram
 
 __all__ = ["LaurentPoly", "TooLarge", "kauffman_bracket", "jones",
@@ -102,17 +104,16 @@ _CIRCLE = LaurentPoly({1: 1, -1: 1})   # q + q^-1
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
-    """State sum over all resolutions: sum_I (-q)^|I| (q+q^-1)^k(I)."""
+    """State sum over all resolutions: sum_I (-q)^|I| (q+q^-1)^k(I), as
+    one term per distinct (|I|, k(I)) of the cube, times its count."""
     n = d.n
     if n > MAX_BRACKET_CROSSINGS:
         raise TooLarge(f"{n} crossings exceeds bracket limit {MAX_BRACKET_CROSSINGS}")
+    census = Counter((mask.bit_count(), k)
+                     for mask, (k, _) in enumerate(resolutions(d)))
     total = LaurentPoly()
-    for mask, (_, k) in enumerate(circle_labels(d)):
-        w = mask.bit_count()
-        term = (_CIRCLE ** k).shift(w)
-        if w % 2:
-            term = term * -1
-        total = total + term
+    for (w, k), count in census.items():
+        total = total + (_CIRCLE ** k).shift(w) * (-count if w % 2 else count)
     return total
 
 

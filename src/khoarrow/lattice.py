@@ -11,7 +11,7 @@ like the basis of A^{(x)k} in ``chain.edge_map``, where circle c is bit
 k - 1 - c of the index.  The operator lattice of D(I) is the integer
 span of the values of all arrow words.  A resolution is given by its
 circle count k and its arrows, one (source, target) pair of circles per
-crossing (``cube.arrows``).
+crossing: a vertex of ``cube.resolutions``.
 
 ``check_commuting_square`` checks that the even edge map sends the value
 of every word of D(I) to the value of the same word in D(J) along a
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .algebra import EVEN
 from .chain import _edges, edge_map
-from .cube import arrows as arrows_of, circle_labels
+from .cube import resolutions
 from .diagram import Diagram
 from .jones import TooLarge
 from .snf import hermite
@@ -137,23 +137,17 @@ def check_commuting_square(d: Diagram) -> list:
     added along a split.  Each violation is (I bits, i, w).
     """
     n = d.n
-    cube = circle_labels(d)
+    cube = resolutions(d)
     # the value of every sorted word that does not vanish, one table per
-    # distinct resolution (circle count and arrows) of the cube; a word
+    # distinct vertex (circle count and arrows) of the cube; a word
     # missing from its vertex's table has value 0
-    tables: dict = {}
-    values = []
-    for labels, k in cube:
-        key = (k, tuple(arrows_of(d, labels)))
-        if key not in tables:
-            tables[key] = dict(_words(*key))
-        values.append(tables[key])
+    tables = {vertex: dict(_words(*vertex)) for vertex in set(cube)}
+    values = [tables[vertex] for vertex in cube]
     # edges with one signature share one map, as in a complex build
     maps: dict = {}
     violations = []
-    for mask, i, sig in _edges(d, cube):
-        to = mask | 1 << (n - 1 - i)
-        table, size = values[to], 2 ** cube[to][1]
+    for mask, i, to, sig in _edges(d, cube):
+        table, size = values[to], 2 ** cube[to][0]
         if sig not in maps:
             maps[sig] = edge_map(sig, EVEN)
         emap = maps[sig]

@@ -18,10 +18,19 @@ __all__ = ["hermite", "smith_normal_form", "snf_diagonal", "KERNEL"]
 KERNEL = "python"   # the only SNF implementation, named for environment reports
 
 
+def _rectangular(A: list) -> list:
+    """The rows `A`; ValueError, naming their lengths, if these differ."""
+    if len(set(map(len, A))) > 1:
+        raise ValueError("ragged matrix: rows of lengths "
+                         f"{sorted(set(map(len, A)))}")
+    return A
+
+
 def hermite(rows) -> list:
     """Row Hermite form: the nonzero rows, with positive pivots and the
-    entries above each pivot reduced into [0, pivot)."""
-    A = [list(row) for row in rows]
+    entries above each pivot reduced into [0, pivot).  Raises ValueError
+    when the rows differ in length."""
+    A = _rectangular([list(row) for row in rows])
     r = 0
     for col in range(len(A[0]) if A else 0):
         live = [i for i in range(r, len(A)) if A[i][col]]
@@ -63,8 +72,9 @@ def smith_normal_form(M):
     """SNF of an integer matrix (nested sequences or a 2-D array).
 
     Returns (D, U, V) as nested Python int lists with U @ M @ V = D.
+    Raises ValueError when the rows differ in length.
     """
-    A = [[int(x) for x in row] for row in M]
+    A = _rectangular([[int(x) for x in row] for row in M])
     m = len(A)
     n = len(A[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]

@@ -1,11 +1,12 @@
 """Slow, plain reference versions of build steps, and test-only helpers.
 
-``resolve`` finds circles with a union-find class, ``resolution_build``
+``resolve`` finds circles with a union-find class, ``kauffman_bracket``
+sums the state sum one vertex at a time, ``resolution_build``
 assembles a whole complex from one ``Resolution`` per vertex with
 bit-tuple keys, ``restricted_reduced`` restricts that whole unreduced
 complex to the top half of every vertex block, and ``orient`` orients a
 PD code by constraint propagation and then traces its components.  The
-package does all four faster, and holds a complex only as the stream of
+package does all five faster, and holds a complex only as the stream of
 its q-slices (``chain.q_slices``); ``slices_of`` cuts a whole complex
 (``Complex``) into that form, so the tests compare the package's results
 with these.  ``check_all`` and ``generator_counts`` read a stream of
@@ -29,8 +30,9 @@ from typing import NamedTuple
 from khoarrow.algebra import EVEN
 from khoarrow.chain import (NotAComplex, Unsolvable, _compose, _edges,
                             _proportion, _signature, check_slice, edge_map)
-from khoarrow.cube import arrows as arrows_of, circle_labels
+from khoarrow.cube import resolutions
 from khoarrow.diagram import NonPlanarInconsistency
+from khoarrow.jones import LaurentPoly
 from khoarrow.lattice import (_admissible, _guard, _with_loops, _words,
                               value)
 from khoarrow.snf import hermite
@@ -113,8 +115,19 @@ def edge_signature(rI, rJ, i):
     bits = rI.index
     assert not bits[i] and rJ.index == _flip(bits, i, 1), (bits, rJ.index, i)
     mask = int("".join(map(str, bits)) or "0", 2)
-    return _signature(i, len(bits), mask, rI.k, rJ.k, *rI.arrows[i],
-                      *rJ.arrows[i])
+    return _signature(i, len(bits), mask, rI.k, rJ.k, rI.arrows[i],
+                      rJ.arrows[i])
+
+
+def kauffman_bracket(d):
+    """``jones.kauffman_bracket`` as the plain state sum: one term
+    (-q)^|I| (q + q^-1)^k(I) per vertex I, k(I) from ``resolve``."""
+    total = LaurentPoly()
+    for bits in vertices(d.n):
+        w = sum(bits)
+        term = (LaurentPoly({1: 1, -1: 1}) ** resolve(d, bits).k).shift(w)
+        total = total + (term * -1 if w % 2 else term)
+    return total
 
 
 def cube_layout(d):
@@ -552,12 +565,11 @@ def check_commuting_square(d):
     """``lattice.check_commuting_square`` with one words table per cube
     vertex and one edge map per cube edge."""
     n = d.n
-    cube = circle_labels(d)
-    values = [dict(_words(k, arrows_of(d, labels))) for labels, k in cube]
+    cube = resolutions(d)
+    values = [dict(_words(*vertex)) for vertex in cube]
     violations = []
-    for mask, i, sig in _edges(d, cube):
-        to = mask | 1 << (n - 1 - i)
-        table, size = values[to], 2 ** cube[to][1]
+    for mask, i, to, sig in _edges(d, cube):
+        table, size = values[to], 2 ** cube[to][0]
         emap = edge_map(sig, EVEN)
         zero = [0] * size
         for w, vec in values[mask].items():

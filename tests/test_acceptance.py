@@ -16,7 +16,7 @@ from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import (NotAComplex, _edges, _signature, edge_map,
                             q_slices)
-from khoarrow.cube import arrows, circle_labels
+from khoarrow.cube import resolutions
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, euler_characteristic, jones
 from khoarrow.lattice import check_commuting_square, check_graph_span, value
@@ -111,8 +111,7 @@ def test_acceptance_5_graph_group_span():
     cycles_checked = 0
     for name in corpus.names():
         d = corpus.get(name)
-        for labels, k in circle_labels(d):
-            arr = arrows(d, labels)
+        for k, arr in resolutions(d):
             if not check_graph_span(k, arr)["equal"]:
                 ok = False
             for cyc in find_cycles(arr):
@@ -133,13 +132,12 @@ def test_acceptance_6_arrow_convention():
     for name in corpus.names():
         d = corpus.get(name)
         n = d.n
-        cube = circle_labels(d)
-        fwd = [arrows(d, labels) for labels, _ in cube]
+        cube = resolutions(d)
+        fwd = [arr for _, arr in cube]
         rev = [[(t, s) for s, t in arr] for arr in fwd]
-        for I, i, sig in _edges(d, cube):
-            J = I | 1 << (n - 1 - i)
-            kI, kJ = cube[I][1], cube[J][1]
-            flipped = _signature(i, n, I, kI, kJ, *rev[I][i], *rev[J][i])
+        for I, i, J, sig in _edges(d, cube):
+            kI, kJ = cube[I][0], cube[J][0]
+            flipped = _signature(i, n, I, kI, kJ, rev[I][i], rev[J][i])
             ok = ok and all(edge_map(sig, p) == edge_map(flipped, p)
                             for p in PRESETS)
             ok = ok and all(value(k, fwd[v], (a,)) == value(k, rev[v], (a,))

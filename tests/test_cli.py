@@ -195,9 +195,9 @@ def test_arrows_suite_fails_when_a_map_reads_arrow_direction(monkeypatch,
 
     signature = chain._signature
 
-    def directed(i, n, mask, kI, kJ, cI, aI, cJ, aJ):
-        sig = signature(i, n, mask, kI, kJ, cI, aI, cJ, aJ)
-        return sig[:3] + (cJ,) if sig[0] == "split" else sig
+    def directed(i, n, mask, kI, kJ, arrow_I, arrow_J):
+        sig = signature(i, n, mask, kI, kJ, arrow_I, arrow_J)
+        return sig[:3] + (arrow_J[0],) if sig[0] == "split" else sig
 
     monkeypatch.setattr(chain, "_signature", directed)
     assert main(["verify", "--suite", "arrows"]) == 3

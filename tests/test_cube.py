@@ -1,11 +1,11 @@
-"""Circle labels, arrows, and the hypercube bookkeeping."""
+"""Resolutions, their arrows, and the hypercube bookkeeping."""
 
 import gc
 
 import pytest
 
 from khoarrow import EVEN, ODD, corpus, homology, q_slices
-from khoarrow.cube import arrows, check_planarity, circle_labels
+from khoarrow.cube import check_planarity, resolutions
 from khoarrow.diagram import mirror, parse_pd
 from knots import positive_braid_closure, torus
 import reference
@@ -17,7 +17,7 @@ HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 def test_trefoil_circle_counts():
     # k of every vertex, by mask: crossing i is bit 2 - i
-    ks = [k for _, k in circle_labels(TREFOIL)]
+    ks = [k for k, _ in resolutions(TREFOIL)]
     assert ks[0b000] == 3
     assert ks[0b100] == ks[0b010] == ks[0b001] == 2
     assert ks[0b110] == ks[0b101] == ks[0b011] == 1
@@ -25,17 +25,17 @@ def test_trefoil_circle_counts():
 
 
 def test_resolution_structure():
-    labels, k = circle_labels(HOPF)[0b00]
+    k, arr = resolutions(HOPF)[0b00]
     assert k == 2
-    arr = arrows(HOPF, labels)
     assert len(arr) == 2
     for s, t in arr:
         assert 0 <= s < k and 0 <= t < k
-    # every arc belongs to exactly one circle, and circle 0 holds the
-    # smallest arc
-    assert sorted(labels) == list(HOPF.arcs)
-    assert set(labels.values()) == set(range(k))
-    assert labels[min(HOPF.arcs)] == 0
+    # every circle holds an arc, and each arc sits at a crossing, so every
+    # circle is an arrow end; circle 0 holds the smallest arc, 1, which
+    # is arc c of crossing 1 (X[2,3,1,4]), the source of its arrow
+    assert {v for arrow in arr for v in arrow} == set(range(k))
+    assert min(HOPF.arcs) == HOPF.crossings[1][2] == 1
+    assert arr[1][0] == 0
 
 
 REFERENCE_DIAGRAMS = {name: corpus.get(name) for name in corpus.names()}
@@ -49,22 +49,19 @@ REFERENCE_DIAGRAMS.update({
 
 @pytest.mark.parametrize("name", REFERENCE_DIAGRAMS)
 def test_resolve_equals_union_find_reference(name):
-    # circle membership, circle count and arrows of every vertex of the
-    # whole-cube walk agree with the union-find of reference.resolve
+    # the circle count and arrows of every vertex of the whole-cube walk
+    # agree with the union-find of reference.resolve
     d = REFERENCE_DIAGRAMS[name]
-    cube = circle_labels(d)
+    cube = resolutions(d)
     assert len(cube) == 2 ** d.n
-    for (labels, k), bits in zip(cube, vertices(d.n)):
+    for vertex, bits in zip(cube, vertices(d.n)):
         r = reference.resolve(d, bits)
-        assert k == r.k, bits
-        assert labels == {a: c for c, circ in enumerate(r.circles)
-                          for a in circ}, bits
-        assert arrows(d, labels) == list(r.arrows), bits
+        assert vertex == (r.k, r.arrows), bits
 
 
 def test_free_loops_become_empty_circles():
     # a free loop holds no arc but counts as a circle
-    assert circle_labels(parse_pd("")) == [({}, 1)]
+    assert resolutions(parse_pd("")) == [(1, ())]
 
 
 def test_khovanov_sign():
@@ -88,18 +85,18 @@ def test_cube_edge_and_face_counts():
     edges = _edges(TREFOIL)
     assert len(edges) == n * 2 ** (n - 1)
     # an arrow joins two circles (a merge) or one circle to itself (a split)
-    cube = circle_labels(TREFOIL)
-    ends = [arrows(TREFOIL, cube[m][0])[i] for m, _, i in edges]
+    cube = resolutions(TREFOIL)
+    ends = [cube[m][1][i] for m, _, i in edges]
     assert {s == t for s, t in ends} == {False, True}
 
 
 def test_edge_kind_matches_circle_count_change():
     # arrow i of D(I) joins two circles exactly when the edge at i merges
     for d in (TREFOIL, HOPF):
-        cube = circle_labels(d)
+        cube = resolutions(d)
         for frm, to, i in _edges(d):
-            s, t = arrows(d, cube[frm][0])[i]
-            dk = cube[to][1] - cube[frm][1]
+            s, t = cube[frm][1][i]
+            dk = cube[to][0] - cube[frm][0]
             assert dk == (-1 if s != t else 1)
 
 
@@ -109,15 +106,15 @@ def test_check_planarity():
 
 
 def test_a_build_leaves_no_cyclic_garbage():
-    # circle_labels' recursive walk refers to itself through its closure
-    # cell: unless that cycle is broken, every build leaves its whole cube
-    # of labels (151 objects on T(2,7)) to the cyclic collector
+    # the recursive walk of resolutions refers to itself through its
+    # closure cell: unless that cycle is broken, every build leaves the
+    # walk and what it holds to the cyclic collector
     d = torus(7)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        circle_labels(d)
+        resolutions(d)
         homology(q_slices(d, ODD))
         homology(q_slices(d, EVEN, reduced=True))
         assert gc.collect() == 0

@@ -16,7 +16,7 @@ from khoarrow import corpus
 from khoarrow.algebra import EVEN, ODD
 from khoarrow.chain import q_slices
 from khoarrow.cli import PRESETS
-from khoarrow.cube import circle_labels
+from khoarrow.cube import resolutions
 from khoarrow.diagram import mirror
 from khoarrow.homology import (NotAComplex, _cancel, _cancel_units, _graph,
                                homology)
@@ -376,7 +376,7 @@ def test_positive_torus_knots(q, p):
     # q = c - O + 1 +- 1
     d = positive_braid_closure([0, 1] * q)
     assert (d.n, d.n_minus) == (2 * q, 0)
-    _, k0 = circle_labels(d)[0]
+    k0, _ = resolutions(d)[0]
     s = d.n - k0 + 1
     table = homology(q_slices(d, p))
     assert all(h >= 0 for h, _ in table.entries)
@@ -392,7 +392,7 @@ def test_odd_b12_finishes_through_the_library():
     # entries up to 440 at (7, 21), on which a pivot-and-remainder Smith
     # form does not finish (test_snf.B12_BLOCK)
     d = positive_braid_closure((0, 1) * 5 + (0, 0))
-    _, k0 = circle_labels(d)[0]
+    k0, _ = resolutions(d)[0]
     s = d.n - k0 + 1
     table = homology(q_slices(d, ODD))
     assert all(h >= 0 for h, _ in table.entries)

@@ -6,6 +6,8 @@ from khoarrow import corpus
 from khoarrow.diagram import mirror, parse_pd
 from khoarrow.jones import (LaurentPoly, TooLarge, euler_characteristic,
                             jones, kauffman_bracket)
+from knots import random_signed_knots, torus
+import reference
 
 
 def L(coeffs):
@@ -59,6 +61,21 @@ def test_jones_is_a_move_invariant():
     for cls in corpus.EQUIVALENCE_CLASSES.values():
         vals = {jones(corpus.get(n)) for n in cls}
         assert len(vals) == 1
+
+
+BRACKET_DIAGRAMS = {name: corpus.get(name) for name in corpus.names()}
+BRACKET_DIAGRAMS.update({f"mirror {name}": mirror(corpus.get(name))
+                         for name in corpus.names()})
+BRACKET_DIAGRAMS.update({f"T(2,{n})": torus(n) for n in range(3, 14)})
+BRACKET_DIAGRAMS.update({f"braid {word}": d
+                         for word, d in random_signed_knots(20)})
+
+
+@pytest.mark.parametrize("name", BRACKET_DIAGRAMS)
+def test_bracket_census_equals_the_state_sum(name):
+    # one term per distinct (|I|, k) pair sums to the per-vertex state sum
+    d = BRACKET_DIAGRAMS[name]
+    assert kauffman_bracket(d) == reference.kauffman_bracket(d)
 
 
 def test_bracket_size_limit():

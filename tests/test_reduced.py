@@ -9,7 +9,7 @@ from khoarrow import corpus, lattice
 from khoarrow.algebra import EVEN, ODD, RingParams
 from khoarrow.chain import q_slices
 from khoarrow.cli import PRESETS
-from khoarrow.cube import arrows, check_planarity, circle_labels
+from khoarrow.cube import check_planarity, resolutions
 from khoarrow.diagram import Diagram, mirror, parse_pd
 from khoarrow.homology import homology
 from khoarrow.jones import LaurentPoly, TooLarge, euler_characteristic, jones
@@ -32,8 +32,7 @@ HOPF = parse_pd("X[4,1,3,2] X[2,3,1,4]")
 
 def _vertex(d, mask):
     """The circle count and the arrows of the vertex at `mask`."""
-    labels, k = circle_labels(d)[mask]
-    return k, arrows(d, labels)
+    return resolutions(d)[mask]
 
 
 def test_pinned_lattice_ranks():
@@ -76,8 +75,7 @@ def test_values_are_faithful_to_dense_operators(name):
     # every T-operator is multiplication by its value at 1, so a word's
     # value determines its dense product of t_merge / t_split matrices
     d = corpus.get(name)
-    for labels, k in circle_labels(d):
-        arr = arrows(d, labels)
+    for k, arr in resolutions(d):
         ops = [t_merge(k, s + 1, t + 1) if s != t else t_split(k, s + 1)
                for s, t in arr]
         for m in range(4):
@@ -86,8 +84,8 @@ def test_values_are_faithful_to_dense_operators(name):
                 for i in w:
                     dense = ops[i] @ dense
                 vec = value(k, arr, w)
-                assert dense[:, 0].tolist() == vec, (labels, w)
-                assert np.array_equal(dense, _multiplication(vec)), (labels, w)
+                assert dense[:, 0].tolist() == vec, (arr, w)
+                assert np.array_equal(dense, _multiplication(vec)), (arr, w)
 
 
 def test_lattice_guard():
@@ -115,10 +113,15 @@ def test_reduced_complex_is_a_complex(name):
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("name", corpus.names())
 def test_base_circle_is_circle_0(name, mirrored):
-    # the reduced build keeps the top half of every block, x on circle 0
+    # the reduced build keeps the top half of every block, x on circle 0.
+    # Every circle through a crossing is an arrow end, so arrows equal to
+    # the reference's number every circle as it does, and its circle 0
+    # holds the base arc
     d = mirror(corpus.get(name)) if mirrored else corpus.get(name)
-    for labels, _ in circle_labels(d):
-        assert (labels[d.arcs[0]] if d.arcs else 0) == 0, labels
+    for (_, arr), bits in zip(resolutions(d), reference.vertices(d.n)):
+        r = reference.resolve(d, bits)
+        assert arr == r.arrows, bits
+        assert not d.arcs or d.arcs[0] in r.circles[0], bits
 
 
 def test_unknot_reduced_homology_is_pinned_at_origin():
@@ -342,14 +345,12 @@ def test_commuting_square_catches_a_wrong_map(monkeypatch):
     found = check_commuting_square(d)
     assert found
     assert found == reference.check_commuting_square(d)
-    cube = circle_labels(d)
+    cube = resolutions(d)
     n = d.n
     for bits, i, w in found:
         assert len(bits) == n and set(bits) <= {0, 1} and not bits[i]
-        mask = int("".join(map(str, bits)), 2)
-        (at_I, kI), (at_J, _) = cube[mask], cube[mask | 1 << (n - 1 - i)]
-        a, _, c, _ = d.crossings[i]
-        assert ("merge", kI, *sorted((at_I[c], at_I[a]))) == wrong
+        kI, arr = cube[int("".join(map(str, bits)), 2)]
+        assert ("merge", kI, *sorted(arr[i])) == wrong
         assert isinstance(w, tuple) and all(0 <= j < n for j in w)
 
 
@@ -358,9 +359,9 @@ def test_commuting_square_catches_a_wrong_map(monkeypatch):
 def test_graph_span_equals_lattice():
     for name in ("kink", "hopf", "trefoil", "figure8"):
         d = corpus.get(name)
-        for labels, k in circle_labels(d):
-            rep = check_graph_span(k, arrows(d, labels))
-            assert rep["equal"], (name, labels, rep)
+        for k, arr in resolutions(d):
+            rep = check_graph_span(k, arr)
+            assert rep["equal"], (name, arr, rep)
 
 
 def test_lattice_checks_equal_the_reference():
@@ -374,8 +375,7 @@ def test_lattice_checks_equal_the_reference():
     for d in diagrams:
         assert (check_commuting_square(d)
                 == reference.check_commuting_square(d)), d.crossings
-        vertices += [(k, tuple(arrows(d, labels)))
-                     for labels, k in circle_labels(d)]
+        vertices += resolutions(d)
     assert (len(diagrams), len(vertices)) == (44, 2318)
     # both sides are functions of the resolution alone: check each once
     for k, arr in dict.fromkeys(vertices):
@@ -439,13 +439,12 @@ def _admissible_oracle(k, arrows):
                                   if corpus.get(n).n <= 6])
 def test_enumerate_admissible_equals_oracle(name):
     d = corpus.get(name)
-    for labels, k in circle_labels(d):
-        arr = arrows(d, labels)
+    for k, arr in resolutions(d):
         assert (enumerate_admissible(k, arr)
-                == _admissible_oracle(k, arr)), labels
+                == _admissible_oracle(k, arr)), arr
         # each subgraph's value, built from a smaller one, is its psi
         assert (list(lattice._subgraph_values(k, arr))
-                == [psi(g, k, arr) for g in _admissible_oracle(k, arr)]), labels
+                == [psi(g, k, arr) for g in _admissible_oracle(k, arr)]), arr
 
 
 def _dists(subs, edges):
@@ -485,11 +484,10 @@ def test_cycle_relations():
     checked = 0
     for name in ("hopf", "trefoil", "figure8"):
         d = corpus.get(name)
-        for labels, k in circle_labels(d):
-            arr = arrows(d, labels)
+        for k, arr in resolutions(d):
             for cyc in find_cycles(arr):
                 rep = check_cycle_relations(k, arr, cyc)
-                assert all(rep.values()), (name, labels, cyc, rep)
+                assert all(rep.values()), (name, arr, cyc, rep)
                 checked += 1
     assert checked >= 10
 

@@ -4,12 +4,13 @@ import random
 import time
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from khoarrow.snf import KERNEL, smith_normal_form, snf_diagonal
+from khoarrow.snf import KERNEL, hermite, smith_normal_form, snf_diagonal
 
 
 def check_snf(M, D, U, V):
@@ -139,6 +140,16 @@ def test_rectangular():
     D, U, V = smith_normal_form(M)
     check_snf(M, D, U, V)
     assert snf_diagonal(M) == [1, 4]
+
+
+@pytest.mark.parametrize("M", [[[2], [4, 6]], [[1, 2], [3]]])
+def test_ragged_matrix_is_refused(M):
+    # rows of different lengths are no matrix: both eliminations refuse
+    # them before any work, naming the lengths, and hermite raises
+    # ValueError rather than IndexError
+    for f in (smith_normal_form, snf_diagonal, hermite):
+        with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
+            f(M)
 
 
 def test_numpy_input_accepted():
