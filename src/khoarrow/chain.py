@@ -18,8 +18,8 @@ build makes each distinct map once and shares it between its edges.
 Edge signs are then propagated from a spanning tree of the cube, each
 non-tree edge from one face it closes, so that every 2-face
 anticommutes; the few edges no face fixes become GF(2) unknowns, solved
-by XOR elimination against the remaining faces.  Faces built from the
-same four map objects are composed and compared once per sign solve.
+by XOR elimination against the remaining faces; each composite of two
+map objects is made, and each face compared, once per sign solve.
 That work is done once per build (``_Assembly``).  Every differential
 preserves q, so the complex is the direct sum of its q-slices, and a
 complex is only ever held as that stream: one assembly writes the
@@ -110,12 +110,6 @@ def check_slice(q: int, counts: dict, cols: dict) -> list:
     return by_id
 
 
-def _graded(one: int, ex: int, n: int, xs: int) -> int:
-    """one^(n - xs) * ex^xs for +-1 `one` and `ex`: the coefficient of
-    passing n factors, xs of them x, that cost `one` per 1 and `ex` per x."""
-    return (one if (n - xs) & 1 else 1) * (ex if xs & 1 else 1)
-
-
 def _signature(i: int, n: int, mask: int, kI: int, kJ: int,
                arrow_I: tuple, arrow_J: tuple) -> tuple:
     """The local picture the edge map along cube edge (I, i) depends on,
@@ -185,52 +179,62 @@ def edge_map(sig: tuple, p: RingParams) -> list:
     the even specialization all of these coefficients are 1 and the map
     is the plain Khovanov edge map; away from it they are exactly what
     makes every 2-face of the cube commute up to a single global unit.
+    Passing m factors, xs of them x, at (one, ex) costs one^m (one ex)^xs,
+    so every coefficient is a constant times (-1)^popcount(idx & M), M
+    the factors passed where one ex = -1, both set once per map and image
+    kind: one loop over the source indices writes each column with bit
+    operations.
     """
     kind, kI, first, second = sig
-    # swap[b] = (cost of passing a 1, cost of passing an x) for a moving b
-    swap = ((p.x, p.z), (p.z, p.y))
+    x, y, z = p.x, p.y, p.z
+    xz, zy = x * z < 0, z * y < 0
     out = []
     if kind == "merge":
         # merge: the merged circle inherits the smaller stable position;
         # the factor at pt moves left past the factors between them
         ps, pt = first, second
         sa, sb = kI - 1 - ps, kI - 1 - pt        # bit shifts of the two
-        between = (1 << sa) - (1 << (sb + 1))
-        low = (1 << sb) - 1
-        for idx in range(2 ** kI):
-            a, b = idx >> sa & 1, idx >> sb & 1
-            if a and b:
+        a, b = 1 << sa, 1 << sb
+        left, between, low = (1 << kI) - (a << 1), a - (b << 1), b - 1
+        # (x, z) over the factors left of ps, and over those between as a
+        # 1, where a = x pays x z more; (z, y) over those between as an x
+        c0, m0 = x ** (pt - 1), (left | between | a) if xz else 0
+        c1 = x ** ps * z ** (pt - ps - 1)
+        m1 = (left if xz else 0) | (between if zy else 0)
+        v0, v1 = (c0, -c0), (c1, -c1)         # by the parity under m0, m1
+        for idx in range(1 << kI):
+            row = (idx >> (sb + 1) << sb) | (idx & low)
+            if not idx & b:
+                out.append(((row, v0[(idx & m0).bit_count() & 1]),))
+            elif idx & a:
                 out.append(())                   # x * x = 0
-                continue
-            coeff = (_graded(p.x, p.z, ps, (idx >> (sa + 1)).bit_count())
-                     * _graded(*swap[b], pt - ps - 1,
-                               (idx & between).bit_count()))
-            if a:
-                coeff *= p.x * p.z
-            row = (idx >> (sb + 1) << sb) | (idx & low) | (b << (sa - 1))
-            out.append(((row, coeff),))
+            else:
+                out.append(((row | a >> 1,
+                             v1[(idx & m1).bit_count() & 1]),))
         return out
     # split: the daughter containing the minimal arc keeps the position,
     # and the other daughter moves right from the next one to its own
     pu, d_other = first, second
     su, t = kI - 1 - pu, kI - d_other   # bit shifts of u in I, d_other in J
-    x_min, x_other = 1 << (su + 1), 1 << t
-    between = (1 << su) - (1 << t)
-    low = (1 << t) - 1
-    for idx in range(2 ** kI):
-        twist = _graded(p.z, p.y, pu, (idx >> (su + 1)).bit_count())
-        passed = (idx & between).bit_count()
-        moved_x = twist * _graded(*swap[1], d_other - pu - 1, passed)
-        base = idx & ~(1 << su)
-        base = (base >> t << (t + 1)) | (base & low)
-        if idx >> su & 1:
+    u, x_other = 1 << su, 1 << t
+    x_min = u << 1
+    left, between, low = (1 << kI) - x_min, u - x_other, x_other - 1
+    # (z, y) over the factors left of pu, and over those between for the
+    # moving x; (x, z) over those between for the moving 1
+    cx, mx = z ** (d_other - 1), (left | between) if zy else 0
+    c1 = z ** pu * x ** (d_other - pu - 1)
+    m1 = (left if zy else 0) | (between if xz else 0)
+    cy = y * z * cx
+    vx, vy, v1 = (cx, -cx), (cy, -cy), (c1, -c1)
+    for idx in range(1 << kI):
+        base = (idx >> t << (t + 1)) | (idx & low)   # bit su lands on x_min
+        if idx & u:
             # x -> x x
-            out.append(((base | x_min | x_other, moved_x),))
+            out.append(((base | x_other, vx[(idx & mx).bit_count() & 1]),))
         else:
             # 1 -> x 1 + yz 1 x
-            moved_1 = twist * _graded(*swap[0], d_other - pu - 1, passed)
-            out.append(((base | x_other, p.y * p.z * moved_x),
-                        (base | x_min, moved_1)))
+            out.append(((base | x_other, vy[(idx & mx).bit_count() & 1]),
+                        (base | x_min, v1[(idx & m1).bit_count() & 1])))
     return out
 
 
@@ -259,7 +263,8 @@ def _compose(second: list, first: list) -> list:
 
 
 def _proportion(m1: list, m2: list, where: str) -> int:
-    """The lambda = +-1 with m1 = lambda m2, or 0 when both vanish."""
+    """The lambda = +-1 with m1 = lambda m2, or 0 when both vanish;
+    lambda = -1 is read column by column, with no negated copy of m2."""
     z1, z2 = not any(m1), not any(m2)
     if z1 and z2:
         return 0
@@ -267,9 +272,16 @@ def _proportion(m1: list, m2: list, where: str) -> int:
         raise FaceNotProportional(f"{where}: exactly one composite vanishes")
     if m1 == m2:
         return 1
-    if m1 == [tuple((r, -v) for r, v in col) for col in m2]:
-        return -1
-    raise FaceNotProportional(f"{where}: composites not +-proportional")
+    unequal = FaceNotProportional(f"{where}: composites not +-proportional")
+    if len(m1) != len(m2):
+        raise unequal
+    for c1, c2 in zip(m1, m2):
+        if len(c1) != len(c2):
+            raise unequal
+        for (r1, v1), (r2, v2) in zip(c1, c2):
+            if r1 != r2 or v1 != -v2:
+                raise unequal
+    return -1
 
 
 def solve_signs(maps: list, n: int) -> list:
@@ -293,29 +305,22 @@ def solve_signs(maps: list, n: int) -> list:
     even specialization the result is exactly the Khovanov sign rule.
 
     `maps` holds the unsigned edge map of every edge of the n-cube at
-    its number; edges may share one map object.  Each face whose four
-    maps are new objects is composed and compared column by column; a
-    face made of the same four objects as one seen earlier in this call
-    reuses its lambda, and still adds its equation.  Raises
-    FaceNotProportional when a face's composites are not +-1 multiples
-    of each other, and Unsolvable when the face equations are
-    inconsistent.
+    its number; edges may share one map object.  Each distinct object
+    gets a number, a composite (second after first) is keyed by the
+    numbers of its maps and made once per call, and a face is keyed by
+    its two composites and compared column by column once per call; a
+    later face with that key reuses its lambda, and still adds its
+    equation.  The keys are objects, not signatures, so a changed copy
+    of a shared map is composed on its own.  Raises FaceNotProportional
+    when a face's composites are not +-1 multiples of each other, and
+    Unsolvable when the face equations are inconsistent.
     """
-    lams: dict[tuple, int] = {}        # ids of a face's four maps -> lambda
-
-    def face(low, j, i):
-        """The lambda = +-1 with (i after j) = lambda (j after i) on the
-        face at vertex `low` spanned by j < i; 0 when both composites
-        vanish.  Faces whose four maps are the same objects are checked
-        once."""
-        ij, j0 = maps[(low | 1 << (n - 1 - j)) * n + i], maps[low * n + j]
-        ji, i0 = maps[(low | 1 << (n - 1 - i)) * n + j], maps[low * n + i]
-        key = (id(ij), id(j0), id(ji), id(i0))
-        if key not in lams:
-            lams[key] = _proportion(_compose(ij, j0), _compose(ji, i0),
-                                    f"face {low:0{n}b} ({j},{i})")
-        return lams[key]
-
+    objs = list({id(m): m for m in maps}.values())
+    number = {id(m): k for k, m in enumerate(objs)}
+    ids = list(map(number.__getitem__, map(id, maps)))
+    size = len(objs)
+    comps: dict[int, list] = {}        # second * size + first -> composite
+    lams: dict[int, int] = {}          # via_j * size^2 + via_i -> lambda
     masks: list = [None] * (n << n)
     pivots: dict[int, int] = {}        # leading unknown -> reduced equation
     unknowns = 0
@@ -325,18 +330,31 @@ def solve_signs(maps: list, n: int) -> list:
         for vertex in order:
             if vertex & bit_i:
                 continue
-            # the four signs of a face multiply to -lambda
+            # the four signs of a face multiply to -lambda, where (i after
+            # j) = lambda (j after i), 0 when both composites vanish
             equations = []
+            last_i = ids[vertex * n + i] * size
             for j in range(i):
                 bit_j = 1 << (n - 1 - j)
                 if not vertex & bit_j:
                     continue
                 low = vertex ^ bit_j
-                lam = face(low, j, i)
+                at_low, at_up = low * n, (low | bit_i) * n
+                via_j = last_i + ids[at_low + j]
+                via_i = ids[at_up + j] * size + ids[at_low + i]
+                key = via_j * size * size + via_i
+                lam = lams.get(key)
+                if lam is None:
+                    for c in (via_j, via_i):
+                        if c not in comps:
+                            comps[c] = _compose(objs[c // size],
+                                                objs[c % size])
+                    lam = lams[key] = _proportion(
+                        comps[via_j], comps[via_i],
+                        f"face {low:0{n}b} ({j},{i})")
                 if lam:
-                    equations.append(masks[low * n + j] ^ masks[low * n + i]
-                                     ^ masks[(low | bit_i) * n + j]
-                                     ^ (lam > 0))
+                    equations.append(masks[at_low + j] ^ masks[at_low + i]
+                                     ^ masks[at_up + j] ^ (lam > 0))
             # the 1-bits of I before i, the crossings j < i
             before = vertex >> (n - i)
             if equations:
@@ -372,8 +390,10 @@ class _Assembly:
     Each edge's signature is read from the arrows of its two vertices
     (``_edges``), and edges with one signature share one map
     object, so a build makes one ``edge_map`` call per distinct local
-    picture (27 of 448 edges on T(2, 7)) and ``solve_signs`` checks each
-    distinct face once.  Signs are solved over the full maps either way.
+    picture (27 of 448 edges on T(2, 7)), each written from parity
+    masks, and ``solve_signs``, numbering those objects, makes each
+    distinct composite once (108) and compares each distinct face once
+    (87 of 672).  Signs are solved over the full maps either way.
     The arrows die with the build's first stage; ``counts`` counts
     the generators of one q-slice, and ``slice`` numbers them and writes
     their columns, from what each vertex keeps: its kept block indices

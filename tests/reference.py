@@ -1,15 +1,16 @@
 """Slow, plain reference versions of build steps, and test-only helpers.
 
-``resolve`` finds circles with a union-find class, ``kauffman_bracket``
-sums the state sum one vertex at a time, ``resolution_build``
-assembles a whole complex from one ``Resolution`` per vertex with
-bit-tuple keys, ``restricted_reduced`` restricts that whole unreduced
-complex to the top half of every vertex block, and ``orient`` orients a
-PD code by constraint propagation and then traces its components.  The
-package does all five faster, and holds a complex only as the stream of
-its q-slices (``chain.q_slices``); ``slices_of`` cuts a whole complex
-(``Complex``) into that form, so the tests compare the package's results
-with these.  ``check_all`` and ``generator_counts`` read a stream of
+``resolve`` finds circles with a union-find class, ``graded_edge_map``
+multiplies out every coefficient of an edge map column by column,
+``kauffman_bracket`` sums the state sum one vertex at a time,
+``resolution_build`` assembles a whole complex from one ``Resolution``
+per vertex with bit-tuple keys, ``restricted_reduced`` restricts that
+whole unreduced complex to the top half of every vertex block, and
+``orient`` orients a PD code by constraint propagation and then traces
+its components.  The package does all six faster, and holds a complex
+only as the stream of its q-slices (``chain.q_slices``); ``slices_of``
+cuts a whole complex (``Complex``) into that form, so the tests compare
+the package's results with these.  ``check_all`` and ``generator_counts`` read a stream of
 slices for the checks and for the Euler characteristic.  Then comes the
 graph model of the operator lattices that only the tests read:
 ``enumerate_admissible``, ``psi``, ``find_cycles`` and
@@ -117,6 +118,57 @@ def edge_signature(rI, rJ, i):
     mask = int("".join(map(str, bits)) or "0", 2)
     return _signature(i, len(bits), mask, rI.k, rJ.k, rI.arrows[i],
                       rJ.arrows[i])
+
+
+def _graded(one, ex, n, xs):
+    """one^(n - xs) * ex^xs for +-1 `one` and `ex`: the coefficient of
+    passing n factors, xs of them x, that cost `one` per 1 and `ex` per x."""
+    return (one if (n - xs) & 1 else 1) * (ex if xs & 1 else 1)
+
+
+def graded_edge_map(sig, p):
+    """``chain.edge_map`` with every coefficient a product of ``_graded``
+    terms, counted column by column from the factors each one passes."""
+    kind, kI, first, second = sig
+    # swap[b] = (cost of passing a 1, cost of passing an x) for a moving b
+    swap = ((p.x, p.z), (p.z, p.y))
+    out = []
+    if kind == "merge":
+        ps, pt = first, second
+        sa, sb = kI - 1 - ps, kI - 1 - pt
+        between = (1 << sa) - (1 << (sb + 1))
+        low = (1 << sb) - 1
+        for idx in range(2 ** kI):
+            a, b = idx >> sa & 1, idx >> sb & 1
+            if a and b:
+                out.append(())
+                continue
+            coeff = (_graded(p.x, p.z, ps, (idx >> (sa + 1)).bit_count())
+                     * _graded(*swap[b], pt - ps - 1,
+                               (idx & between).bit_count()))
+            if a:
+                coeff *= p.x * p.z
+            row = (idx >> (sb + 1) << sb) | (idx & low) | (b << (sa - 1))
+            out.append(((row, coeff),))
+        return out
+    pu, d_other = first, second
+    su, t = kI - 1 - pu, kI - d_other
+    x_min, x_other = 1 << (su + 1), 1 << t
+    between = (1 << su) - (1 << t)
+    low = (1 << t) - 1
+    for idx in range(2 ** kI):
+        twist = _graded(p.z, p.y, pu, (idx >> (su + 1)).bit_count())
+        passed = (idx & between).bit_count()
+        moved_x = twist * _graded(*swap[1], d_other - pu - 1, passed)
+        base = idx & ~(1 << su)
+        base = (base >> t << (t + 1)) | (base & low)
+        if idx >> su & 1:
+            out.append(((base | x_min | x_other, moved_x),))
+        else:
+            moved_1 = twist * _graded(*swap[0], d_other - pu - 1, passed)
+            out.append(((base | x_other, p.y * p.z * moved_x),
+                        (base | x_min, moved_1)))
+    return out
 
 
 def kauffman_bracket(d):

@@ -18,7 +18,8 @@ from khoarrow.homology import homology
 from khoarrow.jones import euler_characteristic, jones
 from knots import positive_braid_closure, random_signed_knots, torus
 from reference import (check_all, edge_signature, generator_counts,
-                       khovanov_sign, listed, resolve, slices_of, vertices)
+                       graded_edge_map, khovanov_sign, listed, resolve,
+                       slices_of, vertices)
 
 PRESETS = [EVEN, ODD, RingParams(-1, 1, 1), RingParams(-1, -1, -1)]
 ALL_PRESETS = [RingParams(*xyz) for xyz in product((1, -1), repeat=3)]
@@ -255,6 +256,17 @@ def test_sparse_edge_maps_equal_dense_oracle(name, reverse):
                                   dense_edge_map(rI, rJ, i, p)), (rI.index, i, p)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mask_edge_maps_equal_the_graded_reference(k):
+    # every merge and split of k circles: rows, their order and every
+    # coefficient, at all eight sign patterns
+    sigs = [("merge", k, s, t) for s, t in combinations(range(k), 2)]
+    sigs += [("split", k, u, d) for u in range(k) for d in range(u + 1, k + 1)]
+    for sig in sigs:
+        for p in ALL_PRESETS:
+            assert edge_map(sig, p) == graded_edge_map(sig, p), (sig, p)
+
+
 @pytest.mark.parametrize("d", [corpus.get(name) for name in corpus.names()]
                          + [torus(7)])
 def test_even_signs_are_khovanov_signs(d):
@@ -304,25 +316,39 @@ def test_shared_edge_maps_are_exact(name, reverse):
         assert solve_signs(shared, d.n) == solve_signs(unshared, d.n), p
 
 
-@pytest.mark.parametrize("d, p, edges, distinct_maps, faces, distinct_faces", [
-    (torus(7), EVEN, 448, 27, 672, 87),
-    # 14 of its distinct faces have two vanishing composites, lambda = 0
-    (positive_braid_closure([0, 1] * 4), ODD, 1024, 34, 1792, 194),
-])
+def _paths(maps, bits, j, i):
+    """The ids of the (second, first) maps of the two paths round the
+    face at `bits` spanned by j < i: along j then i, and along i then j."""
+    return ((id(maps[_edge(_up(bits, j), i)]), id(maps[_edge(bits, j)])),
+            (id(maps[_edge(_up(bits, i), j)]), id(maps[_edge(bits, i)])))
+
+
+@pytest.mark.parametrize(
+    "d, p, edges, distinct_maps, faces, distinct_faces, composites", [
+        (torus(7), EVEN, 448, 27, 672, 87, 108),
+        # 14 of its distinct faces have two vanishing composites
+        (positive_braid_closure([0, 1] * 4), ODD, 1024, 34, 1792, 194, 187),
+    ])
 def test_build_makes_each_distinct_map_and_face_once(
-        monkeypatch, d, p, edges, distinct_maps, faces, distinct_faces):
+        monkeypatch, d, p, edges, distinct_maps, faces, distinct_faces,
+        composites):
     calls = {"edge_map": 0, "_compose": 0}
     for name in calls:
         def counted(*args, _fn=getattr(chain, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(chain, name, counted)
-    maps = [m for m in _built_maps(d, p) if m is not None]
+    full = _built_maps(d, p)
+    maps = [m for m in full if m is not None]
     assert len(maps) == edges
     assert len({id(m) for m in maps}) == distinct_maps
     assert len(_cube_faces(d)) == faces
-    # each distinct face is composed along both of its paths
-    assert calls == {"edge_map": distinct_maps, "_compose": 2 * distinct_faces}
+    paths = [_paths(full, *face) for face in _cube_faces(d)]
+    assert len(set(paths)) == distinct_faces
+    # a composite of two map objects is made once, also when faces with
+    # other maps share it: fewer than the two paths of each distinct face
+    assert len({path for pair in paths for path in pair}) == composites
+    assert calls == {"edge_map": distinct_maps, "_compose": composites}
 
 
 def _assert_builds_equal(d, p, reduced):
@@ -335,7 +361,7 @@ def _assert_builds_equal(d, p, reduced):
 @pytest.mark.parametrize("name", corpus.names())
 def test_mask_build_equals_resolution_build_on_the_corpus(name, reduced):
     for d in (corpus.get(name), mirror(corpus.get(name))):
-        for p in cli.PRESETS:
+        for p in ALL_PRESETS:
             _assert_builds_equal(d, p, reduced)
 
 
@@ -402,6 +428,50 @@ def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
     original = maps[_edge(bits, j)]
     assert sum(m is original for m in maps) > 1
     _double_one_coefficient(maps, bits, j, i)
+    with pytest.raises(FaceNotProportional):
+        solve_signs(maps, d.n)
+
+
+def test_doubled_coefficient_on_a_face_of_lambda_minus_one_is_caught():
+    # the odd face 011000 (0, 3) has composites that are negatives of
+    # each other, and it is the first face the sign solve checks with
+    # the copy of edge (011000, 0) on it; the doubled coefficient makes
+    # it neither +1 nor -1 times the other
+    d = corpus.get("figure8_r2")
+    maps = _built_maps(d, ODD)
+    bits, j, i = (0, 1, 1, 0, 0, 0), 0, 3
+    via_j, via_i = ([maps[_edge(_up(bits, a), b)], maps[_edge(bits, a)]]
+                    for a, b in ((j, i), (i, j)))
+    assert chain._proportion(chain._compose(*via_j), chain._compose(*via_i),
+                             "") == -1
+    _double_one_coefficient(maps, bits, j, i)
+    with pytest.raises(FaceNotProportional,
+                       match=r"^face 011000 \(0,3\): composites not "
+                             r"\+-proportional$"):
+        solve_signs(maps, d.n)
+
+
+def test_composite_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
+    # the last face, in the order the sign solve walks them, that shares
+    # exactly one of its two composites with an earlier face: a changed
+    # copy of the first map of that composite is a new object, so the
+    # shared composite is made again from it
+    d = corpus.get("figure8")
+    maps = _built_maps(d, ODD)
+    walk = sorted(_cube_faces(d), key=lambda face: (
+        face[2], sum(face[0]) + 1, _up(face[0], face[1]), face[1]))
+    composites, faces, found = set(), set(), None
+    for bits, j, i in walk:
+        paths = _paths(maps, bits, j, i)
+        shared = [path in composites for path in paths]
+        if shared.count(True) == 1 and paths not in faces:
+            found = bits, j, i, shared.index(True)
+        composites.update(paths)
+        faces.add(paths)
+    bits, j, i, along_i = found
+    first = maps[_edge(bits, i if along_i else j)]
+    assert sum(m is first for m in maps) > 1
+    _double_one_coefficient(maps, bits, *((i, j) if along_i else (j, i)))
     with pytest.raises(FaceNotProportional):
         solve_signs(maps, d.n)
 
