@@ -29,6 +29,10 @@ rows as those ids, either every generator (the unreduced complex) or
 only the top half of every vertex block, x on the base circle (the
 marked-point reduced complex); the signs are solved over the full maps
 either way.  ``check_slice`` is the one soundness check of a slice.
+Every way a build finds that it is no complex raises NotAComplex: a
+face whose composites are not +-1 multiples of each other, sign
+equations with no solution, an entry outside its slice (in the reduced
+theory, one that leaves the kept generators) and d^2 != 0.
 
 Gradings: homological degree h = |I| - n_minus, and quantum degree
 (#1 - #x) + |I| + n_plus - 2 n_minus, the standard convention (the CLI
@@ -42,27 +46,12 @@ from .cube import resolutions
 from .diagram import Diagram, NonPlanarInconsistency
 
 __all__ = [
-    "FaceNotProportional",
-    "Unsolvable",
-    "NotASubcomplex",
     "NotAComplex",
     "check_slice",
     "edge_map",
     "solve_signs",
     "q_slices",
 ]
-
-
-class FaceNotProportional(RuntimeError):
-    pass
-
-
-class Unsolvable(RuntimeError):
-    pass
-
-
-class NotASubcomplex(RuntimeError):
-    pass
 
 
 class NotAComplex(ValueError):
@@ -264,15 +253,17 @@ def _compose(second: list, first: list) -> list:
 
 def _proportion(m1: list, m2: list, where: str) -> int:
     """The lambda = +-1 with m1 = lambda m2, or 0 when both vanish;
-    lambda = -1 is read column by column, with no negated copy of m2."""
+    lambda = -1 is read column by column, with no negated copy of m2.
+    Raises NotAComplex, its message starting with `where`, when there is
+    no such lambda."""
     z1, z2 = not any(m1), not any(m2)
     if z1 and z2:
         return 0
     if z1 != z2:
-        raise FaceNotProportional(f"{where}: exactly one composite vanishes")
+        raise NotAComplex(f"{where}: exactly one composite vanishes")
     if m1 == m2:
         return 1
-    unequal = FaceNotProportional(f"{where}: composites not +-proportional")
+    unequal = NotAComplex(f"{where}: composites not +-proportional")
     if len(m1) != len(m2):
         raise unequal
     for c1, c2 in zip(m1, m2):
@@ -311,9 +302,9 @@ def solve_signs(maps: list, n: int) -> list:
     its two composites and compared column by column once per call; a
     later face with that key reuses its lambda, and still adds its
     equation.  The keys are objects, not signatures, so a changed copy
-    of a shared map is composed on its own.  Raises FaceNotProportional
-    when a face's composites are not +-1 multiples of each other, and
-    Unsolvable when the face equations are inconsistent.
+    of a shared map is composed on its own.  Raises NotAComplex when a
+    face's composites are not +-1 multiples of each other, or when the
+    face equations are inconsistent.
     """
     objs = list({id(m): m for m in maps}.values())
     number = {id(m): k for k, m in enumerate(objs)}
@@ -370,7 +361,7 @@ def solve_signs(maps: list, n: int) -> list:
                 while eq > 1 and eq.bit_length() - 1 in pivots:
                     eq ^= pivots[eq.bit_length() - 1]
                 if eq == 1:
-                    raise Unsolvable("sign constraints are inconsistent")
+                    raise NotAComplex("sign constraints are inconsistent")
                 if eq:
                     pivots[eq.bit_length() - 1] = eq
 
@@ -400,8 +391,9 @@ class _Assembly:
     by q, each with its position in the block, and its outgoing edges,
     each made once per build.  Nothing is cached across builds.
     Raises NonPlanarInconsistency for a virtual diagram, and
-    NotASubcomplex when `reduced` and an edge map sends a kept
-    generator into the discarded half of its target block.
+    NotAComplex when the sign solve finds no signs; a kept generator
+    sent into the discarded half of its target block is found by the
+    writer (``slice``).
     """
 
     def __init__(self, d: Diagram, p: RingParams, reduced: bool):
@@ -410,18 +402,10 @@ class _Assembly:
         cube = resolutions(d)
         shared: dict[tuple, list] = {}
         maps: list = [None] * (n << n)
-        for mask, i, J, sig in _edges(d, cube):
+        for mask, i, _, sig in _edges(d, cube):
             emap = shared.get(sig)
             if emap is None:
                 emap = shared[sig] = edge_map(sig, p)
-                kI, kJ = sig[1], cube[J][0]
-                # the kept half of a block is its indices 2^(k-1) .. 2^k - 1
-                if reduced and any(row < 1 << (kJ - 1)
-                                   for images in emap[1 << (kI - 1):]
-                                   for row, _ in images):
-                    raise NotASubcomplex(
-                        f"boundary from degree {mask.bit_count() - d.n_minus}"
-                        f" leaves the reduced generators")
             maps[mask * n + i] = emap
         signs = solve_signs(maps, n)
 
@@ -527,8 +511,9 @@ def q_slices(d: Diagram, p: RingParams, reduced: bool = False):
     (``_Assembly.slice``), writing each entry's row as its slice id
     directly, so a caller that drops a slice before asking for the next
     never holds the whole complex.  Raises NonPlanarInconsistency for a
-    virtual diagram, before the first slice, and NotAComplex if an edge
-    leaves the slice it starts in.
+    virtual diagram and NotAComplex when the sign solve finds no signs,
+    both before the first slice, and NotAComplex, as its slice is
+    written, if an edge leaves the slice it starts in.
 
     With `reduced`, the slices are those of the reduced complex: the
     generators whose base circle carries ``x``, with q shifted up by
@@ -546,11 +531,11 @@ def q_slices(d: Diagram, p: RingParams, reduced: bool = False):
     restriction of the unreduced one, and (q + q^-1) times its Euler
     characteristic is the Jones polynomial.  For a knot the homology
     does not depend on the base arc; for a link it belongs to the
-    component through the smallest arc label.  Raises NotASubcomplex,
-    before the first slice, if an edge map sends a kept generator
-    outside the kept ones.  The paper's basepoint-free construction of
-    an even reduced theory is not reproduced here; the arrow-operator
-    lattices it starts from are checked in ``lattice``.
+    component through the smallest arc label.  An edge map that sends a
+    kept generator outside the kept ones leaves its slice.  The paper's
+    basepoint-free construction of an even reduced theory is not
+    reproduced here; the arrow-operator lattices it starts from are
+    checked in ``lattice``.
     """
     assembly = _Assembly(d, p, reduced)
     for q in sorted(assembly.by_q):

@@ -12,8 +12,9 @@ Exit codes: 0 success / all checks pass; 1 input could not be parsed
 or is not a planar diagram; 2 the input exceeds a size guard, or the
 command line is malformed (argparse's usage error, e.g. ``--x 2``, or
 ``--x`` with a ``--theory`` other than ``custom``); 3
-an internal consistency check failed (d² != 0 and friends) or a verify
-suite reported failures.
+the build is no complex (``NotAComplex``: a cube face whose composites
+are not +-proportional, unsolvable signs, an edge leaving its slice or
+d² != 0) or a verify suite reported failures.
 Diagnostics go to stderr; stdout carries data only.
 """
 
@@ -27,8 +28,7 @@ from time import perf_counter
 
 from . import corpus
 from .algebra import EVEN, ODD, RingParams
-from .chain import (FaceNotProportional, NotAComplex, NotASubcomplex,
-                    Unsolvable, _Assembly, check_slice, q_slices)
+from .chain import NotAComplex, _Assembly, check_slice, q_slices
 from .cube import resolutions
 from .diagram import DiagramError, parse_gauss, parse_pd
 from .homology import homology
@@ -327,8 +327,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (NotAComplex, FaceNotProportional, Unsolvable,
-            NotASubcomplex) as exc:
+    except NotAComplex as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 

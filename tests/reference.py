@@ -29,8 +29,8 @@ from itertools import groupby, product
 from typing import NamedTuple
 
 from khoarrow.algebra import EVEN
-from khoarrow.chain import (NotAComplex, Unsolvable, _compose, _edges,
-                            _proportion, _signature, check_slice, edge_map)
+from khoarrow.chain import (NotAComplex, _compose, _edges, _proportion,
+                            _signature, check_slice, edge_map)
 from khoarrow.cube import resolutions
 from khoarrow.diagram import NonPlanarInconsistency
 from khoarrow.jones import LaurentPoly
@@ -231,7 +231,7 @@ def _solve_signs(maps, n):
                 while eq > 1 and eq.bit_length() - 1 in pivots:
                     eq ^= pivots[eq.bit_length() - 1]
                 if eq == 1:
-                    raise Unsolvable("sign constraints are inconsistent")
+                    raise NotAComplex("sign constraints are inconsistent")
                 if eq:
                     pivots[eq.bit_length() - 1] = eq
     solution = 1

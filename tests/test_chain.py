@@ -11,8 +11,8 @@ import dense
 import reference
 from khoarrow import chain, cli, corpus
 from khoarrow.algebra import EVEN, ODD, RingParams
-from khoarrow.chain import (FaceNotProportional, NotAComplex, check_slice,
-                            edge_map, q_slices, solve_signs)
+from khoarrow.chain import (NotAComplex, check_slice, edge_map, q_slices,
+                            solve_signs)
 from khoarrow.diagram import NonPlanarInconsistency, mirror, parse_gauss
 from khoarrow.homology import homology
 from khoarrow.jones import euler_characteristic, jones
@@ -392,7 +392,7 @@ def test_corrupted_coefficient_is_not_proportional():
     maps = _maps(d, EVEN)
     bits, j, i = _cube_faces(d)[0]
     _double_one_coefficient(maps, bits, j, i)
-    with pytest.raises(FaceNotProportional, match="not \\+-proportional"):
+    with pytest.raises(NotAComplex, match="not \\+-proportional"):
         solve_signs(maps, d.n)
 
 
@@ -407,8 +407,7 @@ def test_emptied_image_leaves_one_composite_vanishing():
     composite = chain._compose(maps[_edge(_up(bits, j), i)], first)
     assert composite[0] and not any(composite[1:])
     maps[_edge(bits, j)] = [()] + first[1:]
-    with pytest.raises(FaceNotProportional,
-                       match="exactly one composite vanishes"):
+    with pytest.raises(NotAComplex, match="exactly one composite vanishes"):
         solve_signs(maps, d.n)
 
 
@@ -428,7 +427,7 @@ def test_face_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
     original = maps[_edge(bits, j)]
     assert sum(m is original for m in maps) > 1
     _double_one_coefficient(maps, bits, j, i)
-    with pytest.raises(FaceNotProportional):
+    with pytest.raises(NotAComplex, match="not \\+-proportional"):
         solve_signs(maps, d.n)
 
 
@@ -445,7 +444,7 @@ def test_doubled_coefficient_on_a_face_of_lambda_minus_one_is_caught():
     assert chain._proportion(chain._compose(*via_j), chain._compose(*via_i),
                              "") == -1
     _double_one_coefficient(maps, bits, j, i)
-    with pytest.raises(FaceNotProportional,
+    with pytest.raises(NotAComplex,
                        match=r"^face 011000 \(0,3\): composites not "
                              r"\+-proportional$"):
         solve_signs(maps, d.n)
@@ -472,7 +471,7 @@ def test_composite_memo_does_not_hide_a_corrupted_copy_of_a_shared_map():
     first = maps[_edge(bits, i if along_i else j)]
     assert sum(m is first for m in maps) > 1
     _double_one_coefficient(maps, bits, *((i, j) if along_i else (j, i)))
-    with pytest.raises(FaceNotProportional):
+    with pytest.raises(NotAComplex, match="not \\+-proportional"):
         solve_signs(maps, d.n)
 
 

@@ -323,16 +323,15 @@ def test_cli_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
+def _flip_circle_0(monkeypatch):
+    # every edge map conjugated by the flip of x on circle 0: faces still
+    # anticommute and d^2 = 0, but the kept half of each block is now the
+    # old discarded one, which the boundary leaves
     import khoarrow.chain as chain
-    import khoarrow.cli as cli
 
     edge_map = chain.edge_map
 
     def corrupted(sig, p):
-        # every edge map conjugated by the flip of x on circle 0: faces
-        # still anticommute and d^2 = 0, but the kept half of each block
-        # is now the old discarded one, which the boundary leaves
         emap = edge_map(sig, p)
         kind, kI = sig[:2]
         kJ = kI - 1 if kind == "merge" else kI + 1
@@ -341,10 +340,69 @@ def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
                 for c in range(len(emap))]
 
     monkeypatch.setattr(chain, "edge_map", corrupted)
+
+
+def _double_a_merge(monkeypatch):
+    # column 0 of the merge of two circles, 1 (x) 1 -> 1, with its
+    # coefficient doubled: a face with that edge on it is no longer
+    # +-proportional, so the sign solve finds no signs
+    import khoarrow.chain as chain
+
+    edge_map = chain.edge_map
+
+    def corrupted(sig, p):
+        emap = edge_map(sig, p)
+        if sig == ("merge", 2, 0, 1):
+            (row, v), = emap[0]
+            emap[0] = ((row, 2 * v),)
+        return emap
+
+    monkeypatch.setattr(chain, "edge_map", corrupted)
+
+
+def test_reduced_boundary_leaving_the_subcomplex_exits_3(monkeypatch, capsys):
+    # the writer finds the entry that lands in the discarded half: it is
+    # no generator of its target degree
+    _flip_circle_0(monkeypatch)
     rc = main(["homology", "--pd", TREFOIL, "--reduced"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
-    assert "leaves the reduced generators" in captured.err
+    assert captured.err == (
+        "internal consistency failure: d_-3: index 1 of a target block of "
+        "a column of q = -8 is no generator of degree -2 and that q\n")
+
+
+def test_verify_reports_a_build_with_no_signs_and_goes_on(monkeypatch,
+                                                          capsys):
+    # every diagram whose cube has a face through the doubled merge
+    # fails at each preset and reduced; the others still pass, and every
+    # one of the 50 checks is reported
+    _double_a_merge(monkeypatch)
+    assert main(["verify", "--suite", "d2"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 50
+    assert all(line.startswith(("[pass] d2 ", "[FAIL] d2 ")) for line in lines)
+    failed = {line.split()[3] for line in lines if line.startswith("[FAIL]")}
+    assert failed == {"figure8", "trefoil_r1", "trefoil_r2", "figure8_r2",
+                      "figure8_r3"}
+    assert sum(line.startswith("[FAIL]") for line in lines) == 25
+    assert "25 check(s) failed" in captured.err
+
+
+def test_a_library_caller_catches_every_unsound_build_as_not_a_complex(
+        monkeypatch):
+    import khoarrow
+    from khoarrow import EVEN, corpus
+
+    with monkeypatch.context() as patch:
+        _double_a_merge(patch)
+        with pytest.raises(khoarrow.NotAComplex,
+                           match=r"composites not \+-proportional"):
+            homology(q_slices(corpus.get("figure8"), EVEN))
+    _flip_circle_0(monkeypatch)
+    with pytest.raises(khoarrow.NotAComplex, match="of a target block"):
+        list(q_slices(parse_pd(TREFOIL), EVEN, reduced=True))
 
 
 def test_file_that_is_not_utf8_exit_code(tmp_path):
